@@ -4,11 +4,12 @@ Controller-side flow:
 
 1. **Compile once.**  Every unique ``(source, top, defines)`` among the
    requests is parsed/elaborated/compiled exactly once, in the
-   controller.  Workers receive the *pickled program* (a pre-compile
-   design image that recompiles deterministically on unpickle — see
-   ``Program.__reduce__``), never source text, so the front end runs
+   controller (:class:`DesignCatalog`).  Workers receive the *pickled
+   program* (a pre-compile design image that recompiles
+   deterministically on unpickle — see ``Program.__reduce__``) with the
+   first job that needs it, never source text, so the front end runs
    once per design regardless of pool width or run count.
-2. **Fan out, durably.**  The controller owns a
+2. **Fan out, durably.**  The :class:`Dispatcher` owns a
    :class:`~repro.batch.queue.JobQueue` and a pool of long-lived
    worker processes, one in-flight run per worker under a
    :class:`~repro.batch.queue.Lease`.  A worker death (OOM kill,
@@ -30,14 +31,20 @@ Controller-side flow:
    trace shards merge into one Chrome trace with a lane per worker,
    and an aggregated :class:`~repro.obs.MetricsRegistry` summarises
    the batch (``batch.*`` families, per-run labeled children).
+
+The :class:`Dispatcher` is the one scheduling loop in the package:
+:func:`run_batch` feeds it a fixed manifest, and the
+:mod:`repro.serve` scheduler feeds it live submissions.
 """
 
 from __future__ import annotations
 
+import hashlib
 import multiprocessing
 import os
 import pickle
 import tempfile
+import threading
 import time
 from dataclasses import dataclass, field
 from multiprocessing import connection as _mpconn
@@ -288,25 +295,25 @@ def _validate(requests: Sequence[RunRequest]) -> None:
                 "per-run status files under <out_dir>/status/ instead")
 
 
-def _compile_catalog(
-    requests: Sequence[RunRequest],
-) -> Tuple[Dict[str, bytes], Dict[str, str]]:
-    """Compile each unique design once.
+class DesignCatalog:
+    """Compile-once design images, content-addressed by design key.
 
-    Returns ``(catalog, by_run)``: the fingerprint-keyed pickled
-    programs shipped to workers, and each run name's fingerprint.
+    :attr:`images` maps a design fingerprint to its pickled program —
+    what workers receive — and :meth:`add` compiles a request's design
+    the first time its ``(source, top, defines)`` key is seen.
     """
-    import hashlib
 
-    from repro.compile import compile_design
-    from repro.frontend import elaborate, parse_source
+    def __init__(self) -> None:
+        self.images: Dict[str, bytes] = {}
+        self._by_key: Dict[tuple, str] = {}
 
-    catalog: Dict[str, bytes] = {}
-    by_key: Dict[tuple, str] = {}
-    by_run: Dict[str, str] = {}
-    for request in requests:
+    def add(self, request: RunRequest) -> str:
+        """The fingerprint of ``request``'s design, compiled once."""
+        from repro.compile import compile_design
+        from repro.frontend import elaborate, parse_source
+
         key = request.design_key()
-        fingerprint = by_key.get(key)
+        fingerprint = self._by_key.get(key)
         if fingerprint is None:
             source, top, defines = key
             # Content-address the catalog by the full design key, NOT
@@ -317,13 +324,12 @@ def _compile_catalog(
             # collision here would silently run one design in place of
             # another.
             fingerprint = hashlib.sha256(
-                repr((source, top, defines)).encode("utf-8")).hexdigest()
+                repr(key).encode("utf-8")).hexdigest()
             modules = parse_source(source, defines=dict(defines) or None)
             program = compile_design(elaborate(modules, top=top))
-            by_key[key] = fingerprint
-            catalog[fingerprint] = pickle.dumps(program)
-        by_run[request.name] = fingerprint
-    return catalog, by_run
+            self.images[fingerprint] = pickle.dumps(program)
+            self._by_key[key] = fingerprint
+        return fingerprint
 
 
 def _aggregate_metrics(result: BatchResult) -> MetricsRegistry:
@@ -420,10 +426,11 @@ def _watch_stalls(
 
 
 class _Worker:
-    """One pool slot: a process, its pipes, and its current lease."""
+    """One pool slot: a process, its pipes, its current lease, and the
+    designs whose images it already holds."""
 
     __slots__ = ("id", "process", "task_send", "result_recv", "lease",
-                 "controller_killed")
+                 "designs", "controller_killed")
 
     def __init__(self, worker_id: int, ctx, init_args: tuple) -> None:
         self.id = worker_id
@@ -438,6 +445,7 @@ class _Worker:
         task_recv.close()
         result_send.close()
         self.lease: Optional[Lease] = None
+        self.designs: set = set()
         self.controller_killed = False
 
     def alive(self) -> bool:
@@ -539,6 +547,239 @@ class _WorkerPool:
 # ---------------------------------------------------------------------
 
 
+class Dispatcher:
+    """The scheduling loop: dispatch, wait, reap, retry, escalate.
+
+    Owns the worker pool, the leases of ``queue``, its
+    :class:`~repro.batch.queue.RetryPolicy` (requeue with backoff,
+    quarantine, lease-timeout kill) and the flag-only stall watch, and
+    writes every scheduling event and terminal outcome to ``journal``.
+    Feeders put runs into ``queue`` and their designs into ``images``
+    (a :attr:`DesignCatalog.images` dict); each image ships with the
+    first job that needs it on a given worker.  Terminal outcomes go
+    to ``on_result``.
+
+    :meth:`run` holds ``lock`` except while it is blocked waiting on
+    the pool, so a feeder thread may add runs under the same lock;
+    ``poll`` caps that wait so such additions are noticed.  With no
+    timer armed and no ``poll`` the wait blocks until a worker reports
+    or dies.
+    """
+
+    def __init__(self, queue: JobQueue, images: Dict[str, bytes],
+                 workers: int, out_dir: str, trace: bool,
+                 heartbeat_every: Optional[int],
+                 journal: Optional[BatchJournal] = None,
+                 on_result: Optional[Callable[[RunOutcome], None]] = None,
+                 stall_after: Optional[float] = None,
+                 on_stall: Optional[Callable[[RunHealth], None]] = None,
+                 lock: Optional[threading.Lock] = None,
+                 poll: Optional[float] = None) -> None:
+        self.queue = queue
+        self.policy = queue.policy
+        self.images = images
+        self.journal = journal
+        self.on_result = on_result
+        self.stall_after = stall_after
+        self.on_stall = on_stall
+        self.lock = lock if lock is not None else threading.Lock()
+        self.poll = poll
+        self.status_dir = os.path.join(out_dir, "status") \
+            if heartbeat_every else None
+        self.pool = _WorkerPool(
+            workers, (out_dir, trace, heartbeat_every or None))
+        #: worker pid -> (trace shard path, shard t0) for merging.
+        self.shards: Dict[int, Tuple[str, float]] = {}
+        #: Runs the stall watcher or the lease timeout flagged.
+        self.stalled: set = set()
+
+    def run(self, done: Callable[[], bool]) -> None:
+        """Schedule until ``done()`` (checked under the lock)."""
+        with self.lock:
+            while not done():
+                self._top_up()
+                self._dispatch()
+                timeout = self._timeout()
+                self.lock.release()
+                try:
+                    ready = self.pool.wait(timeout)
+                finally:
+                    self.lock.acquire()
+                for worker in ready:
+                    self._reap_result(worker)
+                self._reap_dead()
+                # flag-only stall watch — every iteration, never
+                # starved by a steady trickle of completions
+                if self.status_dir is not None \
+                        and self.stall_after is not None:
+                    _watch_stalls(self.status_dir,
+                                  self.queue.pending_names(),
+                                  self.stalled, self.stall_after,
+                                  self.on_stall)
+                if self.policy.lease_timeout is not None:
+                    self._escalate()
+
+    def close(self) -> None:
+        self.pool.shutdown()
+
+    def _top_up(self) -> None:
+        """Keep one worker per pending run, up to the pool width."""
+        want = min(self.pool.width, self.queue.pending())
+        if len(self.pool.workers) < want:
+            try:
+                self.pool.spawn(want - len(self.pool.workers))
+            except Exception as exc:  # pool start is controller-side
+                raise BatchError(
+                    f"could not start worker pool: {exc}") from exc
+
+    def _dispatch(self) -> None:
+        for worker in self.pool.idle():
+            lease = self.queue.lease(worker.id, worker.process.pid or -1)
+            if lease is None:
+                break
+            job = self.queue.job(lease.name)
+            image = None if job.fingerprint in worker.designs \
+                else self.images[job.fingerprint]
+            try:
+                worker.task_send.send(
+                    (job.request, job.fingerprint, lease.attempt, image))
+            except (BrokenPipeError, OSError):
+                # the worker died between polls; put the run back
+                # unblamed — the death itself is reaped later
+                self.queue.release(lease.name)
+                continue
+            worker.designs.add(job.fingerprint)
+            worker.lease = lease
+            if self.journal is not None:
+                self.journal.attempt(lease.name, lease.attempt, "start",
+                                     worker_pid=lease.worker_pid)
+
+    def _timeout(self) -> Optional[float]:
+        timeouts = []
+        if self.poll is not None:
+            timeouts.append(self.poll)
+        if self.stall_after is not None:
+            timeouts.append(min(self.stall_after / 2.0, 2.0))
+        if self.policy.lease_timeout is not None:
+            timeouts.append(min(self.policy.lease_timeout / 2.0, 2.0))
+        delay = self.queue.next_delay()
+        if delay is not None:
+            timeouts.append(max(delay, 0.01))
+        return min(timeouts) if timeouts else None
+
+    def _take_lease(self, worker: _Worker) -> Optional[Lease]:
+        """Clear the worker's lease; return it if the queue still holds
+        it (a cancelled or escalated run's late report is stray)."""
+        lease, worker.lease = worker.lease, None
+        if lease is None or self.queue.leases.get(lease.name) is not lease:
+            return None
+        return lease
+
+    def _reap_result(self, worker: _Worker) -> None:
+        try:
+            raw = worker.result_recv.recv()
+        except (EOFError, OSError):
+            return  # died after readiness; reaped as a dead worker
+        lease = self._take_lease(worker)
+        if lease is None:
+            return
+        if raw.get("shard_path") is not None:
+            self.shards[raw["worker_pid"]] = (
+                raw["shard_path"], raw["t0_unix_us"])
+        outcome = RunOutcome(
+            name=raw["name"],
+            status=SimStatus(raw["status"]),
+            result=raw["result"],
+            error=raw["error"],
+            wall_seconds=raw["wall_seconds"],
+            worker_pid=raw["worker_pid"],
+            vcd_path=raw["vcd_path"],
+            attempts=lease.attempt,
+            resumed_from_checkpoint=raw.get(
+                "resumed_from_checkpoint", False),
+        )
+        if outcome.status.value in self.policy.retry_statuses:
+            self._fail(outcome.name, "status",
+                       raw["error"] or outcome.status.value,
+                       raw["worker_pid"], outcome)
+        else:
+            self._finalize(outcome)
+
+    def _reap_dead(self) -> None:
+        """Requeue exactly the runs dead workers held."""
+        for worker in self.pool.dead():
+            lease = self._take_lease(worker)
+            if lease is not None and not worker.controller_killed:
+                exitcode = worker.process.exitcode
+                self._fail(lease.name, "worker-lost",
+                           f"worker lost: pid {lease.worker_pid} died "
+                           f"(exit {exitcode}) holding attempt "
+                           f"{lease.attempt}",
+                           lease.worker_pid, None)
+            self.pool.reap(worker)
+
+    def _escalate(self) -> None:
+        """Lease-timeout escalation: stall -> kill -> requeue."""
+        now_unix = time.time()
+        now_mono = time.perf_counter()
+        for worker in list(self.pool.workers):
+            lease = worker.lease
+            if lease is None or not worker.alive():
+                continue
+            record = read_status(os.path.join(
+                self.status_dir, f"{lease.name}.json")) \
+                if self.status_dir is not None else None
+            health = assess_lease(
+                lease.name, lease.worker_pid,
+                lease.age(now_mono), record,
+                kill_after=self.policy.lease_timeout,
+                now_unix=now_unix,
+                started_unix=lease.started_unix)
+            if not health.expired:
+                continue
+            worker.lease = None
+            self.pool.kill(worker)
+            self.stalled.add(lease.name)
+            heartbeat_age = "n/a" if health.heartbeat_age is None \
+                else f"{health.heartbeat_age:.1f}s"
+            self._fail(lease.name, "stall-kill",
+                       f"lease expired after {health.lease_age:.1f}s "
+                       f"(heartbeat age {heartbeat_age}); "
+                       f"worker pid {lease.worker_pid} killed",
+                       lease.worker_pid, None)
+
+    def _finalize(self, outcome: RunOutcome) -> None:
+        self.queue.complete(outcome.name, outcome)
+        if self.journal is not None:
+            self.journal.terminal(outcome.name, outcome.to_dict())
+        if self.on_result is not None:
+            self.on_result(outcome)
+
+    def _fail(self, name: str, kind: str, error: str,
+              worker_pid: Optional[int],
+              last: Optional[RunOutcome]) -> None:
+        """Route a retryable failure; quarantine on exhaustion."""
+        disposition = self.queue.fail(name, kind, error, worker_pid)
+        if disposition["action"] == "requeue":
+            if self.journal is not None:
+                self.journal.attempt(name, disposition["attempt"],
+                                     "requeue", failure_kind=kind,
+                                     error=error, worker_pid=worker_pid,
+                                     delay=disposition["delay"])
+            return
+        outcome = last if last is not None else RunOutcome(
+            name=name, status=SimStatus.ABORTED, error=error,
+            worker_pid=worker_pid)
+        outcome.quarantined = True
+        outcome.error = (f"quarantined after "
+                         f"{disposition['attempt']} attempt(s): {error}")
+        if self.journal is not None:
+            self.journal.attempt(name, disposition["attempt"],
+                                 "quarantine", failure_kind=kind,
+                                 error=error, worker_pid=worker_pid)
+        self._finalize(outcome)
+
+
 def run_batch(
     requests: Sequence[RunRequest],
     workers: int = 1,
@@ -599,14 +840,14 @@ def run_batch(
         out_dir = tempfile.mkdtemp(prefix="repro-batch-")
     else:
         os.makedirs(out_dir, exist_ok=True)
-    status_dir = os.path.join(out_dir, "status") if heartbeat_every else None
 
     wall_start = time.perf_counter()
-    catalog, by_run = _compile_catalog(requests)
+    catalog = DesignCatalog()
+    by_run = {request.name: catalog.add(request) for request in requests}
     fingerprints = {request.name: request_fingerprint(request,
                                                       by_run[request.name])
                     for request in requests}
-    cat_sha = catalog_sha(catalog)
+    cat_sha = catalog_sha(catalog.images)
 
     journal_path = os.path.join(out_dir, JOURNAL_NAME) if journal else None
     restored: Dict[str, RunOutcome] = {}
@@ -626,22 +867,14 @@ def run_batch(
         [(request, by_run[request.name]) for request in requests
          if request.name not in restored],
         policy)
-    shards: Dict[int, Tuple[str, float]] = {}
-    stalled_seen: set = set()
-
-    pool = _WorkerPool(
-        workers, (catalog, out_dir, trace, heartbeat_every or None))
+    dispatcher = Dispatcher(
+        queue, catalog.images, workers, out_dir, trace, heartbeat_every,
+        journal=jrnl, on_result=on_result, stall_after=stall_after,
+        on_stall=on_stall)
     try:
-        if not queue.finished():
-            try:
-                pool.spawn(min(workers, len(queue.pending_names())))
-            except Exception as exc:  # pool start is controller-side
-                raise BatchError(
-                    f"could not start worker pool: {exc}") from exc
-        _drain(pool, queue, policy, jrnl, shards, status_dir,
-               stall_after, on_stall, stalled_seen, on_result)
+        dispatcher.run(queue.finished)
     finally:
-        pool.shutdown()
+        dispatcher.close()
         if jrnl is not None:
             jrnl.close()
 
@@ -652,172 +885,20 @@ def run_batch(
         out_dir=out_dir,
         workers=workers,
         wall_seconds=time.perf_counter() - wall_start,
-        designs_compiled=len(catalog),
-        status_dir=status_dir,
-        stalled_runs=sorted(stalled_seen),
+        designs_compiled=len(catalog.images),
+        status_dir=dispatcher.status_dir,
+        stalled_runs=sorted(dispatcher.stalled),
         journal_path=journal_path,
         retries=queue.retries,
         requeued=queue.requeued,
         quarantined_runs=sorted(queue.quarantined),
         resumed_runs=sorted(restored),
     )
-    if shards:
+    if dispatcher.shards:
         result.trace_path = os.path.join(out_dir, "trace.json")
-        merge_shards(shards, result.trace_path)
+        merge_shards(dispatcher.shards, result.trace_path)
     _aggregate_metrics(result)
     if write_metrics:
         result.metrics_path = os.path.join(out_dir, "metrics.json")
         result.metrics.write_json(result.metrics_path)
     return result
-
-
-def _drain(pool: _WorkerPool, queue: JobQueue, policy: RetryPolicy,
-           jrnl: Optional[BatchJournal],
-           shards: Dict[int, Tuple[str, float]],
-           status_dir: Optional[str],
-           stall_after: Optional[float],
-           on_stall: Optional[Callable[[RunHealth], None]],
-           stalled_seen: set,
-           on_result: Optional[Callable[[RunOutcome], None]]) -> None:
-    """The scheduling loop: dispatch, wait, reap, retry, escalate."""
-
-    def finalize(outcome: RunOutcome) -> None:
-        queue.complete(outcome.name, outcome)
-        if jrnl is not None:
-            jrnl.terminal(outcome.name, outcome.to_dict())
-        if on_result is not None:
-            on_result(outcome)
-
-    def fail(name: str, kind: str, error: str,
-             worker_pid: Optional[int],
-             last: Optional[RunOutcome]) -> None:
-        """Route a retryable failure; quarantine on exhaustion."""
-        disposition = queue.fail(name, kind, error, worker_pid)
-        if disposition["action"] == "requeue":
-            if jrnl is not None:
-                jrnl.attempt(name, disposition["attempt"], "requeue",
-                             failure_kind=kind, error=error,
-                             worker_pid=worker_pid,
-                             delay=disposition["delay"])
-            return
-        outcome = last if last is not None else RunOutcome(
-            name=name, status=SimStatus.ABORTED, error=error,
-            worker_pid=worker_pid)
-        outcome.quarantined = True
-        outcome.error = (f"quarantined after "
-                         f"{disposition['attempt']} attempt(s): {error}")
-        if jrnl is not None:
-            jrnl.attempt(name, disposition["attempt"], "quarantine",
-                         failure_kind=kind, error=error,
-                         worker_pid=worker_pid)
-        finalize(outcome)
-
-    while not queue.finished():
-        # 1. dispatch ready runs to idle workers
-        for worker in pool.idle():
-            if not queue.has_ready():
-                break
-            lease = queue.lease(worker.id, worker.process.pid or -1)
-            job = queue.job(lease.name)
-            try:
-                worker.task_send.send(
-                    (job.request, job.fingerprint, lease.attempt))
-            except (BrokenPipeError, OSError):
-                # the worker died between polls; put the run back
-                # unblamed — the death itself is handled below
-                queue.release(lease.name)
-                continue
-            worker.lease = lease
-            if jrnl is not None:
-                jrnl.attempt(lease.name, lease.attempt, "start",
-                             worker_pid=lease.worker_pid)
-
-        # 2. wait for results / deaths / timers
-        timeouts = []
-        if stall_after is not None:
-            timeouts.append(min(stall_after / 2.0, 2.0))
-        if policy.lease_timeout is not None:
-            timeouts.append(min(policy.lease_timeout / 2.0, 2.0))
-        delay = queue.next_delay()
-        if delay is not None:
-            timeouts.append(max(delay, 0.01))
-        timeout = min(timeouts) if timeouts else None
-        for worker in pool.wait(timeout):
-            try:
-                raw = worker.result_recv.recv()
-            except (EOFError, OSError):
-                continue  # died after readiness; reaped below
-            lease, worker.lease = worker.lease, None
-            if lease is None:
-                continue  # stray late result from an escalated lease
-            if raw.get("shard_path") is not None:
-                shards[raw["worker_pid"]] = (
-                    raw["shard_path"], raw["t0_unix_us"])
-            outcome = RunOutcome(
-                name=raw["name"],
-                status=SimStatus(raw["status"]),
-                result=raw["result"],
-                error=raw["error"],
-                wall_seconds=raw["wall_seconds"],
-                worker_pid=raw["worker_pid"],
-                vcd_path=raw["vcd_path"],
-                attempts=lease.attempt,
-                resumed_from_checkpoint=raw.get(
-                    "resumed_from_checkpoint", False),
-            )
-            if outcome.status.value in policy.retry_statuses:
-                fail(outcome.name, "status",
-                     raw["error"] or outcome.status.value,
-                     raw["worker_pid"], outcome)
-            else:
-                finalize(outcome)
-
-        # 3. reap dead workers: requeue exactly the runs they held
-        for worker in pool.dead():
-            lease, worker.lease = worker.lease, None
-            if lease is not None and not worker.controller_killed:
-                exitcode = worker.process.exitcode
-                fail(lease.name, "worker-lost",
-                     f"worker lost: pid {lease.worker_pid} died "
-                     f"(exit {exitcode}) holding attempt {lease.attempt}",
-                     lease.worker_pid, None)
-            pool.reap(worker)
-        if not queue.finished():
-            pending = len(queue.pending_names())
-            if len(pool.workers) < min(pool.width, pending):
-                pool.spawn(min(pool.width, pending) - len(pool.workers))
-
-        # 4. flag-only stall watch — every iteration, never starved by
-        # a steady trickle of completions (see _watch_stalls)
-        if status_dir is not None and stall_after is not None:
-            _watch_stalls(status_dir, queue.pending_names(),
-                          stalled_seen, stall_after, on_stall)
-
-        # 5. lease-timeout escalation: stall -> kill -> requeue
-        if policy.lease_timeout is not None:
-            now_unix = time.time()
-            now_mono = time.perf_counter()
-            for worker in list(pool.workers):
-                lease = worker.lease
-                if lease is None or not worker.alive():
-                    continue
-                record = read_status(os.path.join(
-                    status_dir, f"{lease.name}.json")) \
-                    if status_dir is not None else None
-                health = assess_lease(
-                    lease.name, lease.worker_pid,
-                    lease.age(now_mono), record,
-                    kill_after=policy.lease_timeout,
-                    now_unix=now_unix,
-                    started_unix=lease.started_unix)
-                if not health.expired:
-                    continue
-                worker.lease = None
-                pool.kill(worker)
-                stalled_seen.add(lease.name)
-                fail(lease.name, "stall-kill",
-                     f"lease expired after {health.lease_age:.1f}s "
-                     f"(heartbeat age "
-                     f"{'n/a' if health.heartbeat_age is None else f'{health.heartbeat_age:.1f}s'}); "
-                     f"worker pid {lease.worker_pid} killed",
-                     lease.worker_pid, None)

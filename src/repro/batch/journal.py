@@ -32,6 +32,11 @@ Record kinds (all objects carry ``"kind"``):
     number of terminal records it restored — the audit trail of an
     interrupted campaign.
 
+The :mod:`repro.serve` scheduler writes the same journal (its header
+lists no runs — submissions arrive live) and adds audit-only kinds:
+``submitted``, ``cached``, ``cancelled`` and ``close``.  A coalesced
+follower gets a ``terminal`` record carrying its primary's outcome.
+
 The format is specified in docs/ROBUSTNESS.md.
 """
 
@@ -43,7 +48,7 @@ import os
 from dataclasses import dataclass, field
 from typing import IO, Dict, List, Optional
 
-from repro.api import OPERATIONAL_OPTIONS, semantic_options
+from repro.api import semantic_options
 from repro.errors import BatchError
 
 #: Journal format tag (header ``schema`` field).
@@ -51,11 +56,6 @@ JOURNAL_SCHEMA = "BATCHJRNL/1"
 
 #: File name under the batch ``out_dir``.
 JOURNAL_NAME = "journal.jsonl"
-
-#: Compatibility alias — the semantic/operational option split now
-#: lives in :mod:`repro.api` (:data:`repro.api.OPERATIONAL_OPTIONS`),
-#: shared with the serve result cache.
-_OPERATIONAL_OPTIONS = OPERATIONAL_OPTIONS
 
 
 def request_fingerprint(request, design_fingerprint: str) -> str:

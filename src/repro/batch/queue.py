@@ -24,6 +24,12 @@ exponential backoff and deterministic seeded jitter** until
 poison run (one that kills every worker that touches it) costs the
 batch ``max_attempts`` workers, not the world.
 
+The queue is fed two ways: ``run_batch`` hands it a fixed manifest at
+construction, and the serve front door :meth:`JobQueue.add`\\ s live
+submissions (and may :meth:`JobQueue.cancel` them at shutdown).  A
+``next_ready`` hook lets a feeder choose which ready run leases next —
+the serve scheduler's tenant round-robin; the default is FIFO.
+
 Nothing in this module touches processes, files or clocks beyond the
 monotonic timestamps handed in by the engine — it is a pure scheduling
 data structure, unit-testable without a pool.
@@ -36,7 +42,7 @@ import heapq
 import time
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from repro.errors import BatchError
 
@@ -156,8 +162,14 @@ class JobQueue:
     """The engine's run scheduler.  See the module docstring."""
 
     def __init__(self, jobs: Sequence[Tuple[object, str]],
-                 policy: Optional[RetryPolicy] = None) -> None:
+                 policy: Optional[RetryPolicy] = None,
+                 next_ready: Optional[
+                     Callable[[Sequence[str]], Optional[str]]] = None,
+                 ) -> None:
         self.policy = policy or RetryPolicy()
+        #: Picks the run to lease from the ready names (oldest first);
+        #: None when none may run yet.  FIFO when unset.
+        self.next_ready = next_ready
         self._jobs: Dict[str, _Job] = {}
         self._ready: deque = deque()
         self._delayed: List[Tuple[float, str]] = []  # (ready_mono, name)
@@ -171,9 +183,13 @@ class JobQueue:
         #: Names quarantined after exhausting max_attempts.
         self.quarantined: List[str] = []
         for request, fingerprint in jobs:
-            name = request.name
-            self._jobs[name] = _Job(request=request, fingerprint=fingerprint)
-            self._ready.append(name)
+            self.add(request, fingerprint)
+
+    def add(self, request, fingerprint: str) -> None:
+        """Queue one more run (ready at once, attempt 1)."""
+        self._jobs[request.name] = _Job(request=request,
+                                        fingerprint=fingerprint)
+        self._ready.append(request.name)
 
     # ------------------------------------------------------------------
     # state inspection
@@ -189,6 +205,10 @@ class JobQueue:
     def pending_names(self) -> List[str]:
         """Every non-terminal run (ready, delayed, or leased)."""
         return [name for name in self._jobs if name not in self.outcomes]
+
+    def pending(self) -> int:
+        """How many runs are not terminal yet."""
+        return len(self._jobs) - len(self.outcomes)
 
     def next_delay(self, now_mono: Optional[float] = None
                    ) -> Optional[float]:
@@ -218,7 +238,13 @@ class JobQueue:
         self._promote(now_mono)
         if not self._ready:
             return None
-        name = self._ready.popleft()
+        if self.next_ready is None:
+            name = self._ready.popleft()
+        else:
+            name = self.next_ready(self._ready)
+            if name is None:
+                return None
+            self._ready.remove(name)
         job = self._jobs[name]
         lease = Lease(name=name, attempt=job.attempt,
                       worker_id=worker_id, worker_pid=worker_pid)
@@ -239,6 +265,23 @@ class JobQueue:
         """
         self.leases.pop(name, None)
         self._ready.appendleft(name)
+
+    def cancel(self, name: str) -> None:
+        """Forget a run that has not finished, wherever it waits.
+
+        A run leased at the time is dropped with its lease, so the
+        engine ignores whatever its worker sends back.  Unknown and
+        terminal names are a no-op.
+        """
+        if name not in self._jobs or name in self.outcomes:
+            return
+        del self._jobs[name]
+        self.leases.pop(name, None)
+        if name in self._ready:
+            self._ready.remove(name)
+        self._delayed = [entry for entry in self._delayed
+                         if entry[1] != name]
+        heapq.heapify(self._delayed)
 
     def complete(self, name: str, outcome) -> None:
         """Record a terminal outcome (success or unretried failure)."""

@@ -1,10 +1,11 @@
 """Worker-process side of the batch engine.
 
 Each pool worker is a long-lived ``multiprocessing.Process`` running
-:func:`_worker_main`: initialise once with the batch's *program
-catalog* — ``{design fingerprint: pickled Program}`` — then loop
-receiving ``(request, fingerprint, attempt)`` jobs over a pipe and
-sending outcome dicts back.  Programs are unpickled lazily, at most
+:func:`_worker_main`: loop receiving ``(request, fingerprint, attempt,
+image)`` jobs over a pipe and sending outcome dicts back.  ``image`` is
+the pickled program of the run's design the first time this worker
+sees that design, ``None`` afterwards — the controller tracks which
+designs each worker holds.  Programs are unpickled lazily, at most
 once per worker per design (unpickling recompiles the design; see
 :meth:`repro.compile.compiler.Program.__reduce__`), so a batch of a
 thousand runs over three designs costs each worker at most three
@@ -13,9 +14,7 @@ compilations.
 Per-process state lives in the module-level ``_STATE`` dict, set by
 the initializer.  This is the one sanctioned module-global in the
 package: it is *per-process* by construction (each worker is its own
-process), written exactly once before any job runs, and is the
-standard ``multiprocessing`` idiom for shipping large read-only state
-past the per-task pickling cost.
+process) and set up once before any job runs.
 
 Every worker writes its own JSONL trace shard
 (``workers/w<pid>.jsonl``) with a ``run:<name>`` span bracketing each
@@ -41,6 +40,7 @@ CI lane (docs/ROBUSTNESS.md).
 from __future__ import annotations
 
 import dataclasses
+import gc
 import os
 import pickle
 import signal
@@ -60,11 +60,16 @@ CHAOS_KILL_ENV = "REPRO_BATCH_CHAOS_KILL"
 _STATE: Dict[str, object] = {}
 
 
-def _worker_init(catalog: Dict[str, bytes], out_dir: str,
-                 trace: bool, heartbeat_every: Optional[int] = None) -> None:
+def _worker_init(out_dir: str, trace: bool,
+                 heartbeat_every: Optional[int] = None) -> None:
     """Pool initializer — runs once in each worker process."""
+    # The heap inherited from the controller stays reachable for the
+    # worker's whole life.  Freezing it sizes full collections to the
+    # worker's own objects, so each run's garbage cycles are freed
+    # before the next few runs pile theirs on top.
+    gc.freeze()
     _STATE.clear()
-    _STATE["catalog"] = catalog
+    _STATE["catalog"] = {}
     _STATE["programs"] = {}
     _STATE["out_dir"] = out_dir
     _STATE["tracer"] = None
@@ -93,27 +98,18 @@ def _maybe_chaos_kill(name: str, attempt: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _worker_main(task_conn, result_conn, catalog: Dict[str, bytes],
-                 out_dir: str, trace: bool,
+def _worker_main(task_conn, result_conn, out_dir: str, trace: bool,
                  heartbeat_every: Optional[int]) -> None:
     """Entry point of one pool worker process.
 
-    Receives ``(request, fingerprint, attempt)`` tuples until the
+    Receives ``(request, fingerprint, attempt, image)`` jobs until the
     controller sends ``None`` (or closes the pipe).  :func:`_run_job`
     never raises, so the loop only exits on shutdown — or dies abruptly
     (OOM kill, segfault, chaos), which the controller observes through
     the process sentinel and converts into a lease requeue.
-
-    A 4-tuple ``(request, fingerprint, attempt, image)`` extends a job
-    with a pickled program image for a design this worker has never
-    seen — the :mod:`repro.serve` front door compiles designs as they
-    arrive over HTTP, long after the pool (and its init-time catalog)
-    started.  The image lands in the worker's catalog exactly as an
-    init-time entry would; the controller tracks which workers hold
-    which fingerprints so each image ships at most once per worker.
     """
     try:
-        _worker_init(catalog, out_dir, trace, heartbeat_every)
+        _worker_init(out_dir, trace, heartbeat_every)
         while True:
             try:
                 job = task_conn.recv()
@@ -121,12 +117,9 @@ def _worker_main(task_conn, result_conn, catalog: Dict[str, bytes],
                 break
             if job is None:
                 break
-            if len(job) == 4:
-                request, fingerprint, attempt, image = job
-                if image is not None:
-                    _STATE["catalog"][fingerprint] = image  # type: ignore[index]
-            else:
-                request, fingerprint, attempt = job
+            request, fingerprint, attempt, image = job
+            if image is not None:
+                _STATE["catalog"][fingerprint] = image  # type: ignore[index]
             _maybe_chaos_kill(request.name, attempt)
             outcome = _run_job(request, fingerprint, attempt=attempt)
             try:

@@ -671,7 +671,8 @@ def build_front_door_parser() -> argparse.ArgumentParser:
     parser.add_argument("--workers", type=int, default=1, metavar="N",
                         help="worker pool width (default 1)")
     parser.add_argument("--out-dir", default=None, metavar="DIR",
-                        help="artifact root (runs/, status/, serve.jsonl); "
+                        help="artifact root (runs/, status/, "
+                             "journal.jsonl); "
                              "a temp dir when omitted")
     parser.add_argument("--max-in-flight", type=int, default=2, metavar="N",
                         help="default per-tenant concurrent-run quota "

@@ -20,12 +20,12 @@ Quick start::
 
 from repro.serve.app import MAX_WAIT_SECONDS, ServeApp, serve_app
 from repro.serve.scheduler import (
-    CACHEABLE_STATUSES, QuotaExceeded, Scheduler, SERVE_JOURNAL_SCHEMA,
-    ServeConfig, ServeUnavailable, TenantQuota,
+    CACHEABLE_STATUSES, QuotaExceeded, Scheduler, ServeConfig,
+    ServeUnavailable, TenantQuota,
 )
 
 __all__ = [
     "ServeApp", "ServeConfig", "TenantQuota", "Scheduler", "serve_app",
     "QuotaExceeded", "ServeUnavailable",
-    "SERVE_JOURNAL_SCHEMA", "CACHEABLE_STATUSES", "MAX_WAIT_SECONDS",
+    "CACHEABLE_STATUSES", "MAX_WAIT_SECONDS",
 ]

@@ -1,22 +1,23 @@
-"""The serve scheduler: a multi-tenant queue on the batch worker pool.
+"""The serve scheduler: a multi-tenant feeder of the batch dispatcher.
 
 This is the controller side of the :mod:`repro.serve` front door.  It
-owns one long-lived :class:`~repro.batch.engine._WorkerPool` (the same
-process pool ``symsim batch`` drains) and feeds it submissions as they
-arrive over HTTP, instead of a fixed manifest:
+runs the same :class:`~repro.batch.engine.Dispatcher` that drains
+``symsim batch`` — worker pool, leases, retries, lease-timeout kills,
+journal — on a controller thread, and feeds it submissions as they
+arrive over HTTP instead of a fixed manifest:
 
 * **Admission** (:meth:`Scheduler.submit`, called from HTTP handler
   threads): parse the body through :func:`repro.api.parse_run`, clamp
-  the request's guard budgets to the tenant's
-  :class:`TenantQuota` ceilings, compile the design (once per unique
-  design — content-addressed, like the batch catalog), fingerprint the
-  request, and either serve it from the result cache, coalesce it onto
-  an identical in-flight run, or queue it.
-* **Fairness**: one FIFO per tenant, drained round-robin — a tenant
-  burst-submitting hundreds of runs delays its own queue, not its
-  neighbours'.  Per-tenant ``max_in_flight`` caps pool share;
-  ``max_pending`` bounds queue depth (:class:`QuotaExceeded` → HTTP
-  429 with ``Retry-After``).
+  the request's guard budgets to the tenant's :class:`TenantQuota`
+  ceilings, compile the design into the shared
+  :class:`~repro.batch.engine.DesignCatalog` (once per unique design),
+  fingerprint the request, and either serve it from the result cache,
+  coalesce it onto an identical in-flight run, or queue it.
+* **Fairness**: the dispatcher leases through a tenant round-robin
+  ``next_ready`` hook — a tenant burst-submitting hundreds of runs
+  delays its own runs, not its neighbours'.  Per-tenant
+  ``max_in_flight`` caps pool share; ``max_pending`` bounds queue
+  depth (:class:`QuotaExceeded` → HTTP 429 with ``Retry-After``).
 * **Dedup**: the result cache is keyed by the PR 8 *request
   fingerprint* — design content hash + seed + every semantic option
   (:func:`repro.batch.journal.request_fingerprint`), so a resubmission
@@ -27,10 +28,12 @@ arrive over HTTP, instead of a fixed manifest:
   ``X-Serve-Cache`` header, never inside the payload).  Only verdict
   statuses (``ok``, ``assert_failed``) are cached — aborts, hangs and
   quarantines may be environmental and always re-execute.
-* **Durability**: worker deaths requeue the leased run with the batch
-  engine's :class:`~repro.batch.queue.RetryPolicy` backoff until
-  ``max_attempts``, then quarantine.  Every submission and terminal
-  outcome appends to a ``SERVEJRNL/1`` journal under the out dir.
+* **Durability**: the dispatcher applies the whole
+  :class:`~repro.batch.queue.RetryPolicy` — worker deaths and
+  lease-timeout kills requeue with backoff until ``max_attempts``,
+  then quarantine.  Submissions, attempts and terminal outcomes
+  append to ``<out_dir>/journal.jsonl`` in the ``BATCHJRNL/1``
+  vocabulary (see :mod:`repro.batch.journal`).
 * **Drain**: :meth:`Scheduler.close` stops admission, cancels queued
   runs (journaled as ``cancelled``), lets in-flight runs finish to
   journaled completion, then shuts the pool down.
@@ -39,31 +42,29 @@ arrive over HTTP, instead of a fixed manifest:
 from __future__ import annotations
 
 import dataclasses
-import heapq
 import itertools
 import json
 import os
-import pickle
 import tempfile
 import threading
 import time
-from collections import deque
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.api import REQUEST_SCHEMA, parse_run
-from repro.batch.engine import RunOutcome, _WorkerPool
-from repro.batch.journal import request_fingerprint
-from repro.batch.queue import RetryPolicy
-from repro.batch.request import RunRequest
+from repro.batch.engine import DesignCatalog, Dispatcher, RunOutcome
+from repro.batch.journal import (
+    JOURNAL_NAME, BatchJournal, catalog_sha, request_fingerprint,
+)
+from repro.batch.queue import JobQueue, RetryPolicy
 from repro.errors import ReproError, RequestError
 from repro.guard import ResourceBudgets
 from repro.obs import MetricsRegistry
 from repro.obs.live import DEFAULT_EVERY, read_status, scan_status
-from repro.sim.kernel import SimStatus
 
-#: Journal format tag of ``<out_dir>/serve.jsonl``.
-SERVE_JOURNAL_SCHEMA = "SERVEJRNL/1"
+#: Longest the controller thread waits on the pool before it looks
+#: for new submissions (they arrive from other threads).
+POLL_SECONDS = 0.1
 
 #: Statuses whose outcomes enter the result cache.  Verdicts only:
 #: an abort/hang/quarantine may be environmental (memory pressure,
@@ -137,7 +138,8 @@ class ServeConfig:
     port: int = 0
     #: Worker pool width (same semantics as ``run_batch(workers=...)``).
     workers: int = 1
-    #: Artifact root (runs/, status/, serve.jsonl); a temp dir when None.
+    #: Artifact root (runs/, status/, journal.jsonl); a temp dir when
+    #: None.
     out_dir: Optional[str] = None
     #: Heartbeat cadence for per-run status files (None/0 disables).
     heartbeat_every: Optional[int] = DEFAULT_EVERY
@@ -149,7 +151,7 @@ class ServeConfig:
     default_quota: TenantQuota = field(default_factory=TenantQuota)
     #: Per-tenant quota overrides.
     quotas: Dict[str, TenantQuota] = field(default_factory=dict)
-    #: Append submissions/outcomes to ``<out_dir>/serve.jsonl``.
+    #: Append submissions/outcomes to ``<out_dir>/journal.jsonl``.
     journal: bool = True
 
     def quota(self, tenant: str) -> TenantQuota:
@@ -162,55 +164,37 @@ class _Run:
 
     id: str
     tenant: str
-    request: RunRequest
-    #: Design content hash — keys the worker program catalog.
-    design_fp: str
     #: Request fingerprint — keys the result cache / coalescing.
     fingerprint: str
-    state: str = "queued"  # queued | running | done | cancelled
+    #: queued (waiting or on a worker) | done | cancelled
+    state: str = "queued"
     cached: bool = False
     #: Run id this submission coalesced onto (identical in-flight run).
     primary: Optional[str] = None
-    attempt: int = 1
-    attempts: int = 0
-    worker_id: Optional[int] = None
     #: Terminal ``RunOutcome.to_dict()`` payload.
     outcome: Optional[dict] = None
     #: The exact bytes ``GET /v1/runs/<id>/result`` serves — stored
     #: once at completion so cache hits replay them verbatim.
     result_bytes: Optional[bytes] = None
-    failure_history: List[dict] = field(default_factory=list)
-    submitted_unix: float = field(default_factory=time.time)
 
 
 class Scheduler:
     """See the module docstring.  Thread-safe; HTTP handler threads
     call :meth:`submit`/:meth:`snapshot`/:meth:`wait_done`, one
-    controller thread runs :meth:`_loop`."""
+    controller thread runs the dispatcher."""
 
     def __init__(self, config: Optional[ServeConfig] = None) -> None:
         self.config = config or ServeConfig()
         self.out_dir = self.config.out_dir or tempfile.mkdtemp(
             prefix="repro-serve-")
         os.makedirs(self.out_dir, exist_ok=True)
-        self.status_dir = os.path.join(self.out_dir, "status") \
-            if self.config.heartbeat_every else None
-        self.policy = self.config.retry or RetryPolicy()
 
         self._lock = threading.Lock()
         self._cv = threading.Condition(self._lock)
         self._runs: Dict[str, _Run] = {}
         self._seq = itertools.count(1)
-        #: tenant -> FIFO of queued run ids.
-        self._ready: Dict[str, deque] = {}
         #: round-robin pointer over tenant names.
         self._rr = 0
-        #: retry backoff heap: (ready_mono, run id).
-        self._delayed: List[Tuple[float, str]] = []
-        #: worker id -> run id of its leased run.
-        self._leases: Dict[int, str] = {}
-        #: worker id -> design fingerprints already shipped to it.
-        self._shipped: Dict[int, set] = {}
         #: request fingerprint -> cached result payload bytes / outcome.
         self._cache: Dict[str, bytes] = {}
         self._cache_outcome: Dict[str, dict] = {}
@@ -218,13 +202,28 @@ class Scheduler:
         self._primary_by_fp: Dict[str, str] = {}
         #: primary run id -> coalesced follower run ids.
         self._followers: Dict[str, List[str]] = {}
-        #: design fingerprint -> pickled Program image.
-        self._images: Dict[str, bytes] = {}
-        #: design_key tuple -> design fingerprint (compile-once cache).
-        self._designs: Dict[tuple, str] = {}
+        self._catalog = DesignCatalog()
         self._compile_lock = threading.Lock()
         self._stopping = False
         self._closed = False
+
+        self._journal: Optional[BatchJournal] = None
+        if self.config.journal:
+            self._journal = BatchJournal.create(
+                os.path.join(self.out_dir, JOURNAL_NAME), {},
+                catalog_sha({}))
+        self._queue = JobQueue([], self.config.retry,
+                               next_ready=self._next_ready)
+        self._dispatcher = Dispatcher(
+            self._queue, self._catalog.images, self.config.workers,
+            self.out_dir, self.config.trace, self.config.heartbeat_every,
+            journal=self._journal, on_result=self._on_result,
+            lock=self._lock, poll=POLL_SECONDS)
+        self.status_dir = self._dispatcher.status_dir
+        self._thread = threading.Thread(
+            target=self._dispatcher.run,
+            args=(lambda: self._stopping and self._queue.finished(),),
+            name="repro-serve-scheduler", daemon=True)
 
         self.metrics = MetricsRegistry()
         m = self.metrics
@@ -249,32 +248,17 @@ class Scheduler:
             "serve.quarantined", "runs quarantined after max_attempts")
         self._m_cancelled = m.counter(
             "serve.cancelled", "queued runs cancelled by shutdown")
-        self._m_queued = m.gauge("serve.queued", "runs waiting for a slot")
-        self._m_in_flight = m.gauge("serve.in_flight", "runs on workers")
-
-        self._journal = None
-        if self.config.journal:
-            self._journal_path = os.path.join(self.out_dir, "serve.jsonl")
-            self._journal = open(self._journal_path, "a", encoding="utf-8")
-            self._append_journal({"kind": "header",
-                                  "schema": SERVE_JOURNAL_SCHEMA,
-                                  "workers": self.config.workers})
-        else:
-            self._journal_path = None
-
-        self._pool = _WorkerPool(
-            self.config.workers,
-            ({}, self.out_dir, self.config.trace,
-             self.config.heartbeat_every or None))
-        self._thread = threading.Thread(
-            target=self._loop, name="repro-serve-scheduler", daemon=True)
+        queue = self._queue
+        m.gauge("serve.queued", "runs waiting for a slot").set_function(
+            lambda: queue.pending() - len(queue.leases))
+        m.gauge("serve.in_flight", "runs on workers").set_function(
+            lambda: len(queue.leases))
 
     # -- lifecycle ----------------------------------------------------
 
     def start(self) -> "Scheduler":
-        self._pool.spawn(self.config.workers)
-        for worker in self._pool.workers:
-            self._shipped[worker.id] = set()
+        # fork the whole pool now, before any HTTP handler thread exists
+        self._dispatcher.pool.spawn(self.config.workers)
         self._thread.start()
         return self
 
@@ -287,24 +271,17 @@ class Scheduler:
             self._stopping = True
             # queued runs (and followers of queued primaries) cancel now
             for run in self._runs.values():
-                if run.state == "queued":
+                if run.state == "queued" and (
+                        not drain or run.id not in self._queue.leases):
                     self._cancel_locked(run)
-            self._ready.clear()
-            self._delayed.clear()
-            if not drain:
-                for run in self._runs.values():
-                    if run.state == "running":
-                        self._cancel_locked(run)
-                self._leases.clear()
-            self._refresh_gauges()
             self._cv.notify_all()
         if self._thread.is_alive():
             self._thread.join(timeout=60)
-        self._pool.shutdown()
+        self._dispatcher.close()
         with self._cv:
             self._closed = True
             if self._journal is not None:
-                self._append_journal({"kind": "close"})
+                self._journal.append({"kind": "close"})
                 self._journal.close()
                 self._journal = None
             self._cv.notify_all()
@@ -345,7 +322,8 @@ class Scheduler:
             request, options=quota.clamp(request.options))
         # The submitting thread compiles (and pays for) its own design;
         # a bad design is a 400, never a poisoned pool.
-        design_fp, image = self._compile(request)
+        with self._compile_lock:
+            design_fp = self._catalog.add(request)
         fingerprint = request_fingerprint(request, design_fp)
 
         with self._cv:
@@ -353,18 +331,18 @@ class Scheduler:
                 raise ServeUnavailable("server is draining; not "
                                        "accepting submissions")
             pending = sum(1 for run in self._runs.values()
-                          if run.tenant == tenant
-                          and run.state in ("queued", "running"))
+                          if run.tenant == tenant and run.state == "queued")
             if pending >= quota.max_pending:
                 self._m_rejected.labels(tenant=tenant, reason="quota").inc()
                 raise QuotaExceeded(
                     f"tenant {tenant!r} has {pending} pending runs "
                     f"(max_pending={quota.max_pending})",
                     retry_after=max(1.0, pending * 0.5))
-            run = _Run(id=rid, tenant=tenant, request=request,
-                       design_fp=design_fp, fingerprint=fingerprint)
+            run = _Run(id=rid, tenant=tenant, fingerprint=fingerprint)
             self._runs[rid] = run
             self._m_submitted.labels(tenant=tenant).inc()
+            record = {"run": rid, "tenant": tenant,
+                      "fingerprint": fingerprint}
 
             cached = self._cache.get(fingerprint)
             if cached is not None:
@@ -375,53 +353,21 @@ class Scheduler:
                 self._m_cache_hits.inc()
                 self._m_completed.labels(
                     status=run.outcome["status"]).inc()
-                self._append_journal({"kind": "cached", "id": rid,
-                                      "tenant": tenant,
-                                      "fingerprint": fingerprint})
+                self._journal_event("cached", record)
                 self._cv.notify_all()
             elif fingerprint in self._primary_by_fp:
                 primary = self._primary_by_fp[fingerprint]
                 run.primary = primary
                 self._followers.setdefault(primary, []).append(rid)
                 self._m_cache_coalesced.inc()
-                self._append_journal({"kind": "submitted", "id": rid,
-                                      "tenant": tenant,
-                                      "fingerprint": fingerprint,
-                                      "coalesced_with": primary})
+                self._journal_event("submitted",
+                                    dict(record, coalesced_with=primary))
             else:
                 self._m_cache_misses.inc()
-                self._images[design_fp] = image
                 self._primary_by_fp[fingerprint] = rid
-                self._ready.setdefault(tenant, deque()).append(rid)
-                self._append_journal({"kind": "submitted", "id": rid,
-                                      "tenant": tenant,
-                                      "fingerprint": fingerprint})
-            self._refresh_gauges()
+                self._journal_event("submitted", record)
+                self._queue.add(request, design_fp)
             return self._snapshot_locked(run)
-
-    def _compile(self, request: RunRequest) -> Tuple[str, bytes]:
-        """Compile-once design cache (content-addressed like the batch
-        catalog; see ``_compile_catalog`` for why the key is the full
-        design key, not the structural fingerprint)."""
-        import hashlib
-
-        from repro.compile import compile_design
-        from repro.frontend import elaborate, parse_source
-
-        key = request.design_key()
-        with self._compile_lock:
-            design_fp = self._designs.get(key)
-            if design_fp is not None:
-                return design_fp, self._images[design_fp]
-            source, top, defines = key
-            design_fp = hashlib.sha256(
-                repr((source, top, defines)).encode("utf-8")).hexdigest()
-            modules = parse_source(source, defines=dict(defines) or None)
-            program = compile_design(elaborate(modules, top=top))
-            image = pickle.dumps(program)
-            self._designs[key] = design_fp
-            self._images[design_fp] = image
-            return design_fp, image
 
     # -- inspection (HTTP handler threads) ------------------------------
 
@@ -433,14 +379,25 @@ class Scheduler:
                 return None
             return self._snapshot_locked(run)
 
+    def _state(self, run: _Run) -> str:
+        if run.state == "queued" and run.id in self._queue.leases:
+            return "running"
+        return run.state
+
     def _snapshot_locked(self, run: _Run) -> dict:
+        if run.outcome is not None and not run.cached:
+            attempts = run.outcome["attempts"]
+        elif run.state == "queued" and run.primary is None:
+            attempts = self._queue.job(run.id).attempt - 1
+        else:
+            attempts = 0  # served from cache, coalesced, or cancelled
         doc = {
             "id": run.id,
             "tenant": run.tenant,
-            "state": run.state,
+            "state": self._state(run),
             "cached": run.cached,
             "fingerprint": run.fingerprint,
-            "attempts": run.attempts or run.attempt - 1,
+            "attempts": attempts,
         }
         if run.primary is not None:
             doc["primary"] = run.primary
@@ -464,7 +421,7 @@ class Scheduler:
             run = self._runs.get(rid)
             if run is None:
                 return None
-            return run.state, run.result_bytes, run.cached
+            return self._state(run), run.result_bytes, run.cached
 
     def wait_done(self, rid: str, timeout: float) -> bool:
         """Block until the run leaves the queue/pool (or timeout)."""
@@ -489,7 +446,8 @@ class Scheduler:
         with self._lock:
             states: Dict[str, int] = {}
             for run in self._runs.values():
-                states[run.state] = states.get(run.state, 0) + 1
+                state = self._state(run)
+                states[state] = states.get(state, 0) + 1
             return {
                 "runs": len(self._runs),
                 "cache_entries": len(self._cache),
@@ -497,173 +455,35 @@ class Scheduler:
                    for state, count in sorted(states.items())},
             }
 
-    # -- the controller loop -------------------------------------------
+    # -- dispatcher hooks (controller thread, lock held) ----------------
 
-    def _loop(self) -> None:
-        while True:
-            with self._cv:
-                self._promote_delayed()
-                self._dispatch_locked()
-                if self._stopping and not self._leases:
-                    break
-            for worker in self._pool.wait(0.1):
-                self._reap_result(worker)
-            self._reap_dead()
-
-    def _promote_delayed(self) -> None:
-        now = time.monotonic()
-        while self._delayed and self._delayed[0][0] <= now:
-            _, rid = heapq.heappop(self._delayed)
-            run = self._runs[rid]
-            if run.state == "queued":
-                self._ready.setdefault(run.tenant, deque()).append(rid)
-
-    def _tenant_in_flight(self, tenant: str) -> int:
-        return sum(1 for rid in self._leases.values()
-                   if self._runs[rid].tenant == tenant)
-
-    def _next_ready_locked(self) -> Optional[_Run]:
-        """Round-robin over tenants: the next dispatchable run."""
-        tenants = sorted(name for name, queue in self._ready.items()
-                         if queue)
-        if not tenants:
-            return None
+    def _next_ready(self, ready: Sequence[str]) -> Optional[str]:
+        """Round-robin over tenants: the oldest ready run of the next
+        tenant below its ``max_in_flight``."""
+        heads: Dict[str, str] = {}
+        for rid in ready:
+            heads.setdefault(self._runs[rid].tenant, rid)
+        tenants = sorted(heads)
         for offset in range(len(tenants)):
             tenant = tenants[(self._rr + offset) % len(tenants)]
-            if self._tenant_in_flight(tenant) >= \
-                    self.config.quota(tenant).max_in_flight:
+            in_flight = sum(1 for rid in self._queue.leases
+                            if self._runs[rid].tenant == tenant)
+            if in_flight >= self.config.quota(tenant).max_in_flight:
                 continue
             self._rr = (self._rr + offset + 1) % len(tenants)
-            rid = self._ready[tenant].popleft()
-            return self._runs[rid]
+            return heads[tenant]
         return None
 
-    def _dispatch_locked(self) -> None:
-        if self._stopping:
-            return
-        for worker in self._pool.idle():
-            run = self._next_ready_locked()
-            if run is None:
-                break
-            shipped = self._shipped.setdefault(worker.id, set())
-            image = None if run.design_fp in shipped \
-                else self._images[run.design_fp]
-            try:
-                worker.task_send.send(
-                    (run.request, run.design_fp, run.attempt, image))
-            except (BrokenPipeError, OSError):
-                # worker died between polls; requeue unblamed — the
-                # death itself is reaped below
-                self._ready.setdefault(run.tenant, deque()) \
-                    .appendleft(run.id)
-                continue
-            shipped.add(run.design_fp)
-            worker.lease = run.id  # reuse the slot's lease field as a tag
-            self._leases[worker.id] = run.id
-            run.state = "running"
-            run.worker_id = worker.id
-            if run.attempt > 1:
-                self._m_retries.inc()
-            self._refresh_gauges()
-
-    def _reap_result(self, worker) -> None:
-        try:
-            raw = worker.result_recv.recv()
-        except (EOFError, OSError):
-            return  # died after readiness; reaped as a dead worker
-        with self._cv:
-            rid = self._leases.pop(worker.id, None)
-            worker.lease = None
-            if rid is None:
-                return
-            run = self._runs[rid]
-            outcome = RunOutcome(
-                name=raw["name"],
-                status=SimStatus(raw["status"]),
-                result=raw["result"],
-                error=raw["error"],
-                wall_seconds=raw["wall_seconds"],
-                worker_pid=raw["worker_pid"],
-                vcd_path=raw["vcd_path"],
-                attempts=run.attempt,
-                failure_history=list(run.failure_history),
-                resumed_from_checkpoint=raw.get(
-                    "resumed_from_checkpoint", False),
-            )
-            if outcome.status.value in self.policy.retry_statuses:
-                self._fail_locked(run, "status",
-                                  raw["error"] or outcome.status.value,
-                                  raw["worker_pid"])
-            else:
-                self._finalize_locked(run, outcome)
-            self._refresh_gauges()
-            self._cv.notify_all()
-
-    def _reap_dead(self) -> None:
-        for worker in self._pool.dead():
-            with self._cv:
-                rid = self._leases.pop(worker.id, None)
-                worker.lease = None
-                self._shipped.pop(worker.id, None)
-                if rid is not None:
-                    run = self._runs[rid]
-                    exitcode = worker.process.exitcode
-                    self._fail_locked(
-                        run, "worker-lost",
-                        f"worker lost: pid {worker.process.pid} died "
-                        f"(exit {exitcode}) holding attempt {run.attempt}",
-                        worker.process.pid)
-                    self._refresh_gauges()
-                    self._cv.notify_all()
-            self._pool.reap(worker)
-        with self._lock:
-            want = 0 if self._stopping else self.config.workers
-        if len(self._pool.workers) < want:
-            self._pool.spawn(want - len(self._pool.workers))
-            for worker in self._pool.workers:
-                self._shipped.setdefault(worker.id, set())
-
-    def _fail_locked(self, run: _Run, kind: str, error: str,
-                     worker_pid: Optional[int]) -> None:
-        run.failure_history.append({
-            "attempt": run.attempt, "kind": kind, "error": error,
-            "worker_pid": worker_pid,
-        })
-        self._append_journal({"kind": "attempt", "id": run.id,
-                              "attempt": run.attempt,
-                              "failure_kind": kind, "error": error})
-        if run.attempt >= self.policy.max_attempts:
-            outcome = RunOutcome(
-                name=run.id, status=SimStatus.ABORTED,
-                error=(f"quarantined after {run.attempt} attempt(s): "
-                       f"{error}"),
-                worker_pid=worker_pid, attempts=run.attempt,
-                quarantined=True,
-                failure_history=list(run.failure_history))
-            self._m_quarantined.inc()
-            self._finalize_locked(run, outcome)
-            return
-        run.attempt += 1
-        run.state = "queued"
-        run.worker_id = None
-        delay = self.policy.backoff_delay(run.id, run.attempt)
-        if delay > 0:
-            heapq.heappush(self._delayed,
-                           (time.monotonic() + delay, run.id))
-        else:
-            self._ready.setdefault(run.tenant, deque()).append(run.id)
-
-    def _finalize_locked(self, run: _Run, outcome: RunOutcome) -> None:
+    def _on_result(self, outcome: RunOutcome) -> None:
+        run = self._runs[outcome.name]
         run.state = "done"
-        run.attempts = outcome.attempts
         run.outcome = outcome.to_dict()
         run.result_bytes = json.dumps(
             run.outcome, sort_keys=True).encode("utf-8")
         self._m_completed.labels(status=run.outcome["status"]).inc()
-        self._append_journal({"kind": "terminal", "id": run.id,
-                              "tenant": run.tenant,
-                              "fingerprint": run.fingerprint,
-                              "outcome": run.outcome})
+        self._m_retries.inc(outcome.attempts - 1)
+        if outcome.quarantined:
+            self._m_quarantined.inc()
         if (outcome.status.value in CACHEABLE_STATUSES
                 and not outcome.quarantined):
             self._cache[run.fingerprint] = run.result_bytes
@@ -676,21 +496,23 @@ class Scheduler:
                 continue
             follower.state = "done"
             follower.cached = True
-            follower.attempts = 0
             follower.outcome = run.outcome
             follower.result_bytes = run.result_bytes
             self._m_completed.labels(status=run.outcome["status"]).inc()
-            self._append_journal({"kind": "terminal", "id": fid,
-                                  "tenant": follower.tenant,
-                                  "fingerprint": follower.fingerprint,
-                                  "cached_from": run.id})
+            self._journal_event("terminal", {"run": fid,
+                                             "outcome": run.outcome,
+                                             "coalesced_with": run.id})
         self._primary_by_fp.pop(run.fingerprint, None)
+        self._cv.notify_all()
+
+    # -- helpers (lock held) --------------------------------------------
 
     def _cancel_locked(self, run: _Run) -> None:
         run.state = "cancelled"
+        self._queue.cancel(run.id)
         self._m_cancelled.inc()
-        self._append_journal({"kind": "cancelled", "id": run.id,
-                              "tenant": run.tenant})
+        self._journal_event("cancelled", {"run": run.id,
+                                          "tenant": run.tenant})
         if self._primary_by_fp.get(run.fingerprint) == run.id:
             del self._primary_by_fp[run.fingerprint]
         for fid in self._followers.pop(run.id, []):
@@ -698,22 +520,6 @@ class Scheduler:
             if follower.state == "queued":
                 self._cancel_locked(follower)
 
-    def _refresh_gauges(self) -> None:
-        queued = running = 0
-        for run in self._runs.values():
-            if run.state == "queued":
-                queued += 1
-            elif run.state == "running":
-                running += 1
-        self._m_queued.set(queued)
-        self._m_in_flight.set(running)
-
-    def _append_journal(self, record: dict) -> None:
-        if self._journal is None:
-            return
-        record = dict(record)
-        record.setdefault("unix", round(time.time(), 3))
-        self._journal.write(
-            json.dumps(record, sort_keys=True, separators=(",", ":"))
-            + "\n")
-        self._journal.flush()
+    def _journal_event(self, kind: str, record: dict) -> None:
+        if self._journal is not None:
+            self._journal.append(dict(record, kind=kind))

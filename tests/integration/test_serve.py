@@ -4,22 +4,27 @@ Boots real :class:`ServeApp` instances (stdlib HTTP server + scheduler
 + worker processes) and talks to them over the wire: concurrent
 multi-tenant submission, quota rejection (429 + ``Retry-After``),
 result-cache dedup (byte-identical payloads, operational-change hits
-vs semantic-change misses), malformed-request 400s, and graceful
-shutdown draining to a ``SERVEJRNL/1`` journal.
+vs semantic-change misses), malformed-request 400s, graceful
+shutdown draining to a ``BATCHJRNL/1`` journal, and the batch retry
+policy applied to served runs (worker loss, lease-timeout kills).
 """
 
 from __future__ import annotations
 
 import json
+import os
 import threading
 import urllib.error
 import urllib.request
 
 import pytest
 
+from repro.batch import (
+    JOURNAL_NAME, JOURNAL_SCHEMA, RetryPolicy, read_journal,
+)
+from repro.batch.worker import CHAOS_KILL_ENV
 from repro.serve import (
-    SERVE_JOURNAL_SCHEMA, Scheduler, ServeConfig, ServeUnavailable,
-    TenantQuota, serve_app,
+    Scheduler, ServeConfig, ServeUnavailable, TenantQuota, serve_app,
 )
 
 OK_SOURCE = """
@@ -329,18 +334,36 @@ def test_close_drains_to_journal(tmp_path):
         submitted.append(json.loads(body)["id"])
     running.close(drain=True)
 
-    with open(f"{out_dir}/serve.jsonl", "r", encoding="utf-8") as handle:
+    path = os.path.join(out_dir, JOURNAL_NAME)
+    with open(path, "r", encoding="utf-8") as handle:
         records = [json.loads(line) for line in handle]
     assert records[0]["kind"] == "header"
-    assert records[0]["schema"] == SERVE_JOURNAL_SCHEMA
+    assert records[0]["schema"] == JOURNAL_SCHEMA
     assert records[-1]["kind"] == "close"
     # every submission reached a journaled verdict: ran to completion
     # ("terminal") or was cancelled in the queue — never lost
-    fates = {record["id"]: record["kind"] for record in records
+    fates = {record["run"]: record["kind"] for record in records
              if record["kind"] in ("terminal", "cancelled")}
     assert set(fates) == set(submitted)
     assert all(kind in ("terminal", "cancelled")
                for kind in fates.values())
+    # the batch journal reader parses a serve journal as-is
+    state = read_journal(path)
+    assert set(state.terminal) == {run for run, kind in fates.items()
+                                   if kind == "terminal"}
+
+
+def test_coalesced_followers_journal_the_primary_outcome(tmp_path):
+    scheduler = Scheduler(ServeConfig(out_dir=str(tmp_path), workers=1))
+    spec = {"source": OK_SOURCE, "options": {"seed": 11}}
+    primary = scheduler.submit(dict(spec))
+    follower = scheduler.submit(dict(spec))
+    assert follower["primary"] == primary["id"]
+    scheduler.start()
+    assert scheduler.wait_done(follower["id"], 60)
+    scheduler.close()
+    state = read_journal(os.path.join(str(tmp_path), JOURNAL_NAME))
+    assert state.terminal[follower["id"]] == state.terminal[primary["id"]]
 
 
 def test_closed_scheduler_rejects_submissions(tmp_path):
@@ -348,6 +371,68 @@ def test_closed_scheduler_rejects_submissions(tmp_path):
     scheduler.close()
     with pytest.raises(ServeUnavailable, match="draining"):
         scheduler.submit({"source": OK_SOURCE})
+
+
+# ---------------------------------------------------------------------
+# durability: the batch retry policy governs served runs
+# ---------------------------------------------------------------------
+
+#: A zero-time loop: no heartbeat ever lands, so only a lease timeout
+#: gets the worker back.
+WEDGE = """
+module tb;
+  reg x;
+  initial begin
+    x = 0;
+    while (1) x = !x;
+  end
+endmodule
+"""
+
+
+def _outcome(scheduler, rid):
+    assert scheduler.wait_done(rid, 60)
+    state, payload, _ = scheduler.result_bytes(rid)
+    assert state == "done"
+    return json.loads(payload)
+
+
+def test_lease_timeout_kills_and_quarantines_wedged_run(tmp_path):
+    policy = RetryPolicy(max_attempts=2, backoff_base=0.01,
+                         lease_timeout=0.75)
+    with Scheduler(ServeConfig(out_dir=str(tmp_path), workers=1,
+                               retry=policy)) as scheduler:
+        scheduler.start()
+        rid = scheduler.submit({"source": WEDGE})["id"]
+        outcome = _outcome(scheduler, rid)
+    assert outcome["quarantined"] is True
+    assert outcome["attempts"] == 2
+    assert [entry["kind"] for entry in outcome["failure_history"]] == \
+        ["stall-kill", "stall-kill"]
+
+
+def test_worker_loss_requeues_served_run(tmp_path, monkeypatch):
+    monkeypatch.setenv(CHAOS_KILL_ENV, "r000001:1")
+    policy = RetryPolicy(backoff_base=0.01)
+    with Scheduler(ServeConfig(out_dir=str(tmp_path), workers=1,
+                               retry=policy)) as scheduler:
+        scheduler.start()
+        first = scheduler.submit(
+            {"source": OK_SOURCE, "options": {"seed": 1}})["id"]
+        second = scheduler.submit(
+            {"source": OK_SOURCE, "options": {"seed": 2}})["id"]
+        assert first == "r000001"
+        victim = _outcome(scheduler, first)
+        bystander = _outcome(scheduler, second)
+        assert scheduler.snapshot(first)["attempts"] == 2
+    assert victim["status"] == "ok" and victim["attempts"] == 2
+    assert [entry["kind"] for entry in victim["failure_history"]] == \
+        ["worker-lost"]
+    assert bystander["attempts"] == 1
+    state = read_journal(os.path.join(str(tmp_path), JOURNAL_NAME))
+    requeues = [record for records in state.attempts.values()
+                for record in records if record["event"] == "requeue"]
+    assert len(requeues) == 1 and requeues[0]["run"] == first
 
 
 # ---------------------------------------------------------------------
