@@ -34,10 +34,20 @@ Variable order management comes in three flavours:
 
 ``clear_caches`` can still be called to drop just the operator caches
 between simulation phases if memory pressure matters.
+
+The operators run as recursive kernels (:func:`_make_kernels`) bound
+to the arena and the computed tables.  Recursion depth is bounded by
+the variable count, and the manager raises the interpreter's limit to
+fit as variables are created.  No kernel refers to itself or to the
+manager, and root providers are held weakly, so a dropped manager —
+and a dropped simulation with it (the simulation kernel empties the
+constant-vector cache, whose vectors point back here) — frees its
+arena through reference counting at once.
 """
 
 from __future__ import annotations
 
+import sys
 import time as _time
 import weakref
 from typing import (
@@ -50,6 +60,185 @@ FALSE = 0
 TRUE = 1
 
 _TERMINAL_LEVEL = 1 << 30
+
+
+#: Interpreter frames reserved for the callers of a BDD operation on
+#: top of the ``2 * var_count`` the kernels may use.
+_RECURSION_MARGIN = 200
+
+#: Indices into ``BddManager._hits`` (computed-table hits per operator).
+_ITE, _NOT, _AND, _OR, _XOR = range(5)
+
+#: Binary apply opcodes (offsets of ``_AND``/``_OR``/``_XOR``).
+_OP_AND, _OP_OR, _OP_XOR = range(3)
+
+
+def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
+                  unique: Dict[Tuple[int, int, int], int],
+                  ite_cache: Dict[Tuple[int, int, int], int],
+                  not_cache: Dict[int, int],
+                  and_cache: Dict[Tuple[int, int], int],
+                  or_cache: Dict[Tuple[int, int], int],
+                  xor_cache: Dict[Tuple[int, int], int],
+                  hits: List[int]):
+    """Build the recursive ``ite``/``not``/``and``/``or``/``xor`` kernels.
+
+    Each kernel takes *itself* as its first argument and recurses
+    through it, so no closure refers to itself and none refers to the
+    manager: dropping a manager frees its arena through reference
+    counting alone.  Every kernel expands the low cofactor before the
+    high one and stores the same cache and unique-table keys in the
+    same order, so node ids are a pure function of the operation
+    sequence.  Terminal shortcuts never consult a cache and are counted
+    by neither side; ``hits`` collects computed-table hits (misses fall
+    out of the table lengths, see :attr:`BddManager.ite_cache_misses`).
+    """
+    unique_get = unique.get
+
+    def not_k(rec, f):
+        if f <= TRUE:
+            return f ^ 1
+        result = not_cache.get(f)
+        if result is not None:
+            hits[_NOT] += 1
+            return result
+        r0 = rec(rec, lows[f])
+        r1 = rec(rec, highs[f])
+        # complements of distinct canonical children stay distinct
+        level = levels[f]
+        key = (level, r0, r1)
+        result = unique_get(key)
+        if result is None:
+            result = len(levels)
+            levels.append(level)
+            lows.append(r0)
+            highs.append(r1)
+            unique[key] = result
+        not_cache[f] = result
+        not_cache[result] = f
+        return result
+
+    def apply_k(op: int, cache: Dict[Tuple[int, int], int]):
+        # One binary recursion per operator; ``op`` only steers the
+        # terminal cases, so the expanding path is the same for all.
+        slot = _AND + op
+
+        def kernel(rec, f, g):
+            if f > g:
+                f, g = g, f
+            # f <= g, so a terminal g implies a terminal f: the
+            # f-checks below cover every terminal case.
+            if f == FALSE:
+                return FALSE if op == _OP_AND else g
+            if f == TRUE:
+                if op == _OP_AND:
+                    return g
+                if op == _OP_OR:
+                    return TRUE
+                return not_k(not_k, g)
+            if f == g:
+                return FALSE if op == _OP_XOR else g
+            key = (f, g)
+            result = cache.get(key)
+            if result is not None:
+                hits[slot] += 1
+                return result
+            lf = levels[f]
+            lg = levels[g]
+            if lf == lg:
+                top = lf
+                r0 = rec(rec, lows[f], lows[g])
+                r1 = rec(rec, highs[f], highs[g])
+            elif lf < lg:
+                top = lf
+                r0 = rec(rec, lows[f], g)
+                r1 = rec(rec, highs[f], g)
+            else:
+                top = lg
+                r0 = rec(rec, f, lows[g])
+                r1 = rec(rec, f, highs[g])
+            if r0 == r1:
+                result = r0
+            else:
+                ukey = (top, r0, r1)
+                result = unique_get(ukey)
+                if result is None:
+                    result = len(levels)
+                    levels.append(top)
+                    lows.append(r0)
+                    highs.append(r1)
+                    unique[ukey] = result
+            cache[key] = result
+            return result
+
+        return kernel
+
+    and_k = apply_k(_OP_AND, and_cache)
+    or_k = apply_k(_OP_OR, or_cache)
+    xor_k = apply_k(_OP_XOR, xor_cache)
+
+    def ite_k(rec, f, g, h):
+        # Terminal and triple reductions (cheap canonicalization that
+        # multiplies computed-table hit rates).
+        if f == TRUE:
+            return g
+        if f == FALSE:
+            return h
+        if g == h:
+            return g
+        if g == f:
+            g = TRUE
+        if h == f:
+            h = FALSE
+        if g == TRUE:
+            if h == FALSE:
+                return f
+            return or_k(or_k, f, h)
+        if h == FALSE:
+            return and_k(and_k, f, g)
+        key = (f, g, h)
+        result = ite_cache.get(key)
+        if result is not None:
+            hits[_ITE] += 1
+            return result
+        lf = levels[f]
+        lg = levels[g]
+        lh = levels[h]
+        top = lf if lf < lg else lg
+        if lh < top:
+            top = lh
+        if lf == top:
+            f0 = lows[f]
+            f1 = highs[f]
+        else:
+            f0 = f1 = f
+        if lg == top:
+            g0 = lows[g]
+            g1 = highs[g]
+        else:
+            g0 = g1 = g
+        if lh == top:
+            h0 = lows[h]
+            h1 = highs[h]
+        else:
+            h0 = h1 = h
+        r0 = rec(rec, f0, g0, h0)
+        r1 = rec(rec, f1, g1, h1)
+        if r0 == r1:
+            result = r0
+        else:
+            ukey = (top, r0, r1)
+            result = unique_get(ukey)
+            if result is None:
+                result = len(levels)
+                levels.append(top)
+                lows.append(r0)
+                highs.append(r1)
+                unique[ukey] = result
+        ite_cache[key] = result
+        return result
+
+    return ite_k, not_k, and_k, or_k, xor_k
 
 
 class BddRef:
@@ -110,25 +299,24 @@ class BddManager:
         self._xor_cache: Dict[Tuple[int, int], int] = {}
         # Interned constant FourVecs (terminal rails only, so entries
         # stay valid across GC and reordering).  Owned here because the
-        # vector layer has no per-manager state of its own.
+        # vector layer has no per-manager state of its own.  Each entry
+        # points back at this manager; a simulation kernel empties the
+        # cache when it is dropped, which breaks that cycle.
         self._const_vec_cache: Dict[Tuple[int, int, bool], object] = {}
         self._var_names: List[str] = []
         self._var_bdds: List[int] = []
         # Cache instrumentation (repro.obs).  Misses are derived for
         # free: every miss inserts exactly one computed-table entry and
-        # the table only shrinks on reorder(), where the length is
-        # folded into the epoch base.  Only hits pay an increment, and
-        # only on the cache fast path; terminal shortcuts that never
-        # consult a cache are counted by neither side.
-        self._ite_hits = 0
+        # the tables are only dropped by _drop_op_caches(), which folds
+        # their lengths into the miss bases.  Only hits pay an
+        # increment (in ``_hits``, indexed by _ITE/_NOT/_AND/_OR/_XOR);
+        # terminal shortcuts that never consult a cache are counted by
+        # neither side.
+        self._hits = [0] * 5
         self._ite_miss_base = 0
-        self._not_hits = 0
         self._not_miss_base = 0
-        self._and_hits = 0
         self._and_miss_base = 0
-        self._or_hits = 0
         self._or_miss_base = 0
-        self._xor_hits = 0
         self._xor_miss_base = 0
         # --- word-level fast-path telemetry (repro.fourval.ops) -------
         # The four-valued operator layer dispatches to pure-integer
@@ -152,7 +340,11 @@ class BddManager:
         self.sift_max_vars = 1000         # variables sifted per pass
         self.sift_converge = False        # repeat passes until no gain
         self._handles: "weakref.WeakSet[BddRef]" = weakref.WeakSet()
-        self._root_providers: List[object] = []
+        # Weak, in registration order: a provider (the kernel) holds
+        # its manager, so a strong list here would be a cycle that
+        # keeps a finished simulation's arena alive until the cyclic
+        # collector runs.
+        self._root_providers: List["weakref.ref"] = []
         self._last_gc_size = 0            # arena size after the last GC
         self._next_sift_at = 0            # arena size that re-arms sifting
         self._peak = 0                    # high-water mark across GCs
@@ -168,6 +360,7 @@ class BddManager:
         self._concretized: Dict[int, bool] = {}
         self._concretize_runs = 0
         self._concretize_seconds = 0.0
+        self._bind_kernels()
 
     # ------------------------------------------------------------------
     # variables
@@ -186,6 +379,7 @@ class BddManager:
         """
         level = len(self._var_names)
         self._var_names.append(name if name is not None else f"v{level}")
+        self._ensure_recursion_limit()
         node = self._mk(level, FALSE, TRUE)
         self._var_bdds.append(node)
         return node
@@ -239,298 +433,81 @@ class BddManager:
     # core operators
     # ------------------------------------------------------------------
 
-    #: opcodes for the specialized binary apply (see ``_apply2``)
-    _OP_AND = 0
-    _OP_OR = 1
-    _OP_XOR = 2
+    def _bind_kernels(self) -> None:
+        """Bind the recursive operator kernels to the current arena.
+
+        The kernels close over the arena lists, the unique table and
+        the computed tables themselves (no attribute lookups on the hot
+        path), so every operation that *replaces* one of those objects
+        must rebind: :meth:`collect`, :meth:`reorder` and a checkpoint
+        restore all call :meth:`_drop_op_caches` after replacing them,
+        and it rebinds.
+        """
+        (self._ite_k, self._not_k, self._and_k, self._or_k,
+         self._xor_k) = _make_kernels(
+            self._level, self._low, self._high, self._unique,
+            self._ite_cache, self._not_cache, self._and_cache,
+            self._or_cache, self._xor_cache, self._hits)
+
+    def _ensure_recursion_limit(self) -> None:
+        """Raise the interpreter recursion limit to fit this manager.
+
+        Each kernel frame sits at least one variable level below its
+        caller (bar a few hand-offs between kernels), and the recursive
+        helpers (``compose``, ``restrict``, ``rebuild``) start at most
+        one kernel chain per level they descend, so ``2 * var_count``
+        frames plus a margin for the caller's own stack always fit.
+        The limit is only ever raised, and only by a manager that
+        needs it — never at import.
+        """
+        need = 2 * len(self._var_names) + _RECURSION_MARGIN
+        if sys.getrecursionlimit() < need:
+            sys.setrecursionlimit(need)
 
     def ite(self, f: int, g: int, h: int) -> int:
         """If-then-else: ``f·g + ¬f·h`` — the universal BDD operator.
 
-        Implemented with an explicit stack (no Python recursion, so deep
-        variable orders cannot hit the interpreter recursion limit) and
-        with commutative-triple canonicalization: conjunction-shaped
-        triples ``ite(f, g, 0)`` and disjunction-shaped triples
-        ``ite(f, 1, h)`` are routed to the dedicated :meth:`and_` /
-        :meth:`or_` recursions, whose operand-sorted two-key caches
-        recognize ``ite(f, g, 0) == ite(g, f, 0)`` as one entry.
+        Recursive kernel with commutative-triple canonicalization:
+        conjunction-shaped triples ``ite(f, g, 0)`` and
+        disjunction-shaped triples ``ite(f, 1, h)`` are routed to the
+        dedicated :meth:`and_` / :meth:`or_` kernels, whose
+        operand-sorted two-key caches recognize
+        ``ite(f, g, 0) == ite(g, f, 0)`` as one entry.
         """
-        # Terminal and triple reductions (cheap canonicalization that
-        # multiplies computed-table hit rates).
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == f:
-            g = TRUE
-        if h == f:
-            h = FALSE
-        if g == TRUE:
-            if h == FALSE:
-                return f
-            return self.or_(f, h)
-        if h == FALSE:
-            return self.and_(f, g)
-        cache = self._ite_cache
-        key = (f, g, h)
-        cached = cache.get(key)
-        if cached is not None:
-            self._ite_hits += 1
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        results: List[int] = []
-        # Frames: (0, f, g, h) expands a triple; (1, key, top) builds a
-        # node from the two results produced by its cofactor frames.
-        # The high cofactor is pushed *below* the low one so the build
-        # frame pops r1 then r0.
-        stack: List[Tuple[int, ...]] = [(0, f, g, h)]
-        while stack:
-            frame = stack.pop()
-            if frame[0] == 0:
-                _, f, g, h = frame
-                if f == TRUE:
-                    results.append(g)
-                    continue
-                if f == FALSE:
-                    results.append(h)
-                    continue
-                if g == h:
-                    results.append(g)
-                    continue
-                if g == f:
-                    g = TRUE
-                if h == f:
-                    h = FALSE
-                if g == TRUE:
-                    results.append(f if h == FALSE else self.or_(f, h))
-                    continue
-                if h == FALSE:
-                    results.append(self.and_(f, g))
-                    continue
-                key = (f, g, h)
-                cached = cache.get(key)
-                if cached is not None:
-                    self._ite_hits += 1
-                    results.append(cached)
-                    continue
-                lf, lg, lh = levels[f], levels[g], levels[h]
-                top = lf if lf < lg else lg
-                if lh < top:
-                    top = lh
-                if lf == top:
-                    f0, f1 = lows[f], highs[f]
-                else:
-                    f0 = f1 = f
-                if lg == top:
-                    g0, g1 = lows[g], highs[g]
-                else:
-                    g0 = g1 = g
-                if lh == top:
-                    h0, h1 = lows[h], highs[h]
-                else:
-                    h0 = h1 = h
-                stack.append((1, key, top))
-                stack.append((0, f1, g1, h1))
-                stack.append((0, f0, g0, h0))
-            else:
-                _, key, top = frame
-                r1 = results.pop()
-                r0 = results.pop()
-                if r0 == r1:
-                    result = r0
-                else:
-                    ukey = (top, r0, r1)
-                    result = unique.get(ukey)
-                    if result is None:
-                        result = len(levels)
-                        levels.append(top)
-                        lows.append(r0)
-                        highs.append(r1)
-                        unique[ukey] = result
-                cache[key] = result
-                results.append(result)
-        return results[0]
+        kernel = self._ite_k
+        return kernel(kernel, f, g, h)
+
+    # On two terminal operands (concrete bits, the common case outside
+    # symbolic regions) the result is the bitwise operator on the ids,
+    # answered here without entering a kernel.
 
     def not_(self, f: int) -> int:
-        """Boolean complement (explicit stack; cached both directions)."""
+        """Boolean complement (cached in both directions)."""
         if f <= TRUE:
             return f ^ 1
-        cache = self._not_cache
-        cached = cache.get(f)
-        if cached is not None:
-            self._not_hits += 1
-            return cached
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        results: List[int] = []
-        stack: List[Tuple[int, int]] = [(0, f)]
-        while stack:
-            tag, node = stack.pop()
-            if tag == 0:
-                if node <= TRUE:
-                    results.append(node ^ 1)
-                    continue
-                cached = cache.get(node)
-                if cached is not None:
-                    self._not_hits += 1
-                    results.append(cached)
-                    continue
-                stack.append((1, node))
-                stack.append((0, highs[node]))
-                stack.append((0, lows[node]))
-            else:
-                r1 = results.pop()
-                r0 = results.pop()
-                if r0 == r1:
-                    result = r0
-                else:
-                    ukey = (levels[node], r0, r1)
-                    result = unique.get(ukey)
-                    if result is None:
-                        result = len(levels)
-                        levels.append(levels[node])
-                        lows.append(r0)
-                        highs.append(r1)
-                        unique[ukey] = result
-                cache[node] = result
-                cache[result] = node
-                results.append(result)
-        return results[0]
-
-    def _apply2(self, op: int, cache: Dict[Tuple[int, int], int],
-                f: int, g: int) -> int:
-        """Dedicated binary apply recursion for and/or/xor.
-
-        Explicit-stack post-order walk; operands are kept sorted at
-        every step so the computed table is commutatively canonical.
-        Terminal short-circuits never touch the cache.  Callers handle
-        the top-level terminal cases; ``f``/``g`` here are internal
-        nodes with ``f < g``.
-        """
-        hits = 0
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        unique = self._unique
-        not_ = self.not_
-        results: List[int] = []
-        stack: List[Tuple[int, ...]] = [(0, f, g)]
-        while stack:
-            frame = stack.pop()
-            if frame[0] == 0:
-                _, f, g = frame
-                if f > g:
-                    f, g = g, f
-                # f <= g, so a terminal g implies a terminal f: the
-                # f-checks below cover every terminal case.
-                if f == FALSE:
-                    results.append(FALSE if op == 0 else g)
-                    continue
-                if f == TRUE:
-                    if op == 0:
-                        results.append(g)
-                    elif op == 1:
-                        results.append(TRUE)
-                    else:
-                        results.append(not_(g))
-                    continue
-                if f == g:
-                    results.append(FALSE if op == 2 else g)
-                    continue
-                key = (f, g)
-                cached = cache.get(key)
-                if cached is not None:
-                    hits += 1
-                    results.append(cached)
-                    continue
-                lf, lg = levels[f], levels[g]
-                top = lf if lf < lg else lg
-                if lf == top:
-                    f0, f1 = lows[f], highs[f]
-                else:
-                    f0 = f1 = f
-                if lg == top:
-                    g0, g1 = lows[g], highs[g]
-                else:
-                    g0 = g1 = g
-                stack.append((1, key, top))
-                stack.append((0, f1, g1))
-                stack.append((0, f0, g0))
-            else:
-                _, key, top = frame
-                r1 = results.pop()
-                r0 = results.pop()
-                if r0 == r1:
-                    result = r0
-                else:
-                    ukey = (top, r0, r1)
-                    result = unique.get(ukey)
-                    if result is None:
-                        result = len(levels)
-                        levels.append(top)
-                        lows.append(r0)
-                        highs.append(r1)
-                        unique[ukey] = result
-                cache[key] = result
-                results.append(result)
-        if op == 0:
-            self._and_hits += hits
-        elif op == 1:
-            self._or_hits += hits
-        else:
-            self._xor_hits += hits
-        return results[0]
+        kernel = self._not_k
+        return kernel(kernel, f)
 
     def and_(self, f: int, g: int) -> int:
         """Conjunction — dedicated apply (operands sorted, own cache)."""
-        if f > g:
-            f, g = g, f
-        if f == FALSE:
-            return FALSE
-        if f == TRUE or f == g:
-            return g
-        cached = self._and_cache.get((f, g))
-        if cached is not None:
-            self._and_hits += 1
-            return cached
-        return self._apply2(0, self._and_cache, f, g)
+        if f <= TRUE and g <= TRUE:
+            return f & g
+        kernel = self._and_k
+        return kernel(kernel, f, g)
 
     def or_(self, f: int, g: int) -> int:
         """Disjunction — dedicated apply (operands sorted, own cache)."""
-        if f > g:
-            f, g = g, f
-        if f == FALSE or f == g:
-            return g
-        if f == TRUE:
-            return TRUE
-        cached = self._or_cache.get((f, g))
-        if cached is not None:
-            self._or_hits += 1
-            return cached
-        return self._apply2(1, self._or_cache, f, g)
+        if f <= TRUE and g <= TRUE:
+            return f | g
+        kernel = self._or_k
+        return kernel(kernel, f, g)
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive or — dedicated apply (operands sorted, own cache)."""
-        if f > g:
-            f, g = g, f
-        if f == FALSE:
-            return g
-        if f == g:
-            return FALSE
-        if f == TRUE:
-            return self.not_(g)
-        cached = self._xor_cache.get((f, g))
-        if cached is not None:
-            self._xor_hits += 1
-            return cached
-        return self._apply2(2, self._xor_cache, f, g)
+        if f <= TRUE and g <= TRUE:
+            return f ^ g
+        kernel = self._xor_k
+        return kernel(kernel, f, g)
 
     def xnor(self, f: int, g: int) -> int:
         """Equivalence (complement of the shared xor cache entry)."""
@@ -865,7 +842,7 @@ class BddManager:
 
     @property
     def ite_cache_hits(self) -> int:
-        return self._ite_hits
+        return self._hits[_ITE]
 
     @property
     def ite_cache_misses(self) -> int:
@@ -875,7 +852,7 @@ class BddManager:
 
     @property
     def not_cache_hits(self) -> int:
-        return self._not_hits
+        return self._hits[_NOT]
 
     @property
     def not_cache_misses(self) -> int:
@@ -887,7 +864,8 @@ class BddManager:
     @property
     def apply_cache_hits(self) -> int:
         """Hits across the specialized and/or/xor apply caches."""
-        return self._and_hits + self._or_hits + self._xor_hits
+        hits = self._hits
+        return hits[_AND] + hits[_OR] + hits[_XOR]
 
     @property
     def apply_cache_misses(self) -> int:
@@ -917,21 +895,23 @@ class BddManager:
         Hit rates are fractions in [0, 1]; ``nodes``/``peak_nodes``
         count internal nodes (terminals excluded).
         """
+        ite_hits = self._hits[_ITE]
+        not_hits = self._hits[_NOT]
         ite_misses = self.ite_cache_misses
         not_misses = self.not_cache_misses
         apply_hits = self.apply_cache_hits
         apply_misses = self.apply_cache_misses
-        ite_total = self._ite_hits + ite_misses
-        not_total = self._not_hits + not_misses
+        ite_total = ite_hits + ite_misses
+        not_total = not_hits + not_misses
         apply_total = apply_hits + apply_misses
         fp_total = self._fp_word + self._fp_sym
         return {
-            "ite_hits": self._ite_hits,
+            "ite_hits": ite_hits,
             "ite_misses": ite_misses,
-            "ite_hit_rate": self._ite_hits / ite_total if ite_total else 0.0,
-            "not_hits": self._not_hits,
+            "ite_hit_rate": ite_hits / ite_total if ite_total else 0.0,
+            "not_hits": not_hits,
             "not_misses": not_misses,
-            "not_hit_rate": self._not_hits / not_total if not_total else 0.0,
+            "not_hit_rate": not_hits / not_total if not_total else 0.0,
             "apply_hits": apply_hits,
             "apply_misses": apply_misses,
             "apply_hit_rate": apply_hits / apply_total if apply_total else 0.0,
@@ -960,6 +940,7 @@ class BddManager:
         Gauges are callback-backed: they read the manager at snapshot
         time, so attaching costs nothing on the operator hot paths.
         """
+        hits = self._hits
         pairs = (
             ("bdd.nodes", "internal nodes in the arena",
              lambda: self.total_nodes),
@@ -968,11 +949,11 @@ class BddManager:
             ("bdd.vars", "BDD variables created",
              lambda: self.var_count),
             ("bdd.ite_cache.hits", "ite computed-table hits",
-             lambda: self._ite_hits),
+             lambda: hits[_ITE]),
             ("bdd.ite_cache.misses", "ite computed-table misses",
              lambda: self.ite_cache_misses),
             ("bdd.not_cache.hits", "not cache hits",
-             lambda: self._not_hits),
+             lambda: hits[_NOT]),
             ("bdd.not_cache.misses", "not cache misses",
              lambda: self.not_cache_misses),
             ("bdd.apply.hits", "and/or/xor apply-cache hits",
@@ -980,15 +961,15 @@ class BddManager:
             ("bdd.apply.misses", "and/or/xor apply-cache misses",
              lambda: self.apply_cache_misses),
             ("bdd.apply.and.hits", "and apply-cache hits",
-             lambda: self._and_hits),
+             lambda: hits[_AND]),
             ("bdd.apply.and.misses", "and apply-cache misses",
              lambda: self._and_miss_base + len(self._and_cache)),
             ("bdd.apply.or.hits", "or apply-cache hits",
-             lambda: self._or_hits),
+             lambda: hits[_OR]),
             ("bdd.apply.or.misses", "or apply-cache misses",
              lambda: self._or_miss_base + len(self._or_cache)),
             ("bdd.apply.xor.hits", "xor apply-cache hits",
-             lambda: self._xor_hits),
+             lambda: hits[_XOR]),
             ("bdd.apply.xor.misses", "xor apply-cache misses",
              lambda: self._xor_miss_base + len(self._xor_cache)),
             ("bdd.gc.runs", "mark-and-sweep collections",
@@ -1017,10 +998,12 @@ class BddManager:
         Wraps :meth:`ite`, :meth:`not_` and the specialized apply
         operators (:meth:`and_`/:meth:`or_`/:meth:`xor`) on *this
         instance* so every ``sample_every``-th top-level call is timed
-        into ``bdd.op_seconds{op=...}``.  Nested inner calls (e.g. the
-        ``and_`` an ``ite`` delegates a conjunction-shaped triple to)
-        pass through untimed (a shared depth counter), so a sample
-        measures one whole operator application.  Only instrumented
+        into ``bdd.op_seconds{op=...}``.  Work an operator delegates
+        (e.g. the ``and_`` an ``ite`` hands a conjunction-shaped
+        triple to) runs inside the kernels, never through a wrapper,
+        and a wrapper entered from another passes through untimed (a
+        shared depth counter), so a sample measures one whole operator
+        application.  Only instrumented
         managers pay the wrapper cost; plain managers are untouched.
         """
         import time as _time
@@ -1061,7 +1044,9 @@ class BddManager:
 
         Node ids are about to be (or may already be) invalidated by the
         caller — GC compaction, reordering, or a checkpoint restore —
-        so cached entries keyed on old ids must not survive.
+        so cached entries keyed on old ids must not survive.  Callers
+        that replace the arena lists or the unique table do so first:
+        the kernels are rebound here to whatever the manager holds.
         """
         self._ite_miss_base += len(self._ite_cache)
         self._not_miss_base += len(self._not_cache) // 2
@@ -1073,6 +1058,7 @@ class BddManager:
         self._and_cache = {}
         self._or_cache = {}
         self._xor_cache = {}
+        self._bind_kernels()
 
     def clear_caches(self) -> None:
         """Drop the operator caches (the unique table is kept)."""
@@ -1157,19 +1143,32 @@ class BddManager:
         old id to its new id and ``level_map`` — ``None`` for a pure
         collection — maps old variable levels to their new order
         positions (for state keyed by level, e.g. witness cubes).
+
+        The manager holds ``provider`` weakly: a provider that is
+        dropped stops contributing roots, and one that holds the
+        manager (the simulation kernel) forms no reference cycle.
         """
-        self._root_providers.append(provider)
+        self._root_providers.append(weakref.ref(provider))
 
     def unregister_root_provider(self, provider) -> None:
         """Remove a previously registered root provider."""
-        self._root_providers.remove(provider)
+        self._root_providers.remove(weakref.ref(provider))
+
+    def _providers(self) -> List[object]:
+        """The live root providers, in registration order."""
+        live = []
+        for ref in self._root_providers:
+            provider = ref()
+            if provider is not None:
+                live.append(provider)
+        return live
 
     def _iter_roots(self) -> Iterator[int]:
         """Every externally live node: variables, handles, providers."""
         yield from self._var_bdds
         for handle in list(self._handles):
             yield handle.node
-        for provider in self._root_providers:
+        for provider in self._providers():
             yield from provider.bdd_roots()
 
     def collect(self) -> int:
@@ -1233,7 +1232,7 @@ class BddManager:
         for handle in handles:
             handle.node = node_map[handle.node]
         lookup = node_map.__getitem__
-        for provider in self._root_providers:
+        for provider in self._providers():
             provider.bdd_remap(lookup, None)
         reclaimed = size - write
         self._last_gc_size = write - 2
@@ -1278,13 +1277,6 @@ class BddManager:
         before = len(self._level) - 2
         if before > self._peak:
             self._peak = before
-        # Translation runs ite() on a scratch manager; its recursion is
-        # bounded by the variable count, which can exceed the default
-        # interpreter limit on long runs with many symbolic inputs.
-        import sys
-        need = 2 * self.var_count + 200
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
         scratch = BddManager()
         var_bdd = [0] * self.var_count
         level_map = [0] * self.var_count
@@ -1345,7 +1337,7 @@ class BddManager:
         for handle in handles:
             handle.node = root_map[handle.node]
         lookup = root_map.__getitem__
-        for provider in self._root_providers:
+        for provider in self._providers():
             provider.bdd_remap(lookup, level_map)
         self._concretized = {
             level_map[level]: chosen
@@ -1465,15 +1457,10 @@ class BddManager:
         if not 0 <= level < self.var_count:
             raise BddError(f"unknown variable level {level}")
         started = _time.perf_counter()
-        # Restriction recursion is bounded by the variable count, like
-        # reorder translation.
-        import sys
-        need = 2 * self.var_count + 200
-        if sys.getrecursionlimit() < need:
-            sys.setrecursionlimit(need)
         handles = list(self._handles)
+        providers = self._providers()
         roots: List[int] = [handle.node for handle in handles]
-        for provider in self._root_providers:
+        for provider in providers:
             roots.extend(provider.bdd_roots())
         if value is None:
             high_size = self._restricted_size(roots, level, True)
@@ -1487,7 +1474,7 @@ class BddManager:
 
         for handle in handles:
             handle.node = lookup(handle.node)
-        for provider in self._root_providers:
+        for provider in providers:
             provider.bdd_remap(lookup, None)
         self._concretized[level] = value
         self._concretize_runs += 1

@@ -28,7 +28,9 @@ from repro.errors import CompileError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.elaborate import Design, NetInfo, Scope, ScopedProcess
 from repro.fourval import FourVec, ops
-from repro.compile.expr import CExpr, CompileContext, ExprCompiler, LhsPlan
+from repro.compile.expr import (
+    CExpr, CompileContext, ConstFolder, ExprCompiler, LhsPlan,
+)
 from repro.compile.instructions import (
     BackEdge, BranchDone, CompiledProcess, Delay, End, Exec, ForkSpawn,
     IfSplit, Join, JoinCheck, LoopSplit, PrioAdjustGoto, PrioDec,
@@ -137,12 +139,14 @@ def compile_design(design: Design) -> Program:
 
     image = _pickle.dumps(design)
     program = Program(design)
+    folder = ConstFolder()  # one scratch manager for every fold
     for scoped in design.processes:
-        compiler = _ProcessCompiler(program, scoped)
+        compiler = _ProcessCompiler(program, scoped, folder)
         program.processes.append(compiler.compile())
     for scoped_assign in design.assigns:
         program.assigns.append(
-            _compile_cont_assign(program, scoped_assign, len(program.assigns))
+            _compile_cont_assign(program, scoped_assign,
+                                 len(program.assigns), folder)
         )
     for index, proc in enumerate(program.processes):
         proc.index = index
@@ -162,9 +166,10 @@ def _rebuild_program(design_image: bytes) -> Program:
 # ----------------------------------------------------------------------
 
 
-def _compile_cont_assign(program: Program, scoped, index: int) -> CompiledContAssign:
-    lhs_ctx = CompileContext(program.design, scoped.lhs_scope)
-    rhs_ctx = CompileContext(program.design, scoped.rhs_scope)
+def _compile_cont_assign(program: Program, scoped, index: int,
+                         folder: ConstFolder) -> CompiledContAssign:
+    lhs_ctx = CompileContext(program.design, scoped.lhs_scope, folder)
+    rhs_ctx = CompileContext(program.design, scoped.rhs_scope, folder)
     rhs_ctx.callsite_factory = _forbid_random
     lhs_ctx.callsite_factory = _forbid_random
     targets = _assign_targets(ExprCompiler(lhs_ctx), scoped.lhs)
@@ -239,11 +244,13 @@ class _BlockLabel:
 class _ProcessCompiler:
     """Compiles one ``initial``/``always`` process."""
 
-    def __init__(self, program: Program, scoped: ScopedProcess) -> None:
+    def __init__(self, program: Program, scoped: ScopedProcess,
+                 folder: ConstFolder) -> None:
         self.program = program
         self.scoped = scoped
         self.proc = CompiledProcess(name=scoped.name, kind=scoped.kind)
-        self.ctx = CompileContext(program.design, scoped.scope, scoped.name)
+        self.ctx = CompileContext(program.design, scoped.scope, folder,
+                                  scoped.name)
         self.ctx.callsite_factory = self._callsite_factory
         self.depth = 0
         self.block_stack: List[_BlockLabel] = []

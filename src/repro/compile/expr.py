@@ -48,7 +48,7 @@ class CExpr:
     #: compile-time-known: the value never depends on kernel state, the
     #: function-local env, the path condition, or simulation time.
     #: Const expressions are folded once per context width (see
-    #: ``_fold_const``) instead of being re-evaluated per statement.
+    #: ``ConstFolder.fold``) instead of being re-evaluated per statement.
     const: bool = False
     #: Optional word-level twin of ``eval`` for the compiled tier:
     #: ``word(kern, ctx_width)`` returns the raw *unsigned* integer of
@@ -209,14 +209,18 @@ def _shift_word(op: str, lword: WordFn, rword: WordFn, lw: int,
     return word
 
 
-class _ScratchKernel:
-    """Minimal kernel stand-in for compile-time constant evaluation.
+class ConstFolder:
+    """Compile-time constant folding for one ``compile_design`` call.
 
-    Const eval closures only ever touch ``kern.mgr``; giving them a
-    private scratch manager keeps folding independent of any simulation.
-    Constant expressions only combine terminal rails, so the scratch
-    arena never grows and the resulting bit tuples are valid in *any*
-    manager (terminal node ids are universal).
+    Const eval closures only ever touch ``kern.mgr``, so the folder
+    stands in for a kernel: every folded expression of one compilation
+    evaluates on the folder's private scratch manager, which keeps
+    folding independent of any simulation.  Constant expressions only
+    combine terminal rails, so the scratch arena never grows past the
+    two terminals and the resulting bit tuples are valid in *any*
+    manager (terminal node ids are universal).  Each compilation makes
+    its own folder (no module-level state), so two designs compiling
+    or simulating in one process share nothing.
     """
 
     __slots__ = ("mgr",)
@@ -226,48 +230,41 @@ class _ScratchKernel:
 
         self.mgr = BddManager()
 
+    def fold(self, cexpr: CExpr) -> CExpr:
+        """Wrap a const expression with a per-width precomputed-bits cache."""
+        inner = cexpr.eval
+        cache: Dict[int, FourVec] = {}
 
-def _fold_const(cexpr: CExpr) -> CExpr:
-    """Wrap a const expression with a per-width precomputed-bits cache.
+        def ev(kern, env, ctrl, ctx_width):
+            folded = cache.get(ctx_width)
+            if folded is None:
+                folded = inner(self, None, TRUE, ctx_width)
+                cache[ctx_width] = folded
+            result = FourVec(kern.mgr, folded.bits, folded.signed)
+            result._summary = folded.concrete_summary()
+            return result
 
-    Each folded expression owns its private scratch kernel (no shared
-    module-level state): the scratch arena never grows past the two
-    terminals, so the per-expression cost is a few empty dicts, and two
-    designs compiling or simulating in one process share nothing.
-    """
-    scratch = _ScratchKernel()
-    inner = cexpr.eval
-    cache: Dict[int, FourVec] = {}
+        ev._const_folded = True
 
-    def ev(kern, env, ctrl, ctx_width):
-        folded = cache.get(ctx_width)
-        if folded is None:
-            folded = inner(scratch, None, TRUE, ctx_width)
-            cache[ctx_width] = folded
-        result = FourVec(kern.mgr, folded.bits, folded.signed)
-        result._summary = folded.concrete_summary()
-        return result
+        # Word twin: the fold already did all the work on the scratch
+        # manager, so the generic per-statement cost is zero ops and the
+        # word path just reads the cached bits back as an integer.
+        def word(kern, ctx_width):
+            folded = cache.get(ctx_width)
+            if folded is None:
+                folded = inner(self, None, TRUE, ctx_width)
+                cache[ctx_width] = folded
+            return folded.known_int()
 
-    ev._const_folded = True
-
-    # Word twin: the fold already did all the work on the scratch
-    # manager, so the generic per-statement cost is zero ops and the
-    # word path just reads the cached bits back as an integer.
-    def word(kern, ctx_width):
-        folded = cache.get(ctx_width)
-        if folded is None:
-            folded = inner(scratch, None, TRUE, ctx_width)
-            cache[ctx_width] = folded
-        return folded.known_int()
-
-    # Runtime signedness is width-independent (resize preserves the
-    # flag); probe it once, eagerly, at the self-determined width.
-    probe_width = max(cexpr.width, 1)
-    probe = inner(scratch, None, TRUE, probe_width)
-    cache[probe_width] = probe
-    return CExpr(width=cexpr.width, signed=cexpr.signed, eval=ev,
-                 support=cexpr.support, flexible=cexpr.flexible, const=True,
-                 word=word, word_cost=0, rt_signed=probe.signed)
+        # Runtime signedness is width-independent (resize preserves the
+        # flag); probe it once, eagerly, at the self-determined width.
+        probe_width = max(cexpr.width, 1)
+        probe = inner(self, None, TRUE, probe_width)
+        cache[probe_width] = probe
+        return CExpr(width=cexpr.width, signed=cexpr.signed, eval=ev,
+                     support=cexpr.support, flexible=cexpr.flexible,
+                     const=True, word=word, word_cost=0,
+                     rt_signed=probe.signed)
 
 
 @dataclass
@@ -295,12 +292,15 @@ class CompileContext:
 
     ``local_map`` renames identifiers to shadow nets (task inlining);
     ``func_locals`` marks names that resolve to the runtime ``env``
-    (function evaluation).
+    (function evaluation); ``folder`` is the compilation's shared
+    :class:`ConstFolder`.
     """
 
-    def __init__(self, design, scope: Scope, process_name: str = "") -> None:
+    def __init__(self, design, scope: Scope, folder: ConstFolder,
+                 process_name: str = "") -> None:
         self.design = design
         self.scope = scope
+        self.folder = folder
         self.process_name = process_name
         self.local_map: Dict[str, str] = {}
         self.func_locals: Dict[str, Tuple[int, bool]] = {}  # name -> (width, signed)
@@ -308,7 +308,8 @@ class CompileContext:
         self._function_stack: List[str] = []
 
     def child_with_locals(self, local_map: Dict[str, str]) -> "CompileContext":
-        child = CompileContext(self.design, self.scope, self.process_name)
+        child = CompileContext(self.design, self.scope, self.folder,
+                               self.process_name)
         child.local_map = {**self.local_map, **local_map}
         child.func_locals = dict(self.func_locals)
         child.callsite_factory = self.callsite_factory
@@ -332,7 +333,7 @@ class ExprCompiler:
             raise CompileError(f"cannot compile expression {type(expr).__name__}")
         result = method(expr)
         if result.const and not getattr(result.eval, "_const_folded", False):
-            result = _fold_const(result)
+            result = self.ctx.folder.fold(result)
         return result
 
     def compile_condition(self, expr: ast.Expr) -> CExpr:

@@ -493,18 +493,15 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
         (mgr._level[node], mgr._low[node], mgr._high[node]): node
         for node in range(2, len(mgr._level))
     }
-    mgr._ite_cache = {}
-    mgr._not_cache = {}
-    mgr._and_cache = {}
-    mgr._or_cache = {}
-    mgr._xor_cache = {}
-    mgr._ite_hits = mgr._not_hits = 0
+    # fresh computed tables, with the kernels rebound to the new arena
+    mgr._drop_op_caches()
+    mgr._hits[:] = [0] * len(mgr._hits)  # in place: the kernels hold it
     mgr._ite_miss_base = mgr._not_miss_base = 0
-    mgr._and_hits = mgr._or_hits = mgr._xor_hits = 0
     mgr._and_miss_base = mgr._or_miss_base = mgr._xor_miss_base = 0
     mgr._fp_word = mgr._fp_bits = mgr._fp_sym = 0
     mgr._var_names = list(image["var_names"])
     mgr._var_bdds = list(image["var_bdds"])
+    mgr._ensure_recursion_limit()
     mgr._concretized = {int(k): bool(v)
                         for k, v in image["concretized"].items()}
     mgr._last_gc_size = image["last_gc_size"]

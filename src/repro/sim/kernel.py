@@ -23,6 +23,7 @@ variable, turning the run into a conventional single-trace simulation.
 from __future__ import annotations
 
 import time as _time
+import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
@@ -333,6 +334,10 @@ class Kernel:
         # The kernel is the manager's root provider: at every GC or
         # reorder it enumerates/rewrites all node ids it holds.
         self.mgr.register_root_provider(self)
+        # Interned constant vectors point back at their manager; empty
+        # the manager's cache when this kernel is dropped, so a
+        # finished simulation frees its arena by refcounting alone.
+        weakref.finalize(self, self.mgr._const_vec_cache.clear)
         self.state = SimState(self.mgr, self.design)
         self.obs = self.options.obs
         self.sched = Scheduler(self.mgr, self.options.accumulation,
@@ -355,26 +360,35 @@ class Kernel:
         #: checks) — mirrors the same specialize gate the generated
         #: blocks use, so counters stay bit-identical across tiers.
         self._cspec = False
-        self._frame_impl = self._run_frame
+        # The hot-path entry points are chosen once, here, and kept as
+        # plain functions called with the kernel (``fn(self, ...)``):
+        # a bound method stored on its own instance would be a
+        # reference cycle, keeping a finished simulation's BDD arena
+        # alive until the cyclic collector happens to run.
+        #: frame loop of the tier: interpreter or compiled blocks
+        self._frame_impl = Kernel._run_frame
         if self.options.compile_tier:
             # The actual codegen is deferred to _startup() so that
             # instrumentation inserted between construction and run()
             # (tests patch instruction streams in place) is compiled
             # in, exactly as the interpreter would observe it.
             self._frame_impl = (
-                self._run_frame_profiled if self._profiler is not None
-                else self._run_frame_compiled
+                Kernel._run_frame_profiled if self._profiler is not None
+                else Kernel._run_frame_compiled
             )
-            self._run_frame = self._frame_impl
+        #: what an event pop calls, and what a resumed frame calls;
+        #: instrumented twins when an Observability bundle traces or
+        #: profiles, so the un-instrumented hot paths stay untouched
+        #: when off.  Metrics-only bundles need no per-event hook at
+        #: all: series are sampled on time advance and gauges read at
+        #: the end.
+        self._dispatcher = Kernel._dispatch
+        self._frame_runner = self._frame_impl
         if self.obs is not None:
-            # Swap in instrumented entry points via instance attributes
-            # so the un-instrumented hot paths stay untouched when off.
-            # Metrics-only bundles need no per-event hook at all: series
-            # are sampled on time advance and gauges read at the end.
             if self._tracer is not None or self._profiler is not None:
-                self._dispatch = self._obs_dispatch
+                self._dispatcher = Kernel._obs_dispatch
             if self._tracer is not None:
-                self._run_frame = self._obs_run_frame
+                self._frame_runner = Kernel._obs_run_frame
             if self._metrics is not None:
                 self._init_metrics()
         self.now = 0
@@ -648,7 +662,7 @@ class Kernel:
                 self._hang_sites = None
                 self._hang_support = 0
             event = self.sched.pop()
-            self._dispatch(event)
+            self._dispatcher(self, event)
             if self.finished:
                 return
 
@@ -663,7 +677,7 @@ class Kernel:
                 return
             frame = Frame(process=event.process, pc=event.pc,
                           control=event.control, prio=event.prio)
-            self._run_frame(frame)
+            self._frame_runner(self, frame)
         elif event.kind == "nba":
             self.stats.nba_events += 1
             event.apply(self)
@@ -764,9 +778,9 @@ class Kernel:
 
     # ------------------------------------------------------------------
     # observability (repro.obs) — instrumented twins of the hot paths.
-    # __init__ swaps these in as instance attributes when an
-    # Observability bundle is configured; otherwise the plain methods
-    # above run with zero added work.
+    # __init__ selects these as ``_dispatcher``/``_frame_runner`` when
+    # an Observability bundle is configured; otherwise the plain
+    # methods above run with zero added work.
     # ------------------------------------------------------------------
 
     def _obs_dispatch(self, event: Event) -> None:
@@ -808,7 +822,7 @@ class Kernel:
         tracer = self._tracer
         started = _time.perf_counter()
         try:
-            self._frame_impl(frame)
+            self._frame_impl(self, frame)
         finally:
             tracer.complete(
                 f"resume:{frame.process.name}", "resume",

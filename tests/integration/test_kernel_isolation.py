@@ -70,7 +70,7 @@ def test_interleaved_symbolic_runs_match_solo():
 
 
 def test_constant_folding_shares_nothing_across_designs():
-    # _fold_const once kept a module-level scratch kernel; two designs
+    # constant folding once kept a module-level scratch kernel; two designs
     # folding constants in the same process must each see fresh state
     first = repro.open_sim(CONST_FOLD)
     second = repro.open_sim(SYMBOLIC)

@@ -16,6 +16,7 @@ from repro import (
     HotSpotProfiler, MetricsRegistry, Observability, SimOptions, Tracer,
 )
 from repro.cli import main as cli_main
+from repro.sim.kernel import Kernel
 
 #: quickstart-shaped design: symbolic splits, a merge, delays, $finish
 SOURCE = r"""
@@ -164,18 +165,19 @@ class TestStatsSummary:
 
     def test_no_obs_leaves_hot_paths_unwrapped(self):
         sim, _ = run_with(None)
-        assert "_dispatch" not in sim.kernel.__dict__
+        assert sim.kernel._dispatcher is Kernel._dispatch
         # The compiled tier installs its own frame runner, but no
         # observability wrapper may be present without a bundle.
-        runner = sim.kernel.__dict__.get("_run_frame")
-        assert runner != sim.kernel._obs_run_frame
-        assert runner == sim.kernel._frame_impl
+        runner = sim.kernel._frame_runner
+        assert runner is not Kernel._obs_run_frame
+        assert runner is sim.kernel._frame_impl
+        assert runner is Kernel._run_frame_compiled
 
     def test_obs_swaps_instance_dispatch(self):
         obs = Observability(tracer=Tracer())
         sim, _ = run_with(obs)
-        assert "_dispatch" in sim.kernel.__dict__
-        assert "_run_frame" in sim.kernel.__dict__
+        assert sim.kernel._dispatcher is Kernel._obs_dispatch
+        assert sim.kernel._frame_runner is Kernel._obs_run_frame
 
 
 class TestCliSurface:

@@ -1,6 +1,6 @@
 """Apply-layer specialization tests (dedicated and_/or_/xor recursions).
 
-The specialized binary applies, the iterative ``ite``/``not_`` loops and
+The specialized binary applies, the recursive ``ite``/``not_`` kernels and
 the balanced ``and_all``/``or_all`` reductions must be *semantically*
 identical to the textbook recursive ITE formulation.  Reference truth
 is established by exhaustive evaluation over all variable assignments
@@ -111,10 +111,25 @@ class TestApplySemantics:
 
 
 class TestIterativeDepth:
-    """The explicit-stack loops must survive graphs far deeper than the
-    Python recursion limit."""
+    """Graphs far deeper than the default recursion limit.
+
+    The kernels recurse once per variable level; the manager must raise
+    the interpreter limit itself (to ``2 * var_count`` plus a margin)
+    as variables are created.  Each test starts from the default limit
+    of 1000 and restores the caller's limit afterwards.
+    """
 
     DEPTH = 1500
+    LONG = 20_000
+
+    @pytest.fixture(autouse=True)
+    def default_limit(self):
+        saved = sys.getrecursionlimit()
+        sys.setrecursionlimit(1000)
+        try:
+            yield
+        finally:
+            sys.setrecursionlimit(saved)
 
     def _deep_chain(self, m, op):
         vars_ = [m.new_var(f"v{i}") for i in range(self.DEPTH)]
@@ -126,6 +141,7 @@ class TestIterativeDepth:
     def test_deep_and_or_not(self, m):
         assert self.DEPTH > sys.getrecursionlimit()
         conj, vars_ = self._deep_chain(m, m.and_)
+        assert sys.getrecursionlimit() >= 2 * self.DEPTH
         env = {i: True for i in range(self.DEPTH)}
         assert m.eval(conj, env) is True
         env[self.DEPTH // 2] = False
@@ -139,6 +155,15 @@ class TestIterativeDepth:
             disj = m.or_(disj, m.not_(v))
         assert disj == neg
 
+    def test_deep_xor(self, m):
+        parity, vars_ = self._deep_chain(m, m.xor)
+        env = {i: True for i in range(self.DEPTH)}
+        assert m.eval(parity, env) is (self.DEPTH % 2 == 1)
+        env[7] = False
+        assert m.eval(parity, env) is (self.DEPTH % 2 == 0)
+        # xor with its own complement walks the whole chain: TRUE.
+        assert m.xor(parity, m.not_(parity)) == TRUE
+
     def test_deep_ite(self, m):
         n = self.DEPTH
         vars_ = [m.new_var(f"v{i}") for i in range(n)]
@@ -150,6 +175,28 @@ class TestIterativeDepth:
         assert m.eval(result, env) == m.eval(other, env)
         env[3] = False
         assert m.eval(result, env) == (not m.eval(other, env))
+
+    def test_long_chain(self, m):
+        n = self.LONG
+        vars_ = [m.new_var(f"v{i}") for i in range(n)]
+        assert sys.getrecursionlimit() >= 2 * n
+        # Chains built bottom-up in linear time; every operation below
+        # then recurses through all n levels.
+        conj, disj, parity = TRUE, FALSE, FALSE
+        for v in reversed(vars_):
+            conj = m.and_(v, conj)
+            disj = m.or_(m.not_(v), disj)
+            parity = m.xor(v, parity)
+        assert m.not_(conj) == disj
+        assert m.and_(conj, disj) == FALSE
+        assert m.or_(conj, disj) == TRUE
+        assert m.xor(conj, disj) == TRUE
+        mixed = m.ite(parity, conj, disj)
+        for flipped in (None, 0, n // 2, n - 1):
+            env = {i: i != flipped for i in range(n)}
+            expected = (m.eval(conj, env) if m.eval(parity, env)
+                        else m.eval(disj, env))
+            assert m.eval(mixed, env) is expected
 
 
 class TestBalancedReduce:
