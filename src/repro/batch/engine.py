@@ -300,15 +300,20 @@ class DesignCatalog:
 
     :attr:`images` maps a design fingerprint to its pickled program —
     what workers receive — and :meth:`add` compiles a request's design
-    the first time its ``(source, top, defines)`` key is seen.
+    the first time its ``(source, top, defines)`` key is seen, unless
+    the caller hands over the program it already compiled.
     """
 
     def __init__(self) -> None:
         self.images: Dict[str, bytes] = {}
         self._by_key: Dict[tuple, str] = {}
 
-    def add(self, request: RunRequest) -> str:
-        """The fingerprint of ``request``'s design, compiled once."""
+    def add(self, request: RunRequest, program=None) -> str:
+        """The fingerprint of ``request``'s design, compiled once.
+
+        ``program``, if given, is ``request``'s design already compiled
+        by the caller; it is stored instead of compiling again.
+        """
         from repro.compile import compile_design
         from repro.frontend import elaborate, parse_source
 
@@ -325,8 +330,9 @@ class DesignCatalog:
             # another.
             fingerprint = hashlib.sha256(
                 repr(key).encode("utf-8")).hexdigest()
-            modules = parse_source(source, defines=dict(defines) or None)
-            program = compile_design(elaborate(modules, top=top))
+            if program is None:
+                modules = parse_source(source, defines=dict(defines) or None)
+                program = compile_design(elaborate(modules, top=top))
             self.images[fingerprint] = pickle.dumps(program)
             self._by_key[key] = fingerprint
         return fingerprint
@@ -432,13 +438,23 @@ class _Worker:
     __slots__ = ("id", "process", "task_send", "result_recv", "lease",
                  "designs", "controller_killed")
 
-    def __init__(self, worker_id: int, ctx, init_args: tuple) -> None:
+    def __init__(self, worker_id: int, ctx, init_args: tuple,
+                 siblings: Sequence["_Worker"]) -> None:
         self.id = worker_id
         task_recv, self.task_send = ctx.Pipe(duplex=False)
         self.result_recv, result_send = ctx.Pipe(duplex=False)
+        # A forked child inherits every pipe end the controller holds:
+        # its own controller-side ends and those of each live sibling.
+        # The child closes them first thing, so the controller's copies
+        # are the only ones and a dead controller reads as EOF.
+        inherited: tuple = ()
+        if ctx.get_start_method() == "fork":
+            inherited = tuple(
+                conn for worker in (*siblings, self)
+                for conn in (worker.task_send, worker.result_recv))
         self.process = ctx.Process(
             target=_worker_main,
-            args=(task_recv, result_send) + init_args,
+            args=(task_recv, result_send, inherited) + init_args,
             daemon=True, name=f"repro-batch-w{worker_id}")
         self.process.start()
         # the controller holds only its own pipe ends
@@ -473,7 +489,8 @@ class _WorkerPool:
         for _ in range(count):
             if len(self.workers) >= self.width:
                 return
-            worker = _Worker(self._next_id, self._ctx, self._init_args)
+            worker = _Worker(self._next_id, self._ctx, self._init_args,
+                             self.workers)
             self._next_id += 1
             self.workers.append(worker)
 
@@ -793,6 +810,7 @@ def run_batch(
     retry: Optional[RetryPolicy] = None,
     journal: bool = True,
     resume: bool = False,
+    catalog: Optional[DesignCatalog] = None,
 ) -> BatchResult:
     """Run every request on a durable pool of ``workers`` processes.
 
@@ -819,6 +837,10 @@ def run_batch(
     design-catalog hash, restores journaled terminal runs, and
     executes only the rest.
 
+    ``catalog`` may carry designs the caller has already compiled
+    (:meth:`DesignCatalog.add` with a ``program``); they are not
+    compiled again.
+
     Individual run failures never raise; :class:`BatchError` covers
     controller-side problems only (bad requests, pool startup, a
     journal that does not match the manifest).
@@ -842,7 +864,8 @@ def run_batch(
         os.makedirs(out_dir, exist_ok=True)
 
     wall_start = time.perf_counter()
-    catalog = DesignCatalog()
+    if catalog is None:
+        catalog = DesignCatalog()
     by_run = {request.name: catalog.add(request) for request in requests}
     fingerprints = {request.name: request_fingerprint(request,
                                                       by_run[request.name])

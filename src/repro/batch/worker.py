@@ -98,16 +98,21 @@ def _maybe_chaos_kill(name: str, attempt: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _worker_main(task_conn, result_conn, out_dir: str, trace: bool,
-                 heartbeat_every: Optional[int]) -> None:
+def _worker_main(task_conn, result_conn, controller_ends, out_dir: str,
+                 trace: bool, heartbeat_every: Optional[int]) -> None:
     """Entry point of one pool worker process.
 
-    Receives ``(request, fingerprint, attempt, image)`` jobs until the
+    ``controller_ends`` are the controller-side pipe ends a forked
+    worker inherits (its own and its siblings'); they are closed at
+    once, so the pipes reach EOF when the controller dies.  Receives
+    ``(request, fingerprint, attempt, image)`` jobs until the
     controller sends ``None`` (or closes the pipe).  :func:`_run_job`
     never raises, so the loop only exits on shutdown — or dies abruptly
     (OOM kill, segfault, chaos), which the controller observes through
     the process sentinel and converts into a lease requeue.
     """
+    for conn in controller_ends:
+        conn.close()
     try:
         _worker_init(out_dir, trace, heartbeat_every)
         while True:

@@ -81,7 +81,7 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
                   or_cache: Dict[Tuple[int, int], int],
                   xor_cache: Dict[Tuple[int, int], int],
                   hits: List[int]):
-    """Build the recursive ``ite``/``not``/``and``/``or``/``xor`` kernels.
+    """Build the recursive ``ite``/``not``/``and``/``or``/``xor``/``constrain`` kernels.
 
     Each kernel takes *itself* as its first argument and recurses
     through it, so no closure refers to itself and none refers to the
@@ -92,6 +92,10 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
     sequence.  Terminal shortcuts never consult a cache and are counted
     by neither side; ``hits`` collects computed-table hits (misses fall
     out of the table lengths, see :attr:`BddManager.ite_cache_misses`).
+    ``constrain`` has no computed table of its own: its memo is a dict
+    the caller passes down, so it lives exactly as long as one call
+    (or one operator's rails, when the caller shares it) and counts as
+    neither hit nor miss.
     """
     unique_get = unique.get
 
@@ -238,7 +242,54 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
         ite_cache[key] = result
         return result
 
-    return ite_k, not_k, and_k, or_k, xor_k
+    def constrain_k(rec, f, c, memo):
+        # Coudert-Madre generalized cofactor: where one cofactor of the
+        # care set is empty, follow the other and drop the variable.
+        if c == TRUE or f <= TRUE:
+            return f
+        if c == FALSE:
+            return FALSE
+        if f == c:
+            return TRUE
+        key = (f, c)
+        result = memo.get(key)
+        if result is not None:
+            return result
+        lf = levels[f]
+        lc = levels[c]
+        top = lf if lf < lc else lc
+        if lf == top:
+            f0 = lows[f]
+            f1 = highs[f]
+        else:
+            f0 = f1 = f
+        if lc == top:
+            c0 = lows[c]
+            c1 = highs[c]
+        else:
+            c0 = c1 = c
+        if c0 == FALSE:
+            result = rec(rec, f1, c1, memo)
+        elif c1 == FALSE:
+            result = rec(rec, f0, c0, memo)
+        else:
+            r0 = rec(rec, f0, c0, memo)
+            r1 = rec(rec, f1, c1, memo)
+            if r0 == r1:
+                result = r0
+            else:
+                ukey = (top, r0, r1)
+                result = unique_get(ukey)
+                if result is None:
+                    result = len(levels)
+                    levels.append(top)
+                    lows.append(r0)
+                    highs.append(r1)
+                    unique[ukey] = result
+        memo[key] = result
+        return result
+
+    return ite_k, not_k, and_k, or_k, xor_k, constrain_k
 
 
 class BddRef:
@@ -444,7 +495,7 @@ class BddManager:
         and it rebinds.
         """
         (self._ite_k, self._not_k, self._and_k, self._or_k,
-         self._xor_k) = _make_kernels(
+         self._xor_k, self._constrain_k) = _make_kernels(
             self._level, self._low, self._high, self._unique,
             self._ite_cache, self._not_cache, self._and_cache,
             self._or_cache, self._xor_cache, self._hits)
@@ -508,6 +559,24 @@ class BddManager:
             return f ^ g
         kernel = self._xor_k
         return kernel(kernel, f, g)
+
+    def constrain(self, f: int, c: int,
+                  memo: Optional[Dict[Tuple[int, int], int]] = None) -> int:
+        """Generalized cofactor ``f↓c`` (Coudert–Madre; ``Cudd_bddConstrain``).
+
+        The result agrees with ``f`` wherever ``c`` holds and is free
+        outside it, which usually makes it smaller: where one cofactor
+        of ``c`` is empty the variable is dropped and the other branch
+        taken.  ``c == FALSE`` gives ``FALSE``; ``f == c`` gives
+        ``TRUE``.  Callers that constrain several functions by the same
+        ``c`` may pass one ``memo`` dict to all of them; node ids in it
+        are only valid until the next safe point.  No computed table
+        is touched, so the cache counters do not move.
+        """
+        if c == TRUE or f <= TRUE:
+            return f
+        kernel = self._constrain_k
+        return kernel(kernel, f, c, {} if memo is None else memo)
 
     def xnor(self, f: int, g: int) -> int:
         """Equivalence (complement of the shared xor cache entry)."""
@@ -1005,30 +1074,32 @@ class BddManager:
         shared depth counter), so a sample measures one whole operator
         application.  Only instrumented
         managers pay the wrapper cost; plain managers are untouched.
+        The wrappers live on the instance and reach it through a weak
+        reference, so they form no cycle that would keep a dropped
+        manager's arena alive.
         """
-        import time as _time
-
         hist = registry.histogram(
             "bdd.op_seconds", "top-level BDD operator latency",
             labels=("op",),
         )
         state = {"depth": 0, "n": 0}
+        manager = weakref.ref(self)
 
-        def timed(orig, op_hist):
+        def timed(method, op_hist):
             def wrapper(*args: int) -> int:
                 if state["depth"]:
-                    return orig(*args)
+                    return method(manager(), *args)
                 state["n"] += 1
                 if state["n"] % sample_every:
                     state["depth"] = 1
                     try:
-                        return orig(*args)
+                        return method(manager(), *args)
                     finally:
                         state["depth"] = 0
                 started = _time.perf_counter()
                 state["depth"] = 1
                 try:
-                    return orig(*args)
+                    return method(manager(), *args)
                 finally:
                     state["depth"] = 0
                     op_hist.observe(_time.perf_counter() - started)
@@ -1036,8 +1107,8 @@ class BddManager:
 
         for name, attr in (("ite", "ite"), ("not", "not_"),
                            ("and", "and_"), ("or", "or_"), ("xor", "xor")):
-            orig = getattr(BddManager, attr).__get__(self)
-            setattr(self, attr, timed(orig, hist.labels(op=name)))
+            setattr(self, attr,
+                    timed(getattr(BddManager, attr), hist.labels(op=name)))
 
     def _drop_op_caches(self) -> None:
         """Drop every computed table, folding lengths into miss bases.

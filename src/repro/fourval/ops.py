@@ -517,7 +517,10 @@ def less_than(x: FourVec, y: FourVec) -> FourVec:
     if signed:
         x, y = _signed_flip(x), _signed_flip(y)
     known = mgr.and_(x.known(), y.known())
-    lt = _unsigned_less_than(x, y)
+    care = _care_operands(mgr, known if mgr.fastpath else TRUE, (x, y))
+    if care is None:
+        return FourVec(mgr, [BIT_X])
+    lt = _unsigned_less_than(*care)
     is1 = mgr.and_(known, lt)
     is0 = mgr.and_(known, mgr.not_(lt))
     return FourVec(mgr, [_make_tristate(mgr, is1, is0)])
@@ -543,9 +546,56 @@ def greater_equal(x: FourVec, y: FourVec) -> FourVec:
 # ----------------------------------------------------------------------
 
 
-def _poisoned(mgr: BddManager, xz: int, a_rails: List[int], signed: bool) -> FourVec:
-    """Wrap 2-valued result rails, forcing all-X wherever ``xz`` holds."""
-    bits = [(mgr.or_(xz, a), xz) for a in a_rails]
+def _care_operands(
+    mgr: BddManager, care: int, operands: Tuple[FourVec, ...]
+) -> Optional[Tuple[FourVec, ...]]:
+    """``operands`` with their a-rails simplified to the care set ``care``.
+
+    ``care`` is where the caller's result is not already X.  Outside it
+    the result is X whatever the a-rails compute, so each a-rail is
+    replaced by its generalized cofactor (:meth:`BddManager.constrain`,
+    one memo for all rails): it agrees with the original wherever
+    ``care`` holds, and a chain of pointwise Boolean operators run on
+    the replacements therefore builds the same function there — the
+    same canonical node once the caller masks the X region back in —
+    while skipping the work the X region would have cost.  Returns the
+    operands unchanged when ``care`` is TRUE and ``None`` when it is
+    FALSE (the result is all-X; nothing needs computing).
+    """
+    if care == TRUE:
+        return operands
+    if care == FALSE:
+        return None
+    constrain = mgr.constrain
+    memo: dict = {}
+    return tuple(
+        FourVec(mgr, [(constrain(a, care, memo), b) for a, b in v.bits],
+                v.signed)
+        for v in operands
+    )
+
+
+def _poisoned(
+    mgr: BddManager,
+    xz: int,
+    operands: Tuple[FourVec, ...],
+    rails_of: Callable[..., List[int]],
+    signed: bool,
+) -> FourVec:
+    """An operator whose whole result is X wherever ``xz`` holds.
+
+    ``rails_of(*operands)`` computes the 2-valued result a-rails from
+    the operands' a-rails; the result forces all-X where ``xz`` holds.
+    With fast paths on, the operands are first simplified to the care
+    set ``¬xz`` (:func:`_care_operands`); with them off (the oracle)
+    the chain runs on the raw operands.  Where ``xz`` is FALSE both
+    run the same operations.
+    """
+    care = mgr.not_(xz) if mgr.fastpath and xz != FALSE else TRUE
+    simplified = _care_operands(mgr, care, operands)
+    if simplified is None:
+        return FourVec(mgr, (BIT_X,) * operands[0].width, signed)
+    bits = [(mgr.or_(xz, a), xz) for a in rails_of(*simplified)]
     return FourVec(mgr, bits, signed)
 
 
@@ -573,8 +623,8 @@ def add(x: FourVec, y: FourVec) -> FourVec:
     if mgr.fastpath:
         mgr._fp_sym += 1
     xz = mgr.or_(x.has_xz(), y.has_xz())
-    rails = _add_rails(mgr, x, y, FALSE)
-    return _poisoned(mgr, xz, rails, signed)
+    return _poisoned(mgr, xz, (x, y),
+                     lambda x, y: _add_rails(mgr, x, y, FALSE), signed)
 
 
 def subtract(x: FourVec, y: FourVec) -> FourVec:
@@ -589,9 +639,13 @@ def subtract(x: FourVec, y: FourVec) -> FourVec:
     if mgr.fastpath:
         mgr._fp_sym += 1
     xz = mgr.or_(x.has_xz(), y.has_xz())
+    return _poisoned(mgr, xz, (x, y), lambda x, y: _sub_rails(mgr, x, y),
+                     signed)
+
+
+def _sub_rails(mgr: BddManager, x: FourVec, y: FourVec) -> List[int]:
     inverted = FourVec(mgr, [(mgr.not_(a), FALSE) for a, _ in y.bits])
-    rails = _add_rails(mgr, x, inverted, TRUE)
-    return _poisoned(mgr, xz, rails, signed)
+    return _add_rails(mgr, x, inverted, TRUE)
 
 
 def negate(x: FourVec) -> FourVec:
@@ -611,8 +665,14 @@ def multiply(x: FourVec, y: FourVec) -> FourVec:
         return FourVec.from_int(mgr, vals[0] * vals[1], x.width, signed)
     if mgr.fastpath:
         mgr._fp_sym += 1
-    width = x.width
     xz = mgr.or_(x.has_xz(), y.has_xz())
+    return _poisoned(mgr, xz, (x, y), lambda x, y: _mul_rails(mgr, x, y),
+                     signed)
+
+
+def _mul_rails(mgr: BddManager, x: FourVec, y: FourVec) -> List[int]:
+    """Shift-and-add multiplication on the a-rails."""
+    width = x.width
     acc = [FALSE] * width
     for shift, (yb, _) in enumerate(y.bits):
         if yb == FALSE:
@@ -626,7 +686,7 @@ def multiply(x: FourVec, y: FourVec) -> FourVec:
                 mgr.and_(carry, mgr.xor(acc[i], partial)),
             )
             acc[i] = total
-    return _poisoned(mgr, xz, acc, signed)
+    return acc
 
 
 def _divmod_rails(
@@ -694,9 +754,11 @@ def divide(x: FourVec, y: FourVec) -> FourVec:
         mgr._fp_sym += 1
     xz = _div_xz(mgr, x, y)
     if signed:
-        return _signed_div_or_mod(x, y, xz, want_mod=False)
-    quo, _ = _divmod_rails(mgr, x, y)
-    return _poisoned(mgr, xz, quo, False)
+        return _poisoned(
+            mgr, xz, (x, y),
+            lambda x, y: _signed_divmod_rails(x, y, want_mod=False), True)
+    return _poisoned(mgr, xz, (x, y),
+                     lambda x, y: _divmod_rails(mgr, x, y)[0], False)
 
 
 def modulo(x: FourVec, y: FourVec) -> FourVec:
@@ -722,14 +784,15 @@ def modulo(x: FourVec, y: FourVec) -> FourVec:
         mgr._fp_sym += 1
     xz = _div_xz(mgr, x, y)
     if signed:
-        return _signed_div_or_mod(x, y, xz, want_mod=True)
-    _, rem = _divmod_rails(mgr, x, y)
-    return _poisoned(mgr, xz, rem, False)
+        return _poisoned(
+            mgr, xz, (x, y),
+            lambda x, y: _signed_divmod_rails(x, y, want_mod=True), True)
+    return _poisoned(mgr, xz, (x, y),
+                     lambda x, y: _divmod_rails(mgr, x, y)[1], False)
 
 
-def _signed_div_or_mod(
-    x: FourVec, y: FourVec, xz: int, want_mod: bool
-) -> FourVec:
+def _signed_divmod_rails(x: FourVec, y: FourVec, want_mod: bool) -> List[int]:
+    """Signed quotient or remainder a-rails, negating through the unsigned core."""
     mgr = x.mgr
     sx, sy = x.bits[-1][0], y.bits[-1][0]
 
@@ -749,10 +812,9 @@ def _signed_div_or_mod(
         rails, flip = quo, mgr.xor(sx, sy)
     pos = FourVec(mgr, [(a, FALSE) for a in rails])
     neg = negate(pos)
-    rails = [
+    return [
         mgr.ite(flip, na, a) for (na, _), (a, _) in zip(neg.bits, pos.bits)
     ]
-    return _poisoned(mgr, xz, rails, True)
 
 
 def power(x: FourVec, y: FourVec) -> FourVec:
@@ -775,6 +837,12 @@ def power(x: FourVec, y: FourVec) -> FourVec:
     if mgr.fastpath:
         mgr._fp_sym += 1
     xz = mgr.or_(x.has_xz(), y.has_xz())
+    return _poisoned(mgr, xz, (x, y), _power_rails, False)
+
+
+def _power_rails(x: FourVec, y: FourVec) -> List[int]:
+    """Square-and-multiply on the a-rails."""
+    mgr = x.mgr
     result = FourVec.from_int(mgr, 1, x.width)
     base = FourVec(mgr, [(a, FALSE) for a, _ in x.bits])
     for yb, _ in y.bits:
@@ -784,7 +852,7 @@ def power(x: FourVec, y: FourVec) -> FourVec:
         multiplied = multiply(result, base)
         result = multiplied.ite(yb, result)
         base = multiply(base, base)
-    return _poisoned(mgr, xz, [a for a, _ in result.bits], False)
+    return [a for a, _ in result.bits]
 
 
 # ----------------------------------------------------------------------
@@ -823,32 +891,43 @@ def _shift(x: FourVec, y: FourVec, direction: str) -> FourVec:
             mgr._fp_sym += 1
             mgr._fp_bits += width
             xz = x.has_xz()
-            rails = [a for a, _ in x.bits]
-            fill = x.bits[-1][0] if direction == "ashr" else FALSE
-            if amount >= width:
-                rails = [fill] * width
-            elif amount:
-                if direction == "shl":
-                    rails = [FALSE] * amount + rails[: width - amount]
-                else:
-                    rails = rails[amount:] + [fill] * amount
-            return _poisoned(mgr, xz, rails, False)
+            return _poisoned(
+                mgr, xz, (x,),
+                lambda x: _shifted_rails([a for a, _ in x.bits], amount,
+                                         direction), False)
         mgr._fp_sym += 1
     xz = mgr.or_(x.has_xz(), y.has_xz())
+    return _poisoned(mgr, xz, (x, y),
+                     lambda x, y: _barrel_rails(x, y, direction), False)
+
+
+def _shifted_rails(rails: List[int], amount: int, direction: str) -> List[int]:
+    """``rails`` shifted by a known ``amount`` (``ashr`` fills with the top)."""
+    width = len(rails)
+    fill = rails[-1] if direction == "ashr" else FALSE
+    if amount >= width:
+        return [fill] * width
+    if not amount:
+        return rails
+    if direction == "shl":
+        return [FALSE] * amount + rails[: width - amount]
+    return rails[amount:] + [fill] * amount
+
+
+def _barrel_rails(x: FourVec, y: FourVec, direction: str) -> List[int]:
+    """Log shifter on the a-rails: one merge stage per amount bit.
+
+    Every stage keeps the top rail (an ``ashr`` stage fills with it), so
+    it stays the sign of ``x`` throughout.
+    """
+    mgr = x.mgr
     rails = [a for a, _ in x.bits]
-    fill = x.bits[-1][0] if direction == "ashr" else FALSE
     for bit_index, (yb, _) in enumerate(y.bits):
-        amount = 1 << bit_index
         if yb == FALSE:
             continue
-        if amount >= width:
-            shifted = [fill] * width
-        elif direction == "shl":
-            shifted = [FALSE] * amount + rails[: width - amount]
-        else:  # shr / ashr
-            shifted = rails[amount:] + [fill] * amount
+        shifted = _shifted_rails(rails, 1 << bit_index, direction)
         rails = [mgr.ite(yb, s, r) for s, r in zip(shifted, rails)]
-    return _poisoned(mgr, xz, rails, False)
+    return rails
 
 
 def shift_left(x: FourVec, y: FourVec) -> FourVec:

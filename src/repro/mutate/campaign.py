@@ -28,10 +28,9 @@ The **mutation score** is ``detected / (detected + undetected)``.
 
 Every mutant is compile-validated in the controller before fan-out —
 the batch engine treats a compile failure as fatal for the whole
-batch, while a campaign must classify it and move on.  Valid mutants
-are therefore compiled twice (once to validate, once in the catalog);
-campaigns are simulation-dominated, so the duplicate parse/compile is
-noise.
+batch, while a campaign must classify it and move on.  The programs
+the validation builds go into the batch's design catalog as they are,
+so each valid mutant is compiled exactly once.
 
 The :class:`CampaignReport` is deterministic: its ``to_dict`` payload
 contains no wall-clock times, worker counts, PIDs or paths, so the
@@ -47,7 +46,9 @@ import json
 import os
 from typing import Callable, Dict, List, Optional, Sequence
 
-from repro.batch.engine import BatchResult, RunOutcome, run_batch
+from repro.batch.engine import (
+    BatchResult, DesignCatalog, RunOutcome, run_batch,
+)
 from repro.batch.request import RunRequest
 from repro.errors import MutationError, ReproError, ResimulationError
 from repro.mutate.plan import MutationPlan, build_plan
@@ -210,13 +211,12 @@ def witness_trace(witness: dict) -> ErrorTrace:
     return ErrorTrace(witness={}, entries=entries)
 
 
-def _validate_mutants(plan: MutationPlan, keep_programs: bool):
+def _validate_mutants(plan: MutationPlan):
     """Compile-check every planned mutant in the controller.
 
-    Returns ``(sources, invalid, programs)``: mutant id → source for
-    the valid ones, id → error string for the stillborn ones, and
-    (when ``keep_programs``) id → compiled Program for witness
-    verification.
+    Returns ``(sources, invalid, programs)``: mutant id → source and
+    id → compiled Program for the valid ones, id → error string for
+    the stillborn ones.
     """
     from repro.compile.compiler import compile_design
     from repro.frontend.elaborate import elaborate
@@ -234,8 +234,7 @@ def _validate_mutants(plan: MutationPlan, keep_programs: bool):
             invalid[mutant.id] = f"{type(exc).__name__}: {exc}"
             continue
         sources[mutant.id] = source
-        if keep_programs:
-            programs[mutant.id] = program
+        programs[mutant.id] = program
     return sources, invalid, programs
 
 
@@ -272,16 +271,19 @@ def run_campaign(
         seed=config.seed, max_mutants=config.max_mutants)
 
     verify = config.verify_witnesses
-    sources, invalid, programs = _validate_mutants(plan, verify)
+    sources, invalid, programs = _validate_mutants(plan)
 
     requests = [RunRequest(
         name=BASELINE_NAME, source=plan.baseline_source, top=plan.top,
         options=config.options, until=config.until)]
+    catalog = DesignCatalog()
     for mutant in plan.mutants:
         if mutant.id in sources:
-            requests.append(RunRequest(
+            request = RunRequest(
                 name=mutant.id, source=sources[mutant.id], top=plan.top,
-                options=config.options, until=config.until))
+                options=config.options, until=config.until)
+            catalog.add(request, programs[mutant.id])
+            requests.append(request)
     seen_names = {request.name for request in requests}
     variant_programs: Dict[str, object] = {}
     for variant in config.variants:
@@ -298,7 +300,8 @@ def run_campaign(
     batch = run_batch(
         requests, workers=workers, out_dir=out_dir, on_result=on_result,
         trace=trace, write_metrics=False, heartbeat_every=heartbeat_every,
-        stall_after=stall_after, retry=retry, resume=resume)
+        stall_after=stall_after, retry=retry, resume=resume,
+        catalog=catalog)
 
     baseline = batch[BASELINE_NAME]
     if baseline.status.value != "ok":
@@ -337,7 +340,7 @@ def run_campaign(
                 id=mutant.id, classification="invalid", status="invalid",
                 error=invalid[mutant.id])
         else:
-            outcome = _classified(batch[mutant.id], programs.get(mutant.id))
+            outcome = _classified(batch[mutant.id], programs[mutant.id])
         outcome.operator = mutant.operator
         outcome.module = mutant.module
         outcome.ordinal = mutant.ordinal

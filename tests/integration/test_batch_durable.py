@@ -7,10 +7,14 @@ from __future__ import annotations
 
 import json
 import os
+import signal
+import subprocess
+import sys
 import time
 
 import pytest
 
+import repro
 from repro.batch import (
     JOURNAL_NAME, RetryPolicy, RunRequest, read_journal, run_batch,
 )
@@ -131,6 +135,67 @@ class TestWorkerLoss:
         assert rows["batch.quarantined"] == 0
         assert rows["batch.attempts[('run', 'r0')]"] == 2
         assert rows["batch.attempts[('run', 'r1')]"] == 1
+
+
+#: A controller that stops in its first result callback and prints the
+#: pids of its pool workers; the test then SIGKILLs it there.
+_STUCK_CONTROLLER = """
+import multiprocessing, sys, time
+from repro.batch import RunRequest, run_batch
+COUNTER = sys.stdin.read()
+
+def stop(outcome):
+    pids = [child.pid for child in multiprocessing.active_children()]
+    print(" ".join(map(str, pids)), flush=True)
+    time.sleep(600)
+
+run_batch([RunRequest(name=f"r{i}", source=COUNTER) for i in range(4)],
+          workers=2, out_dir=sys.argv[1], trace=False, on_result=stop)
+"""
+
+
+def _exited(pid):
+    """True once ``pid`` is gone or a zombie nobody has reaped yet."""
+    try:
+        with open(f"/proc/{pid}/stat") as handle:
+            return handle.read().rpartition(")")[2].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+class TestControllerLoss:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self"),
+                        reason="needs /proc to watch the orphans")
+    def test_workers_exit_when_the_controller_is_killed(self, tmp_path):
+        """A forked worker inherits the controller-side pipe ends of its
+        earlier siblings; unless it closes them, no worker ever reads
+        EOF once the controller is gone."""
+        env = dict(os.environ)
+        src_root = os.path.dirname(os.path.dirname(repro.__file__))
+        env["PYTHONPATH"] = src_root + os.pathsep + env.get("PYTHONPATH", "")
+        proc = subprocess.Popen(
+            [sys.executable, "-c", _STUCK_CONTROLLER, str(tmp_path)],
+            env=env, stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+            text=True)
+        pids = []
+        try:
+            proc.stdin.write(COUNTER)
+            proc.stdin.close()
+            pids = [int(pid) for pid in proc.stdout.readline().split()]
+            assert len(pids) == 2
+            proc.send_signal(signal.SIGKILL)
+            proc.wait(timeout=30)
+            deadline = time.time() + 10
+            while time.time() < deadline and not all(map(_exited, pids)):
+                time.sleep(0.05)
+            assert all(map(_exited, pids)), "orphaned workers still alive"
+        finally:
+            proc.kill()
+            for pid in pids:
+                try:
+                    os.kill(pid, signal.SIGKILL)
+                except ProcessLookupError:
+                    pass
 
 
 # ---------------------------------------------------------------------------

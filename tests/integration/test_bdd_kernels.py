@@ -22,6 +22,7 @@ import repro
 from repro import SimOptions
 from repro.bdd import BddManager
 from repro.designs import load
+from repro.obs import MetricsRegistry
 
 #: builtin gcd (width 5, 1 round) run symbolically to t=5000
 GCD_ARENA_SHA256 = (
@@ -72,7 +73,8 @@ def _kernels(mgr):
     A kernel that referred to itself would outlive its manager in a
     cycle and keep the arena lists it is bound to alive with it.
     """
-    return _weak(mgr._ite_k, mgr._not_k, mgr._and_k, mgr._or_k, mgr._xor_k)
+    return _weak(mgr._ite_k, mgr._not_k, mgr._and_k, mgr._or_k, mgr._xor_k,
+                 mgr._constrain_k)
 
 
 def _all_dead(refs):
@@ -99,6 +101,50 @@ def test_bare_manager_is_freed_by_refcount(no_cyclic_gc):
     mgr.collect()  # rebinds the kernels to the compacted arena
     assert _all_dead(replaced)
     mgr.and_(mgr.var(0), mgr.var(1))
+    refs = _weak(mgr) + _kernels(mgr)
+    del mgr
+    assert _all_dead(refs)
+
+
+#: An adder and a compare on a register that is X wherever a[0] is 0,
+#: so both take the care-set branch (BddManager.constrain).
+X_ARITH = """
+module tb;
+  reg [3:0] a, r, s;
+  initial begin
+    a = $random;
+    if (a[0]) r = a;
+    #1 s = r + a;
+    if (s < a) $display("wrapped");
+    #1 $finish;
+  end
+endmodule
+"""
+
+
+def test_run_through_x_arithmetic_frees_its_manager(no_cyclic_gc,
+                                                    monkeypatch):
+    calls = []
+    constrain = BddManager.constrain
+
+    def counting(mgr, f, c, memo=None):
+        calls.append(c)
+        return constrain(mgr, f, c, memo)
+
+    monkeypatch.setattr(BddManager, "constrain", counting)
+    sim = repro.open_sim(X_ARITH, top="tb")
+    result = sim.run(until=10)
+    assert calls, "the care-set branch was not taken"
+    refs = _weak(sim.kernel, sim.mgr) + _kernels(sim.mgr)
+    del sim, result
+    assert _all_dead(refs)
+
+
+def test_latency_instrumented_manager_is_freed_by_refcount(no_cyclic_gc):
+    mgr = BddManager()
+    mgr.instrument_latency(MetricsRegistry(), sample_every=1)
+    a, b = mgr.new_var("a"), mgr.new_var("b")
+    assert mgr.xor(mgr.and_(a, b), mgr.ite(a, b, mgr.not_(b))) != a
     refs = _weak(mgr) + _kernels(mgr)
     del mgr
     assert _all_dead(refs)

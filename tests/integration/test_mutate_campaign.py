@@ -156,6 +156,26 @@ def test_invalid_mutants_fold_into_the_report(monkeypatch):
         report.totals["detected"] / judged)
 
 
+def test_each_design_is_compiled_once_in_the_controller(monkeypatch):
+    """Validation's programs feed the batch catalog: no second compile."""
+    import repro.compile
+    import repro.compile.compiler
+
+    compiled = []
+    original = repro.compile.compiler.compile_design
+
+    def counting(design, *args, **kwargs):
+        compiled.append(design.top)
+        return original(design, *args, **kwargs)
+
+    monkeypatch.setattr(repro.compile.compiler, "compile_design", counting)
+    monkeypatch.setattr(repro.compile, "compile_design", counting)
+    report = run_campaign(small_config(verify_witnesses=True), workers=1)
+    valid = report.totals["planned"] - report.totals["invalid"]
+    assert valid > 1
+    assert len(compiled) == valid + 1  # every valid mutant + the baseline
+
+
 def test_dirty_baseline_raises():
     with pytest.raises(MutationError, match="baseline run is not clean"):
         run_campaign(CampaignConfig(source=BROKEN_CHECKER, until=10))

@@ -155,3 +155,64 @@ def test_exists_forall_duality(plan, levels):
     assert fa == m.not_(m.exists(m.not_(f), levels))
     # forall implies exists
     assert m.implies(fa, ex) == TRUE
+
+
+def _care_rows(m, c):
+    return [dict(enumerate(bits))
+            for bits in itertools.product([False, True], repeat=N_VARS)
+            if m.eval(c, dict(enumerate(bits)))]
+
+
+@settings(max_examples=200, deadline=None)
+@given(bdd_exprs(), bdd_exprs())
+def test_constrain_agrees_on_care_set(plan_f, plan_c):
+    m = _fresh()
+    f = _build(m, plan_f)
+    c = _build(m, plan_c)
+    g = m.constrain(f, c)
+    for row in _care_rows(m, c):
+        assert m.eval(g, row) == m.eval(f, row)
+    assert m.support(g) <= m.support(f) | m.support(c)
+
+
+@settings(max_examples=100, deadline=None)
+@given(bdd_exprs(), bdd_exprs(), bdd_exprs())
+def test_constrain_distributes_over_operators(plan_f, plan_g, plan_c):
+    """One care set projects every operand the same way, so an operator
+    applied to constrained operands is the constrained result — with
+    one memo shared by both operands, as the four-valued layer does."""
+    m = _fresh()
+    f, g, c = (_build(m, plan) for plan in (plan_f, plan_g, plan_c))
+    if c == FALSE:
+        return
+    memo = {}
+    fc = m.constrain(f, c, memo)
+    gc = m.constrain(g, c, memo)
+    assert fc == m.constrain(f, c)
+    assert m.and_(fc, gc) == m.constrain(m.and_(f, g), c)
+    assert m.xor(fc, gc) == m.constrain(m.xor(f, g), c)
+
+
+def test_constrain_edge_cases():
+    m = _fresh()
+    a, b, c = m.var(0), m.var(1), m.var(2)
+    f = m.ite(a, b, c)
+    care = m.or_(a, m.not_(b))
+    assert m.constrain(f, TRUE) == f
+    assert m.constrain(f, FALSE) == FALSE
+    assert m.constrain(care, care) == TRUE
+    assert m.constrain(m.not_(care), care) == FALSE
+    assert m.constrain(TRUE, care) == TRUE
+    assert m.constrain(FALSE, care) == FALSE
+    # outside the care set the variable it pins drops out entirely
+    assert m.constrain(f, a) == b
+    assert m.constrain(f, m.not_(a)) == c
+    # no computed table is touched
+    g = m.xor(f, m.var(3))
+    expected = m.xor(c, m.var(3))
+    not_a = m.not_(a)
+    before = m.cache_stats()
+    assert m.constrain(g, not_a) == expected
+    after = m.cache_stats()
+    moved = {key for key in before if before[key] != after[key]}
+    assert moved <= {"peak_nodes", "nodes", "total_nodes"}

@@ -6,9 +6,15 @@ construction) and once with it set (word-level / per-bit shortcut
 dispatch).  The arena is hash-consed, so identical functions get
 identical node ids: the two results must compare equal *rail by rail*,
 including X/Z propagation and signedness.
+
+Operators whose result is all-X once any operand bit is X/Z simplify
+their operands to the care set (``BddManager.constrain``) only with the
+fast path on; the symbolic and mixed modes reach that branch, and the
+tests below check that they do.
 """
 
 import random
+import zlib
 
 import pytest
 
@@ -20,6 +26,25 @@ from repro.fourval.vector import BIT_0, BIT_1, BIT_X, BIT_Z
 @pytest.fixture
 def m():
     return BddManager()
+
+
+@pytest.fixture
+def constrain_calls(monkeypatch):
+    """Count the care-set simplifications the operators ask for."""
+    calls = []
+    constrain = BddManager.constrain
+
+    def counting(mgr, f, c, memo=None):
+        calls.append(c)
+        return constrain(mgr, f, c, memo)
+
+    monkeypatch.setattr(BddManager, "constrain", counting)
+    return calls
+
+
+def seeded(op):
+    """An RNG seeded by the operator's name, the same in every process."""
+    return random.Random(zlib.crc32(op.__name__.encode()) & 0xFFFF)
 
 
 CONCRETE_BITS = (BIT_0, BIT_1)
@@ -104,6 +129,14 @@ BINARY_OPS = [
     (ops.power, "heavy"),
 ]
 
+#: Operators whose whole result is X wherever an operand bit is X/Z.
+POISONED_OPS = {
+    ops.less_than, ops.greater_than, ops.less_equal, ops.greater_equal,
+    ops.add, ops.subtract, ops.shift_left, ops.shift_right,
+    ops.arith_shift_right, ops.multiply, ops.divide, ops.modulo,
+    ops.power, ops.negate,
+}
+
 UNARY_OPS = [
     ops.bitwise_not,
     ops.negate,
@@ -121,9 +154,10 @@ MODES = ("concrete", "fourval", "mixed", "symbolic")
 
 @pytest.mark.parametrize("op,weight", BINARY_OPS,
                          ids=[op.__name__ for op, _ in BINARY_OPS])
-def test_binary_differential(m, op, weight):
-    rng = random.Random(hash(op.__name__) & 0xFFFF)
+def test_binary_differential(m, constrain_calls, op, weight):
+    rng = seeded(op)
     widths = (1, 4, 8) if weight == "light" else (1, 3, 4)
+    constrained = {mode: 0 for mode in MODES}
     for width in widths:
         for mode in MODES:
             if weight == "heavy" and mode == "symbolic" and width > 3:
@@ -131,19 +165,60 @@ def test_binary_differential(m, op, weight):
             for forced_signed in (None, True):
                 x = rand_vec(m, rng, width, mode, signed=forced_signed)
                 y = rand_vec(m, rng, width, mode, signed=forced_signed)
+                before = len(constrain_calls)
                 ref, fast = run_both(m, op, x, y)
                 assert_identical(ref, fast)
+                constrained[mode] += len(constrain_calls) - before
+    if op in POISONED_OPS:
+        assert constrained["symbolic"]
+    assert not constrained["concrete"]
+
+
+def guarded_vec(m, rng, width, signed):
+    """Concrete bits mixed with bits that are X/Z only under a fresh
+    variable: the operand shape that leaves a symbolic care set."""
+    if signed is None:
+        signed = rng.random() < 0.5
+    bits = []
+    for _ in range(width):
+        if rng.random() < 0.5:
+            bits.append(rng.choice(CONCRETE_BITS))
+        else:
+            a = m.new_var() if rng.random() < 0.5 else rng.choice((0, 1))
+            bits.append((a, m.new_var()))
+    return FourVec(m, bits, signed)
+
+
+@pytest.mark.parametrize(
+    "op,weight", [(op, weight) for op, weight in BINARY_OPS
+                  if op in POISONED_OPS],
+    ids=[op.__name__ for op, _ in BINARY_OPS if op in POISONED_OPS])
+def test_care_set_differential(m, constrain_calls, op, weight):
+    """Mixed operands, X/Z under a condition: the constrained chain
+    builds the oracle's rails exactly."""
+    rng = seeded(op)
+    for width in ((1, 4, 8) if weight == "light" else (1, 3)):
+        for forced_signed in (None, True):
+            for mode in ("mixed", "symbolic"):
+                x = guarded_vec(m, rng, width, forced_signed)
+                y = (guarded_vec(m, rng, width, forced_signed)
+                     if mode == "symbolic" else
+                     rand_vec(m, rng, width, "mixed", signed=forced_signed))
+                ref, fast = run_both(m, op, x, y)
+                assert_identical(ref, fast)
+    assert constrain_calls
 
 
 @pytest.mark.parametrize("op", UNARY_OPS, ids=[op.__name__ for op in UNARY_OPS])
-def test_unary_differential(m, op):
-    rng = random.Random(hash(op.__name__) & 0xFFFF)
+def test_unary_differential(m, constrain_calls, op):
+    rng = seeded(op)
     for width in (1, 4, 8):
         for mode in MODES:
             for forced_signed in (None, True):
                 x = rand_vec(m, rng, width, mode, signed=forced_signed)
                 ref, fast = run_both(m, op, x)
                 assert_identical(ref, fast)
+    assert bool(constrain_calls) == (op in POISONED_OPS)
 
 
 def test_shift_narrow_amount_differential(m):
