@@ -1584,32 +1584,38 @@ class _SiftSpace:
     """Scratch graph for dynamic sifting.
 
     A mutable copy of a (freshly collected, hence all-live) manager
-    arena that supports the classic adjacent-level swap: exchanging
-    order positions ``p`` and ``p+1`` only touches nodes at those two
-    levels, so a swap costs O(nodes at p) and a full sift explores
-    every position for a variable in O(arena) amortized.  Node ids
-    never change here — nodes are relabeled and rewritten in place —
-    so ``order`` (position → original level) is the only output; the
-    owning manager applies it with :meth:`BddManager.reorder`.
+    arena that supports the classic adjacent-level swap in place, the
+    shape of CUDD's ``cuddSwapInPlace``.  Scratch nodes are labelled by
+    *variable* (their level in the manager when the copy was made), not
+    by order position, and every variable keeps one subtable mapping
+    ``(low, high)`` to its node: the variable's unique table and its
+    node list at once.  Exchanging the variables at order positions
+    ``p`` and ``p+1`` therefore only re-expresses the upper variable's
+    nodes that have a child labelled with the lower one; every other
+    node keeps its label, its key and its children.  Node ids never
+    change here, so ``order`` (position → original level) is the only
+    output; the owning manager applies it with :meth:`BddManager.reorder`.
 
     Unlike the manager itself, the scratch graph *is* reference
-    counted (``parents``), because swaps must know when a node at the
-    lower level dies; roots are pinned with an extra count.
+    counted (``parents``), because swaps must know when a node of the
+    lower variable dies; roots are pinned with an extra count.
     """
 
     def __init__(self, mgr: BddManager) -> None:
-        self.level = list(mgr._level)
+        # Terminals keep _TERMINAL_LEVEL, which labels no variable.
+        self.var = list(mgr._level)
         self.low = list(mgr._low)
         self.high = list(mgr._high)
-        size = len(self.level)
+        size = len(self.var)
         self.nvars = mgr.var_count
         self.order = list(range(self.nvars))     # position -> orig level
         self.pos_of = list(range(self.nvars))    # orig level -> position
-        self.buckets: List[Set[int]] = [set() for _ in range(self.nvars)]
+        self.tables: List[Dict[Tuple[int, int], int]] = [
+            {} for _ in range(self.nvars)]
         self.parents = [0] * size
         for node in range(2, size):
-            self.buckets[self.level[node]].add(node)
             low, high = self.low[node], self.high[node]
+            self.tables[self.var[node]][(low, high)] = node
             if low > TRUE:
                 self.parents[low] += 1
             if high > TRUE:
@@ -1617,10 +1623,6 @@ class _SiftSpace:
         for root in mgr._iter_roots():
             if root > TRUE:
                 self.parents[root] += 1          # pin
-        self.unique: Dict[Tuple[int, int, int], int] = {
-            (self.level[node], self.low[node], self.high[node]): node
-            for node in range(2, size)
-        }
         self.size = size - 2
         self.free: List[int] = []
         self.swaps = 0
@@ -1632,93 +1634,35 @@ class _SiftSpace:
     def swap(self, p: int) -> None:
         """Exchange the variables at order positions ``p`` and ``p+1``."""
         self.swaps += 1
-        q = p + 1
-        level = self.level
+        order = self.order
+        u, w = order[p], order[p + 1]
+        var = self.var
         low = self.low
         high = self.high
-        unique = self.unique
         parents = self.parents
-        bucket_p = self.buckets[p]
-        bucket_q = self.buckets[q]
-        upper = list(bucket_p)
-        lower = list(bucket_q)
-        for node in upper:
-            del unique[(p, low[node], high[node])]
-        for node in lower:
-            del unique[(q, low[node], high[node])]
-        # Classify the upper nodes *before* any relabeling: a node
-        # interacts with the swap iff a child sits at the lower level.
+        upper = self.tables[u]
+        lower = self.tables[w]
+        # A node of u interacts with the swap iff a child is a node of
+        # w.  The others do not depend on w: they keep everything and
+        # simply end up one position lower.
         work = []
-        solitary = []
-        for node in upper:
-            f0, f1 = low[node], high[node]
-            f0w = level[f0] == q
-            f1w = level[f1] == q
+        for (f0, f1), node in upper.items():
+            f0w = var[f0] == w
+            f1w = var[f1] == w
             if f0w or f1w:
                 work.append((node, f0, f1, f0w, f1w))
-            else:
-                solitary.append(node)
-        # Solitary upper nodes are independent of the rising variable:
-        # they keep their children and simply move down one position.
-        # Their keys go in first so re-expression can share them.
-        for node in solitary:
-            level[node] = q
-            unique[(q, low[node], high[node])] = node
-            bucket_p.discard(node)
-            bucket_q.add(node)
-        # Original lower nodes move up one position wholesale.  (Their
-        # new keys cannot collide with re-expressed ones: these
-        # children are all at positions >= p+2, a re-expressed node
-        # always keeps at least one child at p+1.)
-        for node in lower:
-            level[node] = p
-            unique[(p, low[node], high[node])] = node
-            bucket_q.discard(node)
-            bucket_p.add(node)
-        pending: List[int] = []
         free = self.free
-
-        def decref(node: int) -> None:
-            if node > TRUE:
-                parents[node] -= 1
-                if parents[node] == 0:
-                    pending.append(node)
-
-        def mk_lower(lo: int, hi: int) -> int:
-            # Find-or-create (q, lo, hi); the caller owns one reference
-            # to the returned node.  Sharing with an existing node —
-            # including one whose count just hit zero — revives it;
-            # the sweep below re-checks counts for exactly that reason.
-            if lo == hi:
-                return lo
-            key = (q, lo, hi)
-            node = unique.get(key)
-            if node is None:
-                if free:
-                    node = free.pop()
-                    level[node] = q
-                    low[node] = lo
-                    high[node] = hi
-                else:
-                    node = len(level)
-                    level.append(q)
-                    low.append(lo)
-                    high.append(hi)
-                    parents.append(0)
-                unique[key] = node
-                bucket_q.add(node)
-                if lo > TRUE:
-                    parents[lo] += 1
-                if hi > TRUE:
-                    parents[hi] += 1
-                self.size += 1
-            return node
-
-        # Re-express interacting nodes over the risen variable:
+        pending: List[int] = []
+        size = self.size
+        # Re-express each interacting node over the risen variable:
         #   ite(u, f1, f0) == ite(w, ite(u, f11, f01), ite(u, f10, f00))
-        # The node keeps its id (parents above are untouched) but now
-        # branches on w; its u-cofactors are fresh/shared lower nodes.
+        # The node keeps its id (parents above are untouched) but is
+        # now a node of w; its u-cofactors are fresh or shared nodes of
+        # u.  Its new key cannot collide with an old node of w: those
+        # have no child of u, and at least one of these children is
+        # one (else f0 and f1 would have equal cofactors).
         for node, f0, f1, f0w, f1w in work:
+            del upper[(f0, f1)]
             if f0w:
                 f00, f01 = low[f0], high[f0]
             else:
@@ -1727,37 +1671,67 @@ class _SiftSpace:
                 f10, f11 = low[f1], high[f1]
             else:
                 f10 = f11 = f1
-            hi_node = mk_lower(f01, f11)
-            if hi_node > TRUE:
-                parents[hi_node] += 1
-            lo_node = mk_lower(f00, f10)
-            if lo_node > TRUE:
-                parents[lo_node] += 1
-            decref(f0)
-            decref(f1)
+            children = []
+            for lo, hi in ((f00, f10), (f01, f11)):
+                # Find-or-create (u, lo, hi).  Sharing with an existing
+                # node, even one whose count just hit zero, revives it;
+                # the sweep below re-checks counts for that reason.
+                if lo == hi:
+                    child = lo
+                else:
+                    child = upper.get((lo, hi))
+                    if child is None:
+                        if free:
+                            child = free.pop()
+                            var[child] = u
+                            low[child] = lo
+                            high[child] = hi
+                        else:
+                            child = len(var)
+                            var.append(u)
+                            low.append(lo)
+                            high.append(hi)
+                            parents.append(0)
+                        upper[(lo, hi)] = child
+                        if lo > TRUE:
+                            parents[lo] += 1
+                        if hi > TRUE:
+                            parents[hi] += 1
+                        size += 1
+                if child > TRUE:
+                    parents[child] += 1
+                children.append(child)
+            for old in (f0, f1):
+                if old > TRUE:
+                    parents[old] -= 1
+                    if parents[old] == 0:
+                        pending.append(old)
+            lo_node, hi_node = children
+            var[node] = w
             low[node] = lo_node
             high[node] = hi_node
-            unique[(p, lo_node, hi_node)] = node
+            lower[(lo_node, hi_node)] = node
         # Sweep nodes orphaned by the re-expression (cascading to
         # their children), skipping any that sharing revived.
-        buckets = self.buckets
+        tables = self.tables
         while pending:
             node = pending.pop()
-            if parents[node] != 0 or level[node] < 0:
+            if parents[node] != 0 or var[node] < 0:
                 continue
-            key = (level[node], low[node], high[node])
-            if unique.get(key) == node:
-                del unique[key]
-            buckets[level[node]].discard(node)
-            decref(low[node])
-            decref(high[node])
-            level[node] = -1
+            lo, hi = low[node], high[node]
+            del tables[var[node]][(lo, hi)]
+            for child in (lo, hi):
+                if child > TRUE:
+                    parents[child] -= 1
+                    if parents[child] == 0:
+                        pending.append(child)
+            var[node] = -1
             free.append(node)
-            self.size -= 1
-        u, w = self.order[p], self.order[q]
-        self.order[p], self.order[q] = w, u
+            size -= 1
+        self.size = size
+        order[p], order[p + 1] = w, u
         self.pos_of[w] = p
-        self.pos_of[u] = q
+        self.pos_of[u] = p + 1
 
     def _sift_one(self, pos: int, budget: List[int]) -> None:
         """Move one variable through the order, settle at its best spot."""
@@ -1800,14 +1774,13 @@ class _SiftSpace:
         budget = [self.max_swap]
         while True:
             start_size = self.size
-            candidates = sorted(
-                range(self.nvars),
-                key=lambda pos: len(self.buckets[pos]),
-                reverse=True,
-            )[: self.max_vars]
-            # Track candidates by variable, not position: earlier
-            # sifts shift the positions of later candidates.
-            for var in [self.order[pos] for pos in candidates]:
+            # Largest first; equal sizes in order position.  Candidates
+            # are variables, not positions: earlier sifts shift the
+            # positions of later candidates.
+            tables = self.tables
+            candidates = sorted(self.order, key=lambda var: len(tables[var]),
+                                reverse=True)[: self.max_vars]
+            for var in candidates:
                 if budget[0] <= 0:
                     break
                 self._sift_one(self.pos_of[var], budget)

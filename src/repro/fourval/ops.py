@@ -30,15 +30,19 @@ concrete summaries (:meth:`FourVec.concrete_summary`):
 * **per-bit short-circuits**: mixed operands → constant bits collapse
   without touching the manager (``0 & x = 0``, ``1 | x = 1``,
   known shift amounts; ``mgr._fp_bits``);
-* **symbolic fallback**: the original per-bit BDD path
-  (``mgr._fp_sym``).
+* **symbolic fallback**: the per-bit BDD path (``mgr._fp_sym``).  With
+  fast paths on, ``& | ^``, ``===``/``!==`` and the adder behind
+  ``+ -`` build their rails with fused chains (closed-form dual rails,
+  one difference chain, a majority carry) and X-poisoned operators
+  run on care-set operands; the generic chains stay as the oracle.
 
 Every fast-path result is bit-identical to the fallback path: constant
 rails short-circuit to the same terminal nodes inside the manager, so
 the shortcuts below are algebraic reductions of the generic
-constructions, not approximations.  Setting ``mgr.fastpath = False``
-(``SimOptions.no_fastpath`` / ``--no-fastpath``) disables both fast
-tiers for differential testing.
+constructions, not approximations, and a fused chain builds the same
+canonical function with fewer operations.  Setting
+``mgr.fastpath = False`` (``SimOptions.no_fastpath`` /
+``--no-fastpath``) disables all of them for differential testing.
 """
 
 from __future__ import annotations
@@ -159,6 +163,42 @@ def _xor_bit(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
     return _make_tristate(mgr, is1, is0)
 
 
+# Fused rails: the closed forms of _and_bit/_or_bit/_xor_bit, built
+# straight from the operand rails without the known-0/known-1
+# complement copies (this package has no complement edges, so each
+# ``not_`` builds a BDD of its own).  A bit is "a = 0" exactly where it
+# is a known 0 and "b = 1" exactly where it is X/Z.  Two-valued
+# operands give a two-valued result.  The fast path uses these; the
+# oracle (fast paths off) keeps the generic chains above.
+
+
+def _and_fused(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
+    (ax, xx), (ay, xy) = bx, by
+    if xx == FALSE and xy == FALSE:
+        return mgr.and_(ax, ay), FALSE
+    # not a known 0 on either side; X unless both are known 1s
+    a = mgr.and_(mgr.or_(ax, xx), mgr.or_(ay, xy))
+    return a, mgr.and_(a, mgr.or_(xx, xy))
+
+
+def _or_fused(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
+    (ax, xx), (ay, xy) = bx, by
+    if xx == FALSE and xy == FALSE:
+        return mgr.or_(ax, ay), FALSE
+    # not a known 0 on both sides; X unless either is a known 1
+    a = mgr.or_(mgr.or_(ax, xx), mgr.or_(ay, xy))
+    is1 = mgr.or_(_known1(mgr, bx), _known1(mgr, by))
+    return a, mgr.and_(a, mgr.not_(is1))
+
+
+def _xor_fused(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
+    (ax, xx), (ay, xy) = bx, by
+    if xx == FALSE and xy == FALSE:
+        return mgr.xor(ax, ay), FALSE
+    b = mgr.or_(xx, xy)
+    return mgr.or_(b, mgr.xor(ax, ay)), b
+
+
 def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
     """``x & y``."""
     _check_same_width(x, y, "&")
@@ -172,7 +212,8 @@ def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
     mgr._fp_sym += 1
     # Mixed operands: constant-cofactor short-circuits.  Each branch is
     # the algebraic reduction of _and_bit for that constant input, so
-    # the rails are identical BDD nodes.
+    # the rails are identical BDD nodes; the other bits take the fused
+    # rails, the same functions built with fewer operations.
     bits: List[BitPair] = []
     shortcuts = 0
     for bx, by in zip(x.bits, y.bits):
@@ -186,7 +227,7 @@ def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
             bits.append(bx)
             shortcuts += 1
         else:
-            bits.append(_and_bit(mgr, bx, by))
+            bits.append(_and_fused(mgr, bx, by))
     mgr._fp_bits += shortcuts
     return FourVec(mgr, bits)
 
@@ -215,7 +256,7 @@ def bitwise_or(x: FourVec, y: FourVec) -> FourVec:
             bits.append(bx)
             shortcuts += 1
         else:
-            bits.append(_or_bit(mgr, bx, by))
+            bits.append(_or_fused(mgr, bx, by))
     mgr._fp_bits += shortcuts
     return FourVec(mgr, bits)
 
@@ -247,7 +288,7 @@ def bitwise_xor(x: FourVec, y: FourVec) -> FourVec:
             bits.append((mgr.not_(bx[0]), FALSE))
             shortcuts += 1
         else:
-            bits.append(_xor_bit(mgr, bx, by))
+            bits.append(_xor_fused(mgr, bx, by))
     mgr._fp_bits += shortcuts
     return FourVec(mgr, bits)
 
@@ -427,7 +468,12 @@ def case_equal(x: FourVec, y: FourVec) -> FourVec:
         mgr._fp_word += 1
         return FourVec.from_int(mgr, 1 if vals[0] == vals[1] else 0, 1)
     if mgr.fastpath:
+        # One chain: the vectors differ where any rail differs.
         mgr._fp_sym += 1
+        diff = FALSE
+        for (ax, xx), (ay, xy) in zip(x.bits, y.bits):
+            diff = mgr.or_(diff, mgr.or_(mgr.xor(ax, ay), mgr.xor(xx, xy)))
+        return FourVec(mgr, [(mgr.not_(diff), FALSE)])
     match = TRUE
     for bx, by in zip(x.bits, y.bits):
         match = mgr.and_(
@@ -604,6 +650,14 @@ def _add_rails(
 ) -> List[int]:
     rails: List[int] = []
     carry = carry_in
+    if mgr.fastpath:
+        # Majority carry: where a and b agree the carry is their value,
+        # elsewhere it propagates.  Same sums, no and/or carry terms.
+        for (a, _), (b, _) in zip(x.bits, y.bits):
+            t = mgr.xor(a, b)
+            rails.append(mgr.xor(t, carry))
+            carry = mgr.ite(t, carry, a)
+        return rails
     for bx, by in zip(x.bits, y.bits):
         a, b = bx[0], by[0]
         rails.append(mgr.xor(mgr.xor(a, b), carry))

@@ -26,12 +26,12 @@ from repro.obs import MetricsRegistry
 
 #: builtin gcd (width 5, 1 round) run symbolically to t=5000
 GCD_ARENA_SHA256 = (
-    "c176cf27297a663c8b9f1630de33ae453216bf89c7b3995b8d4c3bddbf227715")
+    "7ab21e53f0347634659e51f6194cd3f2c0b1d777694514a789c7c9b429808dc0")
 GCD_CACHE_STATS = {
-    "ite_hits": 15848, "ite_misses": 41792,
-    "not_hits": 31132, "not_misses": 22852,
-    "apply_hits": 128267, "apply_misses": 193480,
-    "peak_nodes": 95199,
+    "ite_hits": 22258, "ite_misses": 57459,
+    "not_hits": 30619, "not_misses": 22187,
+    "apply_hits": 114550, "apply_misses": 169885,
+    "peak_nodes": 87514,
 }
 
 

@@ -305,6 +305,76 @@ def test_wildcard_match_differential(m):
             assert_identical(ref, fast)
 
 
+#: IEEE 1364 truth tables over the characters 0/1/x/z.
+BIT_TRUTH = {
+    ops.bitwise_and: lambda x, y: (
+        "0" if "0" in (x, y) else "1" if x == y == "1" else "x"),
+    ops.bitwise_or: lambda x, y: (
+        "1" if "1" in (x, y) else "0" if x == y == "0" else "x"),
+    ops.bitwise_xor: lambda x, y: (
+        "x" if {x, y} - {"0", "1"} else str(int(x) ^ int(y))),
+    ops.case_equal: lambda x, y: "1" if x == y else "0",
+    ops.case_not_equal: lambda x, y: "0" if x == y else "1",
+}
+FUSED = list(BIT_TRUTH)
+
+
+@pytest.mark.parametrize("op", FUSED, ids=[op.__name__ for op in FUSED])
+def test_fused_bit_operators_on_all_sixteen_pairs(m, op):
+    """The fused dual-rail operators against the generic chains and the
+    1364 truth table, on every constant pair and on a pair of symbolic
+    four-valued bits that ranges over all sixteen at once."""
+    truth = BIT_TRUTH[op]
+    for bx in FOURVAL_BITS:
+        for by in FOURVAL_BITS:
+            x, y = FourVec(m, [bx]), FourVec(m, [by])
+            ref, fast = run_both(m, op, x, y)
+            assert_identical(ref, fast)
+            assert fast.to_verilog_bits() == truth(
+                x.to_verilog_bits(), y.to_verilog_bits())
+    levels = [m.var_count + i for i in range(4)]
+    rails = [m.new_var() for _ in levels]
+    x, y = FourVec(m, [tuple(rails[:2])]), FourVec(m, [tuple(rails[2:])])
+    ref, fast = run_both(m, op, x, y)
+    assert_identical(ref, fast)
+    for bits in range(16):
+        env = {level: bool(bits >> i & 1) for i, level in enumerate(levels)}
+
+        def char(vec):
+            bit = tuple(int(m.eval(rail, env)) for rail in vec.bits[0])
+            return FourVec(m, [bit]).to_verilog_bits()
+
+        assert char(fast) == truth(char(x), char(y))
+
+
+def interleaved_symbols(m, width, count):
+    """``count`` two-valued symbolic vectors with interleaved bits (the
+    order in which an adder's BDDs stay linear in the width)."""
+    rails = [[] for _ in range(count)]
+    for _ in range(width):
+        for vec in rails:
+            vec.append((m.new_var(), FALSE))
+    return [FourVec(m, bits) for bits in rails]
+
+
+def test_sixteen_bit_symbolic_adder_differential(m):
+    """The majority-carry adder builds the oracle's rails for +, - and
+    unary minus on 16-bit all-symbolic operands."""
+    x, y = interleaved_symbols(m, 16, 2)
+    for op, operands in ((ops.add, (x, y)), (ops.subtract, (x, y)),
+                         (ops.subtract, (y, x)), (ops.negate, (x,))):
+        ref, fast = run_both(m, op, *operands)
+        assert_identical(ref, fast)
+    # spot-check the value: 0x1234 - 0xfedc wraps to 0x1358
+    env = {}
+    for vec, value in ((x, 0x1234), (y, 0xFEDC)):
+        for i, (a, _) in enumerate(vec.bits):
+            env[m.level_of(a)] = bool(value >> i & 1)
+    diff = ops.subtract(x, y)
+    assert sum(m.eval(a, env) << i for i, (a, _) in enumerate(diff.bits)) \
+        == 0x1358
+
+
 class TestCounters:
     def test_word_counter(self, m):
         x = FourVec.from_int(m, 5, 8)
