@@ -1126,8 +1126,7 @@ class Kernel:
         self, name: str, index: FourVec, value: FourVec, control: int,
         low: int, high: int,
     ) -> None:
-        change = self.state.write_array(name, index, value, control, low, high)
-        if change != FALSE:
+        if self.state.write_array(name, index, value, control, low, high):
             self._wake_waiters(name)
             self._schedule_subscribers(name)
 

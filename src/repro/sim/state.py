@@ -154,30 +154,32 @@ class SimState:
         control: int,
         low: int,
         high: int,
-    ) -> int:
-        """Guarded write of ``name[index]``; returns the change condition.
+    ) -> bool:
+        """Guarded write of ``name[index]``; returns whether a word changed.
 
         A symbolic index updates every in-range word under the
         appropriate equality condition.  X/Z index bits make the write
         vanish on those paths (1364: writes to invalid addresses are
-        lost).
+        lost).  Rails are canonical, so a word whose rails changed
+        differs from its old value on some path: the flag is exactly
+        ``change condition != FALSE`` without building that condition.
         """
         if control == FALSE:
-            return FALSE
+            return False
         info = self.design.net(name)
         words = self._arrays[name]
         value = value.resize(info.width)
         concrete = index.to_int_or_none()
-        change = FALSE
         if concrete is not None and index.is_fully_known():
             if not low <= concrete <= high:
-                return FALSE
+                return False
             old = words.get(concrete, FourVec.all_x(self.mgr, info.width))
             new = value.ite(control, old)
-            if new.bits != old.bits:
-                change = old.change_condition(new)
-                words[concrete] = new
-            return change
+            if new.bits == old.bits:
+                return False
+            words[concrete] = new
+            return True
+        changed = False
         known = index.known()
         for word_index in range(low, high + 1):
             cond = ops.equal(
@@ -189,9 +191,9 @@ class SimState:
             old = words.get(word_index, FourVec.all_x(self.mgr, info.width))
             new = value.ite(cond, old)
             if new.bits != old.bits:
-                change = self.mgr.or_(change, old.change_condition(new))
                 words[word_index] = new
-        return change
+                changed = True
+        return changed
 
     # ------------------------------------------------------------------
     # BDD root-provider protocol (GC / in-place reordering)

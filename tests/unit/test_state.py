@@ -1,6 +1,7 @@
 """Unit tests for the symbolic value store."""
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import SimulationError
@@ -117,6 +118,83 @@ class TestArrays:
             "mem", idx, FourVec.from_int(mgr, 1, 8), FALSE, 2, 5
         ) == FALSE
         assert not state.array_words("mem")
+
+
+#: one address/data bit: a constant digit or the level of a two-valued
+#: symbolic variable
+_BITS = st.sampled_from(["0", "1", "x", "z", 0, 1, 2])
+
+
+def _words(width):
+    """A fully-known word half the time, else freely mixed bits."""
+    known = st.integers(0, (1 << width) - 1).map(
+        lambda n: [str(n >> i & 1) for i in range(width)])
+    return st.one_of(known, st.lists(_BITS, min_size=width,
+                                     max_size=width))
+
+
+_CONTROLS = st.sampled_from(["true", "false", "v0", "!v1", "v0&v2"])
+#: (address bits, data bits, control, repeat the previous write)
+_WRITES = st.lists(
+    st.tuples(_words(3), _words(4), _CONTROLS, st.booleans()),
+    max_size=8)
+
+_PROPERTY_DESIGN = elaborate(parse_source("""
+    module tb;
+      reg [3:0] mem [2:5];
+    endmodule
+"""))
+
+
+def _bits_vec(mgr, bits):
+    pairs = []
+    for bit in bits:
+        if isinstance(bit, int):
+            pairs.append((mgr.var(bit), FALSE))
+        else:
+            pairs.append(FourVec.from_verilog_bits(mgr, bit).bits[0])
+    return FourVec(mgr, pairs)
+
+
+def _control(mgr, name):
+    return {"true": TRUE, "false": FALSE, "v0": mgr.var(0),
+            "!v1": mgr.not_(mgr.var(1)),
+            "v0&v2": mgr.and_(mgr.var(0), mgr.var(2))}[name]
+
+
+class TestWriteChangeFlag:
+    """The write flag is the old change-condition BDD compared with FALSE.
+
+    3-bit addresses reach below (0, 1) and above (6, 7) the ``[2:5]``
+    range; X/Z address bits and symbolic bits mix freely.
+    """
+
+    @settings(max_examples=150, deadline=None)
+    @given(writes=_WRITES)
+    def test_flag_matches_change_condition(self, writes):
+        for fastpath in (True, False):
+            mgr = BddManager()
+            mgr.fastpath = fastpath
+            for name in ("v0", "v1", "v2"):
+                mgr.new_var(name)
+            state = SimState(mgr, _PROPERTY_DESIGN)
+            words = state.array_words("mem")
+            unwritten = FourVec.all_x(mgr, 4)
+            previous = None
+            for address, data, control, repeat in writes:
+                if repeat and previous is not None:
+                    address, data, control = previous
+                previous = address, data, control
+                before = dict(words)
+                changed = state.write_array(
+                    "mem", _bits_vec(mgr, address), _bits_vec(mgr, data),
+                    _control(mgr, control), 2, 5)
+                oracle = mgr.or_all(
+                    before.get(i, unwritten).change_condition(
+                        words.get(i, unwritten))
+                    for i in range(2, 6))
+                assert type(changed) is bool
+                assert changed == (oracle != FALSE)
 
 
 class TestRegistration:
