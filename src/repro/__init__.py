@@ -55,7 +55,8 @@ from repro.errors import (
     AssertionViolation, BatchError, BddError, CheckpointError, CompileError,
     ElaborationError, FourValueError, MutationError, QuarantinedRunError,
     ReproError, RequestError, ResimulationError, SimulationAborted,
-    SimulationError, SimulationHang, SymbolicDelayError, VerilogSyntaxError,
+    SimulationError, SimulationHang, SymbolicDelayError, SymbolicRepeatError,
+    VerilogSyntaxError,
 )
 from repro.fourval import FourVec
 from repro.frontend import elaborate, parse_source
@@ -107,8 +108,8 @@ __all__ = [
     "errors",
     "ReproError", "VerilogSyntaxError", "ElaborationError", "CompileError",
     "SimulationError", "SimulationHang", "SimulationAborted",
-    "SymbolicDelayError", "CheckpointError", "BatchError", "MutationError",
-    "QuarantinedRunError", "RequestError",
+    "SymbolicDelayError", "SymbolicRepeatError", "CheckpointError",
+    "BatchError", "MutationError", "QuarantinedRunError", "RequestError",
     "AssertionViolation", "ResimulationError", "BddError", "FourValueError",
 ]
 

@@ -67,6 +67,11 @@ class CompiledContAssign:
     total_width: int
     delay: int = 0
     line: int = 0
+    #: Set by :func:`compile_design` when this assign is the only
+    #: driver of a plain ``wire``/``tri`` and covers it whole: the
+    #: resolved value is then the driven value, so with fast paths on
+    #: the kernel commits it without padding or resolution.
+    direct: bool = False
 
     @property
     def support(self) -> FrozenSet[str]:
@@ -148,6 +153,7 @@ def compile_design(design: Design) -> Program:
             _compile_cont_assign(program, scoped_assign,
                                  len(program.assigns), folder)
         )
+    _mark_direct_assigns(program)
     for index, proc in enumerate(program.processes):
         proc.index = index
     program._design_image = image
@@ -178,6 +184,23 @@ def _compile_cont_assign(program: Program, scoped, index: int,
     return CompiledContAssign(index=index, rhs=rhs, targets=targets,
                               total_width=total, delay=scoped.delay or 0,
                               line=scoped.line)
+
+
+def _mark_direct_assigns(program: Program) -> None:
+    """Flag each assign that is its net's sole, whole-width driver."""
+    drivers: Dict[str, int] = {}
+    for assign in program.assigns:
+        for target in assign.targets:
+            drivers[target.net] = drivers.get(target.net, 0) + 1
+    for assign in program.assigns:
+        if len(assign.targets) != 1:
+            continue
+        target = assign.targets[0]
+        info = program.design.net(target.net)
+        assign.direct = (drivers[target.net] == 1
+                         and info.kind in ("wire", "tri")
+                         and target.offset == 0
+                         and target.width == info.width)
 
 
 def _forbid_random(kind: str, where: str = "", line: int = 0):

@@ -293,7 +293,10 @@ class CompileContext:
     ``local_map`` renames identifiers to shadow nets (task inlining);
     ``func_locals`` marks names that resolve to the runtime ``env``
     (function evaluation); ``folder`` is the compilation's shared
-    :class:`ConstFolder`.
+    :class:`ConstFolder`.  ``pure`` is cleared by anything compiled
+    under this context that reads or writes design state, calls a
+    system function or calls an impure function: a function body
+    that leaves it set depends on its arguments alone.
     """
 
     def __init__(self, design, scope: Scope, folder: ConstFolder,
@@ -305,6 +308,7 @@ class CompileContext:
         self.local_map: Dict[str, str] = {}
         self.func_locals: Dict[str, Tuple[int, bool]] = {}  # name -> (width, signed)
         self.callsite_factory = None  # set by the statement compiler / kernel glue
+        self.pure = True
         self._function_stack: List[str] = []
 
     def child_with_locals(self, local_map: Dict[str, str]) -> "CompileContext":
@@ -358,6 +362,7 @@ class ExprCompiler:
     # ------------------------------------------------------------------
 
     def _resolve(self, ident: ast.Identifier) -> Tuple[str, NetInfo]:
+        self.ctx.pure = False
         name = ident.parts[0]
         if len(ident.parts) == 1:
             if name in self.ctx.local_map:
@@ -891,6 +896,8 @@ class ExprCompiler:
 
     def _compile_systemcall(self, expr: ast.SystemCall) -> CExpr:
         name = expr.name
+        if name not in ("$signed", "$unsigned"):
+            self.ctx.pure = False
         if name in ("$random", "$randomxz"):
             four_valued = name == "$randomxz"
             if expr.args:
@@ -947,6 +954,8 @@ class ExprCompiler:
             evaluator = FunctionEvaluator(self.ctx, func)
         finally:
             self.ctx._function_stack.pop()
+        if not evaluator.pure:
+            self.ctx.pure = False
         if len(expr.args) != len(evaluator.port_names):
             raise CompileError(
                 f"function {expr.name!r} expects {len(evaluator.port_names)} "

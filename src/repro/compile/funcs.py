@@ -10,20 +10,31 @@ branches are simply evaluated in sequence and merged in place.
 Locals (including the implicit return variable named after the
 function) live in a per-call ``env`` dict, so recursion-free nesting
 and reentrancy are free.
+
+A *pure* function — one whose body touches no design state, calls no
+system task or function and calls only pure functions — depends on
+its arguments alone.  With fast paths on, its fully-known calls under
+a TRUE control are memoized: a hit returns the remembered result word
+and replays the fast-path counter deltas of the call it stands for.
 """
 
 from __future__ import annotations
 
 from typing import Callable, Dict, FrozenSet, List, Tuple
 
-from repro.bdd import FALSE
-from repro.errors import CompileError, SimulationHang
+from repro.bdd import FALSE, TRUE
+from repro.errors import CompileError, SimulationHang, SymbolicRepeatError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.elaborate import const_eval
 from repro.fourval import FourVec, ops
 
 #: Iteration watchdog for loops with symbolic exit conditions.
 MAX_FUNC_LOOP_ITERATIONS = 65536
+
+#: Entries kept per pure function call site.  Keys and values are
+#: plain ints: a FourVec would pin its manager, and a Program (which
+#: owns the memo) outlives the runs that fill it.
+MEMO_LIMIT = 4096
 
 
 class _CallState:
@@ -80,11 +91,36 @@ class FunctionEvaluator:
 
         self._compiler = ExprCompiler(ctx)
         self._runner, self.support = self._compile_stmt(func.body)
+        self.pure = ctx.pure
+        #: argument words -> (result word, fast-path counter deltas)
+        self._memo: Dict[Tuple[int, ...], Tuple[int, int, int, int]] = {}
 
     # ------------------------------------------------------------------
 
     def call(self, kern, outer_env, ctrl, args: List[FourVec]) -> FourVec:
         """Evaluate the function with the given (pre-sized) arguments."""
+        mgr = kern.mgr
+        if not (self.pure and ctrl == TRUE and mgr.fastpath):
+            return self._evaluate(kern, ctrl, args)
+        key = tuple([value.known_int() for value in args])
+        if None in key:
+            return self._evaluate(kern, ctrl, args)
+        hit = self._memo.get(key)
+        if hit is not None:
+            word, d_word, d_bits, d_sym = hit
+            mgr._fp_word += d_word
+            mgr._fp_bits += d_bits
+            mgr._fp_sym += d_sym
+            return FourVec.from_int(mgr, word, self.width)
+        fp_word, fp_bits, fp_sym = mgr._fp_word, mgr._fp_bits, mgr._fp_sym
+        result = self._evaluate(kern, ctrl, args)
+        word = result.known_int()
+        if word is not None and len(self._memo) < MEMO_LIMIT:
+            self._memo[key] = (word, mgr._fp_word - fp_word,
+                               mgr._fp_bits - fp_bits, mgr._fp_sym - fp_sym)
+        return result
+
+    def _evaluate(self, kern, ctrl, args: List[FourVec]) -> FourVec:
         env: Dict[str, FourVec] = {}
         for name, width, value in zip(self.port_names, self.port_widths, args):
             env[name] = value.resize(width)
@@ -183,8 +219,10 @@ class FunctionEvaluator:
                 value = count.eval(kern, env, ctrl, count.width)
                 bound = value.to_int_or_none()
                 if bound is None:
-                    raise CompileError(
-                        "repeat count inside a function must be concrete"
+                    raise SymbolicRepeatError(
+                        f"repeat count in function {self.name!r} is "
+                        "symbolic or unknown; it must evaluate to a "
+                        "concrete value"
                     )
                 for _ in range(bound):
                     live = kern.mgr.and_(ctrl, kern.mgr.not_(st.returned))
@@ -205,6 +243,7 @@ class FunctionEvaluator:
 
             return run_disable, frozenset()
         if isinstance(stmt, ast.TaskCall):
+            self._compiler.ctx.pure = False
             if stmt.is_system and stmt.name in ("$display", "$write"):
                 args = [
                     a.value if isinstance(a, ast.StringLiteral)

@@ -61,6 +61,11 @@ class SymbolicDelayError(SimulationError):
     """
 
 
+class SymbolicRepeatError(SimulationError):
+    """A ``repeat`` count inside a function evaluated to a symbolic or
+    unknown value; function loops must run a concrete number of times."""
+
+
 class SimulationHang(SimulationError):
     """A zero-delay loop iterated more than the configured watchdog limit.
 

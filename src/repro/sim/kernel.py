@@ -1414,7 +1414,7 @@ class Kernel:
                         prio=0, kind="drive", index=assign.index,
                         payload=value))
                 else:
-                    self._commit_drive(assign, value)
+                    self._commit_drive(assign, value, raw)
                 return
         value = rhs.eval(self, None, TRUE, assign.total_width)
         if assign.delay:
@@ -1424,7 +1424,25 @@ class Kernel:
         else:
             self._commit_drive(assign, value)
 
-    def _commit_drive(self, assign: CompiledContAssign, value: FourVec) -> None:
+    def _commit_drive(self, assign: CompiledContAssign, value: FourVec,
+                      raw: Optional[int] = None) -> None:
+        """Drive ``value`` (``raw``: the same value as a known word)."""
+        if assign.direct and self.mgr.fastpath:
+            # Sole whole-net driver of a plain wire: the resolved value
+            # is the driven one, and the net only ever changes here, so
+            # the write's no-change test is the driver slot's.  The
+            # slot is still kept, unsigned as the padded copy would be,
+            # for checkpoints and the GC root walk.
+            net = assign.targets[0].net
+            drivers = self._drivers.get(net)
+            if drivers is None:
+                drivers = self._drivers[net] = {}
+            drivers[(assign.index, 0)] = value.as_signed(False)
+            if raw is None:
+                self.write_net(net, value, TRUE)
+            else:
+                self.write_net_raw(net, raw)
+            return
         offset = assign.total_width
         for target_index, target in enumerate(assign.targets):
             offset -= target.width

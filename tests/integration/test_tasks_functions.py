@@ -2,7 +2,10 @@
 
 import pytest
 
-from repro.errors import CompileError
+from repro.compile import funcs
+from repro.errors import (
+    CompileError, SimulationError, SimulationHang, SymbolicRepeatError,
+)
 from tests.conftest import run_source
 
 
@@ -133,6 +136,43 @@ class TestFunctions:
                   initial $display("%d", f(1));
                 endmodule
             """)
+
+    def test_symbolic_repeat_count_is_a_simulation_error(self):
+        with pytest.raises(SymbolicRepeatError) as info:
+            run_source("""
+                module tb; reg [1:0] n; reg [3:0] y;
+                  function [3:0] twice;
+                    input [1:0] k;
+                    begin
+                      twice = 0;
+                      repeat (k) twice = twice + 2;
+                    end
+                  endfunction
+                  initial begin n = $random; y = twice(n); end
+                endmodule
+            """)
+        assert isinstance(info.value, SimulationError)
+        message = str(info.value)
+        assert "\n" not in message and "'twice'" in message
+
+    def test_function_loop_watchdog_names_the_function(self, monkeypatch):
+        monkeypatch.setattr(funcs, "MAX_FUNC_LOOP_ITERATIONS", 50)
+        with pytest.raises(SimulationHang) as info:
+            run_source("""
+                module tb; reg [7:0] y;
+                  function [7:0] spin;
+                    input [7:0] v;
+                    begin
+                      spin = v;
+                      while (spin != 8'd200) spin = spin | 8'd1;
+                    end
+                  endfunction
+                  initial y = spin(8'd3);
+                endmodule
+            """)
+        message = str(info.value)
+        assert "\n" not in message
+        assert "'spin'" in message and "50 iterations" in message
 
 
 class TestTasks:
