@@ -378,6 +378,14 @@ class BddManager:
         self._fp_word = 0             # whole operators done word-level
         self._fp_bits = 0             # per-bit constant short-circuits
         self._fp_sym = 0              # operators on the per-bit BDD path
+        # --- pure-function call memo (repro.compile.funcs) -------------
+        # (function token, argument rails...) -> (result rails, known
+        # word or None, fast-path counter deltas).  Keyed by node ids,
+        # so _drop_op_caches() empties it with the computed tables.
+        self._call_memo: Dict[tuple, tuple] = {}
+        self._calls = 0               # user function calls, memo or not
+        self._call_hits = 0           # TRUE-control calls the memo answered
+        self._call_derived = 0        # narrower-control calls derived from it
         # --- memory management (safe-point operations) ----------------
         # Knobs are plain attributes so the kernel/CLI can configure a
         # manager after construction; ``None``/``False`` keep the
@@ -989,6 +997,9 @@ class BddManager:
             "fastpath_symbolic_ops": self._fp_sym,
             "fastpath_word_ratio": self._fp_word / fp_total if fp_total
             else 0.0,
+            "function_calls": self._calls,
+            "call_memo_hits": self._call_hits,
+            "call_memo_derived": self._call_derived,
             "nodes": self.total_nodes,
             "peak_nodes": self.peak_nodes,
             "var_count": self.var_count,
@@ -1115,7 +1126,8 @@ class BddManager:
 
         Node ids are about to be (or may already be) invalidated by the
         caller — GC compaction, reordering, or a checkpoint restore —
-        so cached entries keyed on old ids must not survive.  Callers
+        so cached entries keyed on old ids must not survive; that
+        includes the pure-function call memo.  Callers
         that replace the arena lists or the unique table do so first:
         the kernels are rebound here to whatever the manager holds.
         """
@@ -1129,6 +1141,7 @@ class BddManager:
         self._and_cache = {}
         self._or_cache = {}
         self._xor_cache = {}
+        self._call_memo = {}
         self._bind_kernels()
 
     def clear_caches(self) -> None:

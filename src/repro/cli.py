@@ -901,6 +901,9 @@ def main(argv: Optional[List[str]] = None) -> int:
               f"fastpath-sym={cache['fastpath_symbolic_ops']} "
               f"concrete-ratio={cache['fastpath_word_ratio']:.3f} "
               f"apply-hit-rate={cache['apply_hit_rate']:.3f}")
+        print(f"[stats] function-calls={cache['function_calls']} "
+              f"memo-hits={cache['call_memo_hits']} "
+              f"memo-derived={cache['call_memo_derived']}")
         ctier = sim.kernel.compile_tier_stats()
         if ctier is not None:
             print(f"[stats] compile-blocks={ctier['blocks']} "

@@ -100,6 +100,9 @@ class Program:
         # resume (closures themselves cannot be serialized).
         self.assertion_sites: Dict[str, tuple] = {}
         self.monitor_sites: Dict[str, list] = {}
+        # (scope path, function name) -> the pure-function memo token
+        # shared by every call site of that function in this program.
+        self.func_tokens: Dict[Tuple[str, str], object] = {}
         self._shadow_counter = 0
         # Pickle of the *pre-compile* elaborated design, set by
         # compile_design.  Compiled instructions are closures and can
@@ -178,6 +181,7 @@ def _compile_cont_assign(program: Program, scoped, index: int,
     rhs_ctx = CompileContext(program.design, scoped.rhs_scope, folder)
     rhs_ctx.callsite_factory = _forbid_random
     lhs_ctx.callsite_factory = _forbid_random
+    lhs_ctx.func_tokens = rhs_ctx.func_tokens = program.func_tokens
     targets = _assign_targets(ExprCompiler(lhs_ctx), scoped.lhs)
     total = sum(t.width for t in targets)
     rhs = ExprCompiler(rhs_ctx).compile(scoped.rhs)
@@ -275,6 +279,7 @@ class _ProcessCompiler:
         self.ctx = CompileContext(program.design, scoped.scope, folder,
                                   scoped.name)
         self.ctx.callsite_factory = self._callsite_factory
+        self.ctx.func_tokens = program.func_tokens
         self.depth = 0
         self.block_stack: List[_BlockLabel] = []
         self.task_stack: List[str] = []

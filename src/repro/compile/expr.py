@@ -296,7 +296,13 @@ class CompileContext:
     :class:`ConstFolder`.  ``pure`` is cleared by anything compiled
     under this context that reads or writes design state, calls a
     system function or calls an impure function: a function body
-    that leaves it set depends on its arguments alone.
+    that leaves it set depends on its arguments alone.  ``derivable``
+    is cleared by anything that may raise on a symbolic operand (a
+    ``repeat`` count, a ``**`` exponent, a call to a function that
+    clears it): only a body that leaves it set may answer a call under
+    a narrower control from its TRUE-control result.  ``func_tokens``
+    maps ``(scope path, function name)`` to the memo token every call
+    site of that function shares; one dict serves a whole compilation.
     """
 
     def __init__(self, design, scope: Scope, folder: ConstFolder,
@@ -309,14 +315,28 @@ class CompileContext:
         self.func_locals: Dict[str, Tuple[int, bool]] = {}  # name -> (width, signed)
         self.callsite_factory = None  # set by the statement compiler / kernel glue
         self.pure = True
+        self.derivable = True
+        self.func_tokens: Dict[Tuple[str, str], object] = {}
         self._function_stack: List[str] = []
 
     def child_with_locals(self, local_map: Dict[str, str]) -> "CompileContext":
-        child = CompileContext(self.design, self.scope, self.folder,
-                               self.process_name)
+        child = self.module_context()
         child.local_map = {**self.local_map, **local_map}
         child.func_locals = dict(self.func_locals)
+        return child
+
+    def module_context(self) -> "CompileContext":
+        """A context that sees the module instance's names only.
+
+        Function bodies compile under one: a function sees its own
+        locals and the module's parameters and nets, never the caller's
+        locals, named-block declarations or inlined-task shadows (1364
+        §12.6).
+        """
+        child = CompileContext(self.design, self.scope, self.folder,
+                               self.process_name)
         child.callsite_factory = self.callsite_factory
+        child.func_tokens = self.func_tokens
         child._function_stack = self._function_stack
         return child
 
@@ -768,6 +788,8 @@ class ExprCompiler:
         have_words = left.word is not None and right.word is not None
         lword, rword = left.word, right.word
         if op in self._ARITH_OPS:
+            if op == "**":
+                self.ctx.derivable = False
             func = self._ARITH_OPS[op]
             width = max(left.width, right.width)
             signed = left.signed and right.signed
@@ -956,6 +978,8 @@ class ExprCompiler:
             self.ctx._function_stack.pop()
         if not evaluator.pure:
             self.ctx.pure = False
+        if not evaluator.derivable:
+            self.ctx.derivable = False
         if len(expr.args) != len(evaluator.port_names):
             raise CompileError(
                 f"function {expr.name!r} expects {len(evaluator.port_names)} "
@@ -1091,12 +1115,35 @@ class ExprCompiler:
     def _lhs_part_select(self, expr: ast.PartSelect) -> LhsPlan:
         if not isinstance(expr.base, ast.Identifier):
             raise CompileError("part-select assignment base must be an identifier")
-        full, info = self._resolve(expr.base)
-        _require_variable(info)
         from repro.frontend.elaborate import const_eval
 
         msb = const_eval(expr.msb, self.ctx.scope)
         lsb = const_eval(expr.lsb, self.ctx.scope)
+        base_name = expr.base.parts[0]
+        if len(expr.base.parts) == 1 and base_name in self.ctx.func_locals:
+            base_width, _ = self.ctx.func_locals[base_name]
+            offset, width = min(msb, lsb), abs(msb - lsb) + 1
+            # bits of the local the select covers (out-of-range bits vanish)
+            low = max(offset, 0)
+            high = min(offset + width, base_width)
+
+            def write_local_part(kern, env, value, control):
+                if low >= high:
+                    return
+                old = env[base_name]
+                merged = value.resize(width).slice(low - offset, high - low) \
+                    .ite(control, old.slice(low, high - low))
+                bits = list(old.bits)
+                bits[low:high] = merged.bits
+                env[base_name] = FourVec(kern.mgr, bits, old.signed)
+
+            def capture_local_part(kern, env, value, control):
+                raise CompileError("non-blocking assignment inside a function")
+
+            return LhsPlan(width=width, write=write_local_part,
+                           capture=capture_local_part)
+        full, info = self._resolve(expr.base)
+        _require_variable(info)
         offset = min(info.bit_offset(msb), info.bit_offset(lsb))
         width = abs(msb - lsb) + 1
 

@@ -7,15 +7,26 @@ handles it — every statement executes under a path-condition BDD, with
 assignments guarded by ``ite`` — but *without* the event machinery:
 branches are simply evaluated in sequence and merged in place.
 
-Locals (including the implicit return variable named after the
-function) live in a per-call ``env`` dict, so recursion-free nesting
-and reentrancy are free.
+A body is compiled against the module instance's scope, never the
+caller's: it sees its own locals (including the implicit return
+variable named after the function), the module's parameters and the
+module's nets.  Locals live in a per-call ``env`` dict, so
+recursion-free nesting and reentrancy are free.
 
 A *pure* function — one whose body touches no design state, calls no
 system task or function and calls only pure functions — depends on
-its arguments alone.  With fast paths on, its fully-known calls under
-a TRUE control are memoized: a hit returns the remembered result word
-and replays the fast-path counter deltas of the call it stands for.
+its arguments alone.  With fast paths on, its calls go through the
+manager's call memo, keyed by the function's token and the argument
+rails.  A call under a TRUE control that misses evaluates the body and
+stores the result rails with the fast-path counter deltas of the
+evaluation; a TRUE-control hit replays those deltas and returns the
+stored result.  A call under a narrower control ``C`` that hits
+returns ``ite(C, f(args), X)`` — per bit ``(a | ~C, b | ~C)`` — which
+is exactly what evaluating the body under ``C`` builds: the return
+variable starts all-X, every write is an ``ite`` on a live control
+inside ``C``, and on ``C`` every write equals the TRUE-control one.
+That derivation is only taken when the body cannot raise on a
+symbolic operand the TRUE-control run saw as constant (``derivable``).
 """
 
 from __future__ import annotations
@@ -31,9 +42,9 @@ from repro.fourval import FourVec, ops
 #: Iteration watchdog for loops with symbolic exit conditions.
 MAX_FUNC_LOOP_ITERATIONS = 65536
 
-#: Entries kept per pure function call site.  Keys and values are
-#: plain ints: a FourVec would pin its manager, and a Program (which
-#: owns the memo) outlives the runs that fill it.
+#: Entries kept in a manager's call memo, across all functions.  Keys
+#: and values hold node ids, never a FourVec (which would pin the
+#: manager); the manager empties the memo whenever ids may change.
 MEMO_LIMIT = 4096
 
 
@@ -62,8 +73,7 @@ class FunctionEvaluator:
             self.width = 1
         self.signed = func.signed
 
-        ctx = parent_ctx.child_with_locals({})
-        ctx.func_locals = dict(parent_ctx.func_locals)
+        ctx = parent_ctx.module_context()
         self.port_names: List[str] = []
         self.port_widths: List[int] = []
         for port in func.ports:
@@ -92,33 +102,45 @@ class FunctionEvaluator:
         self._compiler = ExprCompiler(ctx)
         self._runner, self.support = self._compile_stmt(func.body)
         self.pure = ctx.pure
-        #: argument words -> (result word, fast-path counter deltas)
-        self._memo: Dict[Tuple[int, ...], Tuple[int, int, int, int]] = {}
+        self.derivable = ctx.derivable
+        self.token = ctx.func_tokens.setdefault((scope.path, func.name),
+                                                object())
 
     # ------------------------------------------------------------------
 
     def call(self, kern, outer_env, ctrl, args: List[FourVec]) -> FourVec:
         """Evaluate the function with the given (pre-sized) arguments."""
         mgr = kern.mgr
-        if not (self.pure and ctrl == TRUE and mgr.fastpath):
+        mgr._calls += 1
+        if not (self.pure and mgr.fastpath):
             return self._evaluate(kern, ctrl, args)
-        key = tuple([value.known_int() for value in args])
-        if None in key:
-            return self._evaluate(kern, ctrl, args)
-        hit = self._memo.get(key)
-        if hit is not None:
-            word, d_word, d_bits, d_sym = hit
+        key = (self.token, *[value.bits for value in args])
+        hit = mgr._call_memo.get(key)
+        if hit is None:
+            if ctrl != TRUE:
+                return self._evaluate(kern, ctrl, args)
+            fp_word, fp_bits, fp_sym = mgr._fp_word, mgr._fp_bits, mgr._fp_sym
+            result = self._evaluate(kern, ctrl, args)
+            if len(mgr._call_memo) < MEMO_LIMIT:
+                mgr._call_memo[key] = (
+                    result.bits, result.known_int(), mgr._fp_word - fp_word,
+                    mgr._fp_bits - fp_bits, mgr._fp_sym - fp_sym)
+            return result
+        rails, word, d_word, d_bits, d_sym = hit
+        if ctrl == TRUE:
+            mgr._call_hits += 1
             mgr._fp_word += d_word
             mgr._fp_bits += d_bits
             mgr._fp_sym += d_sym
-            return FourVec.from_int(mgr, word, self.width)
-        fp_word, fp_bits, fp_sym = mgr._fp_word, mgr._fp_bits, mgr._fp_sym
-        result = self._evaluate(kern, ctrl, args)
-        word = result.known_int()
-        if word is not None and len(self._memo) < MEMO_LIMIT:
-            self._memo[key] = (word, mgr._fp_word - fp_word,
-                               mgr._fp_bits - fp_bits, mgr._fp_sym - fp_sym)
-        return result
+            if word is not None:
+                return FourVec.from_int(mgr, word, self.width)
+            return FourVec(mgr, rails)
+        if not self.derivable:
+            return self._evaluate(kern, ctrl, args)
+        mgr._call_derived += 1
+        off = mgr.not_(ctrl)
+        or_ = mgr.or_
+        return FourVec(mgr, [(or_(a, off), or_(b, off)) for a, b in rails])
 
     def _evaluate(self, kern, ctrl, args: List[FourVec]) -> FourVec:
         env: Dict[str, FourVec] = {}
@@ -214,6 +236,9 @@ class FunctionEvaluator:
         if isinstance(stmt, ast.Repeat):
             count = self._compiler.compile(stmt.count)
             body_run, body_sup = self._compile_stmt(stmt.body)
+            # a count constant under TRUE may be symbolic under a
+            # narrower control, where it raises
+            self._compiler.ctx.derivable = False
 
             def run_repeat(kern, env, ctrl, st):
                 value = count.eval(kern, env, ctrl, count.width)

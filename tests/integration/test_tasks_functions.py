@@ -175,6 +175,85 @@ class TestFunctions:
         assert "'spin'" in message and "50 iterations" in message
 
 
+#: the compiled tier, the interpreter, and the no-fastpath oracle
+MODES = pytest.mark.parametrize("mode", [
+    dict(compile_tier=True),
+    dict(compile_tier=False),
+    dict(compile_tier=False, no_fastpath=True),
+], ids=["compiled", "interpreter", "oracle"])
+
+
+@MODES
+class TestFunctionScoping:
+    """A body resolves names in the function, then the module (1364
+    §12.6) — never in the caller's locals or named blocks."""
+
+    def test_nested_call_reads_module_reg_not_caller_port(self, mode):
+        result, sim = run_source("""
+            module tb; reg [7:0] k, y;
+              function [7:0] inner;
+                input [7:0] v;
+                inner = v + k;
+              endfunction
+              function [7:0] outer;
+                input [7:0] k;
+                outer = inner(k);
+              endfunction
+              initial begin
+                k = 10;
+                y = outer(8'd3);
+                $display("y=%0d", y);
+              end
+            endmodule
+        """, echo_output=False, **mode)
+        assert result.output == ["y=13"]
+
+    def test_named_block_local_is_not_visible(self, mode):
+        result, sim = run_source("""
+            module tb; reg [7:0] k, y;
+              function [7:0] addk;
+                input [7:0] v;
+                addk = v + k;
+              endfunction
+              initial k = 10;
+              initial begin : blk
+                reg [7:0] k;
+                k = 50;
+                #1 y = addk(8'd1);
+                $display("y=%0d", y);
+              end
+            endmodule
+        """, echo_output=False, **mode)
+        assert result.output == ["y=11"]
+
+    @pytest.mark.parametrize("module_tmp", [True, False],
+                             ids=["shadowing", "alone"])
+    def test_part_select_writes_the_local(self, mode, module_tmp):
+        result, sim = run_source(f"""
+            module tb; reg [7:0] y;
+              {"reg [7:0] tmp;" if module_tmp else ""}
+              function [7:0] low_nibble;
+                input [7:0] v;
+                reg [7:0] tmp;
+                begin
+                  tmp = 8'h00;
+                  tmp[3:0] = v[3:0];
+                  tmp[9:6] = 4'b1111;
+                  low_nibble = tmp;
+                end
+              endfunction
+              initial begin
+                {"tmp = 8'h00;" if module_tmp else ""}
+                y = low_nibble(8'h5b);
+                $display("y=%h", y);
+              end
+            endmodule
+        """, echo_output=False, **mode)
+        assert result.output == ["y=cb"]
+        if module_tmp:
+            assert sim.value("tmp").to_int() == 0
+
+
 class TestTasks:
     def test_task_with_delays(self):
         result, _ = run_source("""
