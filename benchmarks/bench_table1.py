@@ -53,8 +53,8 @@ WORKLOADS = {
 CONV_WORKLOAD = ({"runtime": 6000}, 12500)
 
 #: the FULL+GC column: mark-and-sweep whenever the arena grows 50k
-#: nodes past the last collection, sifting between steps once the
-#: arena holds 60k (the paper disabled dynamic reordering; this cell
+#: nodes past the last collection, sifting between steps once 60k
+#: nodes have been built (the paper disabled dynamic reordering; this cell
 #: measures what CUDD-style memory management buys on the same runs)
 GC_KNOBS = dict(gc_threshold=50_000, dyn_reorder=True,
                 reorder_threshold=60_000)

@@ -393,7 +393,7 @@ class BddManager:
         self.gc_threshold: Optional[int] = None  # arena growth before GC
         self.dyn_reorder = False          # enable sifting at safe points
         self.reorder_growth = 2.0         # re-sift after this live growth
-        self.sift_threshold = 4096        # min arena size worth sifting
+        self.sift_threshold = 4096        # nodes built before the first sift
         self.sift_max_swap = 1_000_000    # swap budget per sift (cf. CUDD)
         self.sift_max_growth = 1.2        # per-variable growth bound
         self.sift_max_vars = 1000         # variables sifted per pass
@@ -405,7 +405,10 @@ class BddManager:
         # collector runs.
         self._root_providers: List["weakref.ref"] = []
         self._last_gc_size = 0            # arena size after the last GC
-        self._next_sift_at = 0            # arena size that re-arms sifting
+        # Sift trigger state (see sift_due): None until the first sift,
+        # then the live count that re-arms it.
+        self._next_sift_at: Optional[int] = None
+        self._dropped = 0                 # nodes GC/reorder removed
         self._peak = 0                    # high-water mark across GCs
         self._gc_runs = 0
         self._gc_reclaimed = 0
@@ -1319,6 +1322,7 @@ class BddManager:
         for provider in self._providers():
             provider.bdd_remap(lookup, None)
         reclaimed = size - write
+        self._dropped += reclaimed
         self._last_gc_size = write - 2
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
@@ -1427,7 +1431,10 @@ class BddManager:
             level_map[level]: chosen
             for level, chosen in self._concretized.items()
         }
-        self._last_gc_size = len(self._level) - 2
+        after = len(self._level) - 2
+        if before > after:
+            self._dropped += before - after
+        self._last_gc_size = after
         self._reorder_runs += 1
         self._reorder_seconds += _time.perf_counter() - started
 
@@ -1460,26 +1467,39 @@ class BddManager:
         else:
             self._reorder_seconds += _time.perf_counter() - started
         live = len(self._level) - 2
-        self._next_sift_at = int(live * self.reorder_growth)
+        self._next_sift_at = max(self.sift_threshold,
+                                 int(live * self.reorder_growth))
         return saved
 
+    @property
+    def nodes_built(self) -> int:
+        """Nodes this manager has built: the arena plus every node a
+        collection or reorder has dropped.  No collection lowers it."""
+        return self._dropped + len(self._level) - 2
+
     def sift_due(self) -> bool:
-        """True when dynamic sifting is armed and the arena outgrew it."""
+        """True when dynamic sifting is armed and its trigger is met.
+
+        Before the first sift the trigger is ``sift_threshold`` nodes
+        *built*, so how often GC runs cannot move it.  After a sift it
+        re-arms on live growth, CUDD-style: due once a collection
+        leaves ``max(sift_threshold, reorder_growth × live after the
+        last sift)`` live nodes.  With ``gc_threshold=None`` nothing is
+        reclaimed and the arena is the live count.  Safe-point callers
+        check this before their own GC (a sift collects first) and,
+        when it is false, again after it.
+        """
         if not self.dyn_reorder:
             return False
         trigger = self._next_sift_at
-        if trigger < self.sift_threshold:
-            trigger = self.sift_threshold
-        return len(self._level) - 2 >= trigger
+        if trigger is None:
+            return self.nodes_built >= self.sift_threshold
+        if self.gc_threshold is None:
+            return len(self._level) - 2 >= trigger
+        return self._last_gc_size >= trigger
 
     def maybe_sift(self) -> int:
-        """Sift iff :meth:`sift_due`.
-
-        After each sift the trigger re-arms at ``live_nodes *
-        reorder_growth`` (never below ``sift_threshold``), so sifting
-        runs when the live graph has grown by the configured ratio —
-        not on every safe point.
-        """
+        """Sift iff :meth:`sift_due`."""
         if not self.sift_due():
             return 0
         return self.sift()

@@ -125,8 +125,9 @@ def build_arg_parser() -> argparse.ArgumentParser:
                           "reordering between time steps")
     mem.add_argument("--reorder-threshold", type=int, default=4096,
                      metavar="NODES",
-                     help="minimum arena size before a sift is "
-                          "considered (default 4096)")
+                     help="nodes built before the first sift, and "
+                          "the live-node floor of later ones "
+                          "(default 4096)")
     obs = parser.add_argument_group("observability")
     obs.add_argument("--trace-out", metavar="PATH", default=None,
                      help="write a Chrome trace_event JSON "

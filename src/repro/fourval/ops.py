@@ -31,10 +31,11 @@ concrete summaries (:meth:`FourVec.concrete_summary`):
   without touching the manager (``0 & x = 0``, ``1 | x = 1``,
   known shift amounts; ``mgr._fp_bits``);
 * **symbolic fallback**: the per-bit BDD path (``mgr._fp_sym``).  With
-  fast paths on, ``& | ^``, ``===``/``!==`` and the adder behind
-  ``+ -`` build their rails with fused chains (closed-form dual rails,
-  one difference chain, a majority carry) and X-poisoned operators
-  run on care-set operands; the generic chains stay as the oracle.
+  fast paths on, ``& | ^``, ``===``/``!==``, two-valued ``==``/``!=``
+  and the adder behind ``+ -`` build their rails with fused chains
+  (closed-form dual rails, one difference chain, a majority carry) and
+  X-poisoned operators run on care-set operands; the generic chains
+  stay as the oracle.
 
 Every fast-path result is bit-identical to the fallback path: constant
 rails short-circuit to the same terminal nodes inside the manager, so
@@ -442,6 +443,14 @@ def equal(x: FourVec, y: FourVec) -> FourVec:
         return FourVec.from_int(mgr, 1 if vals[0] == vals[1] else 0, 1)
     if mgr.fastpath:
         mgr._fp_sym += 1
+        if all(bx[1] == FALSE and by[1] == FALSE
+               for bx, by in zip(x.bits, y.bits)):
+            # Two-valued operands: every ``both_known`` below is TRUE,
+            # so the tristate reduces to (¬diff, FALSE) — one chain.
+            diff = FALSE
+            for (ax, _), (ay, _) in zip(x.bits, y.bits):
+                diff = mgr.or_(diff, mgr.xor(ax, ay))
+            return FourVec(mgr, [(mgr.not_(diff), FALSE)])
     definite_diff = FALSE
     all_known_equal = TRUE
     for bx, by in zip(x.bits, y.bits):

@@ -55,7 +55,7 @@ from repro.errors import CheckpointError
 from repro.fourval import FourVec
 
 MAGIC = b"REPROCKPT 1\n"
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 
 _SEMANTIC_OPTIONS = (
     "accumulation", "depth_first_priorities", "check_unknown_assert",
@@ -230,6 +230,7 @@ def _collect_payload(kern) -> Dict[str, Any]:
             "concretized": dict(mgr._concretized),
             "last_gc_size": mgr._last_gc_size,
             "next_sift_at": mgr._next_sift_at,
+            "dropped": mgr._dropped,
             "peak": mgr._peak,
         },
         "now": kern.now,
@@ -506,6 +507,7 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
                         for k, v in image["concretized"].items()}
     mgr._last_gc_size = image["last_gc_size"]
     mgr._next_sift_at = image["next_sift_at"]
+    mgr._dropped = image["dropped"]
     mgr._peak = image["peak"]
 
     # -- kernel scalars --

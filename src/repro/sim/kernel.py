@@ -97,10 +97,11 @@ class SimOptions:
     #: steps (the paper ran with dynamic reordering disabled; this is
     #: the scaling knob CUDD would have provided).
     dyn_reorder: bool = False
-    #: Minimum arena size before a sift is considered.
+    #: Nodes built (the arena plus everything GC has reclaimed) before
+    #: the first sift, and the live-node floor of every later one.
     reorder_threshold: int = 4096
-    #: Re-sift when the live graph grows by this factor since the last
-    #: reorder.
+    #: After a sift, re-sift once a collection leaves this factor times
+    #: the live nodes that sift left.
     reorder_growth: float = 2.0
     #: Optional :class:`repro.obs.Observability` bundle (tracer /
     #: metrics registry / hot-spot profiler).  With None — the default
@@ -1175,10 +1176,17 @@ class Kernel:
             )
 
     def _maintain(self) -> None:
-        """End-of-step BDD housekeeping: GC, then dynamic sifting."""
+        """End-of-step BDD housekeeping: dynamic sifting or GC.
+
+        A sift due before this safe point's GC replaces it (the sift
+        collects first); otherwise a due GC runs and the sift trigger
+        is checked again on what it left.
+        """
         mgr = self.mgr
         tracer = self._tracer
-        if mgr.gc_due():
+        if not mgr.sift_due():
+            if not mgr.gc_due():
+                return
             started = _time.perf_counter()
             reclaimed = mgr.collect()
             if tracer is not None:
@@ -1188,16 +1196,17 @@ class Kernel:
                     lane=LANE_EVENT, sim_time=self.now,
                     reclaimed=reclaimed,
                 )
-        if mgr.sift_due():
-            started = _time.perf_counter()
-            saved = mgr.sift()
-            if tracer is not None:
-                tracer.complete(
-                    "bdd-reorder", "bdd", tracer.to_us(started),
-                    (_time.perf_counter() - started) * 1e6,
-                    lane=LANE_EVENT, sim_time=self.now,
-                    nodes_saved=saved,
-                )
+            if not mgr.sift_due():
+                return
+        started = _time.perf_counter()
+        saved = mgr.sift()
+        if tracer is not None:
+            tracer.complete(
+                "bdd-reorder", "bdd", tracer.to_us(started),
+                (_time.perf_counter() - started) * 1e6,
+                lane=LANE_EVENT, sim_time=self.now,
+                nodes_saved=saved,
+            )
 
     def _iter_waiters(self):
         """Each live waiter exactly once (they appear per watched net)."""

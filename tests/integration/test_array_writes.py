@@ -31,8 +31,8 @@ DRAM_STATE_SHA256 = (
 
 #: cache/arena counters of the same run, again the same with and
 #: without the GC knobs: the run stays far below the GC threshold
-DRAM_COUNTERS = {"apply_misses": 759, "ite_misses": 3976,
-                 "peak_nodes": 2740, "gc_runs": 0, "reorder_runs": 0}
+DRAM_COUNTERS = {"apply_misses": 564, "ite_misses": 3976,
+                 "peak_nodes": 2716, "gc_runs": 0, "reorder_runs": 0}
 
 
 def _rail_key(mgr, memo, node):

@@ -26,12 +26,12 @@ from repro.obs import MetricsRegistry
 
 #: builtin gcd (width 5, 1 round) run symbolically to t=5000
 GCD_ARENA_SHA256 = (
-    "7ab21e53f0347634659e51f6194cd3f2c0b1d777694514a789c7c9b429808dc0")
+    "d67c768b499163f0ba09d0e807c028d35fcb9c53fb4655ad1e063333c4961992")
 GCD_CACHE_STATS = {
     "ite_hits": 22258, "ite_misses": 57459,
-    "not_hits": 30619, "not_misses": 22187,
-    "apply_hits": 114550, "apply_misses": 169885,
-    "peak_nodes": 87514,
+    "not_hits": 30119, "not_misses": 22183,
+    "apply_hits": 102751, "apply_misses": 151295,
+    "peak_nodes": 82514,
 }
 
 

@@ -6,21 +6,27 @@
   recorded below.  Every intermediate size of the scratch graph steers
   the sift, so any change to the swap that builds a different graph
   shows up here.
-* **Schedule tripwire.**  The benchmark's managed risc8 run sifts once.
-  A second sift costs more than the rest of the run together, so an
-  operator rewrite that changes how much garbage the run makes — the
-  sift trigger counts arena nodes, garbage included — must not add one
-  unnoticed.
+* **Schedule.**  The benchmark's managed risc8 run sifts once, at the
+  sim time and with the swap count recorded below, whatever the GC
+  threshold, under an extra garbage load and across a checkpoint.  The
+  first sift is due once ``reorder_threshold`` nodes have been *built*,
+  so how often GC runs cannot move it; a sift one safe point too late
+  lands past a cliff and costs more than the rest of the run together
+  (docs/PERFORMANCE.md "The sift schedule").
 """
 
 import hashlib
 import json
 import random
 
+import pytest
+
 import repro
 from repro import ResourceBudgets, SimOptions, SimStatus
-from repro.bdd import BddManager
+from repro.bdd import FALSE, TRUE, BddManager
 from repro.designs import load
+from repro.guard import save_checkpoint
+from repro.sim.kernel import Kernel
 
 #: Table 1's FULL+GC column, as the managed benchmark workload runs it.
 GC_KNOBS = dict(gc_threshold=50_000, dyn_reorder=True,
@@ -98,29 +104,108 @@ def test_converged_random_graph_sift_is_identical():
 
 
 def test_gcd_live_graph_sift_is_identical():
+    # dynamic sifting off: the graph sifted here does not depend on when
+    # (or whether) the run sifted itself
     source, top, defines = load("gcd", rounds=1, width=5)
     sim = repro.open_sim(source, top=top, defines=defines,
-                         options=SimOptions(**GC_KNOBS))
+                         options=SimOptions(gc_threshold=50_000))
     assert sim.run(until=5000).status is SimStatus.OK
     assert _sifted(sim.mgr) == (
         168, GCD_ORDER, 1520,
         "052939bf7474df17525bd8fdec1854e16ab13c0f182e8bb70aa620d3d0dba7d5")
 
 
-def test_managed_risc8_sifts_once(monkeypatch):
-    sifts = []
-    sift = BddManager.sift
+#: (sim time, swaps) of the one sift of managed risc8 to t=400
+RISC8_SIFTS = [(97, 8612)]
+#: its arena high-water mark under ``GC_KNOBS``
+RISC8_PEAK = 144_425
 
-    def counting(mgr):
-        sifts.append(mgr.total_nodes)
-        return sift(mgr)
 
-    monkeypatch.setattr(BddManager, "sift", counting)
+@pytest.fixture
+def sifts(monkeypatch):
+    """(sim time, swaps) of every sift run at a kernel's safe point."""
+    log = []
+    now = []
+    maintain, sift = Kernel._maintain, BddManager.sift
+
+    def timed_maintain(kernel):
+        now.append(kernel.now)
+        maintain(kernel)
+
+    def logged_sift(mgr):
+        swaps = mgr.cache_stats()["reorder_swaps"]
+        saved = sift(mgr)
+        log.append((now[-1], mgr.cache_stats()["reorder_swaps"] - swaps))
+        return saved
+
+    monkeypatch.setattr(Kernel, "_maintain", timed_maintain)
+    monkeypatch.setattr(BddManager, "sift", logged_sift)
+    return log
+
+
+def _risc8(resume=None, **knobs):
     source, top, defines = load("risc8", runtime=180)
     budgets = ResourceBudgets(wall_seconds=24 * 3600.0,
                               max_live_nodes=500_000_000,
                               max_events=10 ** 12)
-    sim = repro.open_sim(source, top=top, defines=defines,
-                         options=SimOptions(budgets=budgets, **GC_KNOBS))
+    options = SimOptions(budgets=budgets, **{**GC_KNOBS, **knobs})
+    return repro.open_sim(source, top=top, defines=defines,
+                          options=options, resume=resume)
+
+
+def test_managed_risc8_sifts_once(sifts):
+    sim = _risc8()
     assert sim.run(until=400).status is SimStatus.OK
-    assert len(sifts) == 1, f"sifted at arena sizes {sifts}"
+    assert sifts == RISC8_SIFTS
+    assert sim.mgr.peak_nodes == RISC8_PEAK
+
+
+@pytest.mark.parametrize("gc_threshold", [20_000, 45_000, 55_000])
+def test_managed_risc8_sift_ignores_gc_threshold(sifts, gc_threshold):
+    sim = _risc8(gc_threshold=gc_threshold)
+    assert sim.run(until=400).status is SimStatus.OK
+    assert sifts == RISC8_SIFTS
+
+
+def _garbage_load(monkeypatch, share):
+    """Before each safe point, build ``share`` of the step's arena
+    growth again as unreferenced minterm chains over the last levels."""
+    maintain = Kernel._maintain
+    state = {"last": 0, "next": 0}
+
+    def loaded(kernel):
+        mgr = kernel.mgr
+        target = mgr.total_nodes + int(
+            share * max(mgr.total_nodes - state["last"], 0))
+        depth = min(16, mgr.var_count)
+        while mgr.total_nodes < target:
+            minterm, node = state["next"], TRUE
+            state["next"] += 1
+            for i in range(depth):
+                level = mgr.var_count - 1 - i
+                node = (mgr._mk(level, FALSE, node) if minterm >> i & 1
+                        else mgr._mk(level, node, FALSE))
+        maintain(kernel)
+        state["last"] = mgr.total_nodes
+
+    monkeypatch.setattr(Kernel, "_maintain", loaded)
+
+
+def test_managed_risc8_sift_survives_garbage(monkeypatch, sifts):
+    _garbage_load(monkeypatch, 0.05)
+    sim = _risc8()
+    assert sim.run(until=400).status is SimStatus.OK
+    assert len(sifts) == 1, f"sifted at {sifts}"
+    assert sim.mgr.peak_nodes <= RISC8_PEAK * 1.1
+
+
+@pytest.mark.parametrize("split", [50, 100])  # before / after the sift
+def test_resumed_risc8_sifts_like_the_whole_run(tmp_path, sifts, split):
+    head = _risc8()
+    assert head.run(until=split).status is SimStatus.OK
+    path = str(tmp_path / "risc8.ckpt")
+    save_checkpoint(head.kernel, path)
+    del head
+    resumed = _risc8(resume=path)
+    assert resumed.run(until=400).status is SimStatus.OK
+    assert sifts == RISC8_SIFTS

@@ -7,6 +7,8 @@ semantics while renumbering, and sifting actually finds the interleaved
 order on the canonical ripple-adder worst case.
 """
 
+import random
+
 import pytest
 
 from repro.bdd import FALSE, TRUE, BddManager
@@ -161,6 +163,85 @@ class TestThresholds:
         assert mgr.maybe_sift() >= 0
         # after a sift the next one waits for reorder_growth
         assert not mgr.sift_due()
+
+    @staticmethod
+    def _churn(mgr, vs, rng, ops=8):
+        """Build ``ops`` random functions nobody keeps (fresh garbage)."""
+        made = []
+        for _ in range(ops):
+            f, g, h = (rng.choice(vs) for _ in range(3))
+            made.append(mgr.ite(f, mgr.xor(g, h), mgr.and_(h, f)))
+            vs = vs + made[-1:]
+        return made
+
+    def test_first_sift_counts_nodes_built_not_arena(self):
+        # Collections keep the arena far below sift_threshold, so a
+        # trigger on arena size would never fire with dyn_reorder on.
+        mgr, vs = fresh(8)
+        mgr.gc_threshold, mgr.dyn_reorder, mgr.sift_threshold = 40, True, 400
+        rng = random.Random(3)
+        holder = TestRootProviders.Holder(self._churn(mgr, vs, rng, 2))
+        mgr.register_root_provider(holder)
+        for _ in range(1000):
+            if mgr.sift_due():
+                break
+            self._churn(mgr, vs, rng)
+            if mgr.gc_due():
+                mgr.collect()
+            assert mgr.total_nodes < mgr.sift_threshold
+        else:
+            pytest.fail("never sifted")
+        assert mgr.cache_stats()["gc_runs"] > 0
+        assert mgr.nodes_built >= mgr.sift_threshold
+        assert mgr.nodes_built - mgr.cache_stats()["gc_reclaimed"] \
+            == mgr.total_nodes
+        mgr.sift()
+        assert not mgr.sift_due()
+
+    def test_rearm_fires_on_live_growth_only(self):
+        mgr, vs = fresh(8)
+        mgr.dyn_reorder, mgr.sift_threshold = True, 20
+        rng = random.Random(5)
+        holder = TestRootProviders.Holder(self._churn(mgr, vs, rng, 4))
+        mgr.register_root_provider(holder)
+        mgr.sift()
+        trigger = mgr._next_sift_at
+        assert trigger == max(20, 2 * mgr.total_nodes)
+        mgr.gc_threshold = 4 * trigger
+        # garbage alone: the arena passes the trigger between
+        # collections and nodes built grow without bound, yet no
+        # collection leaves the trigger's worth of live nodes
+        passed = False
+        for _ in range(40):
+            self._churn(mgr, vs, rng)
+            passed = passed or mgr.total_nodes >= trigger
+            if mgr.gc_due():
+                mgr.collect()
+            assert not mgr.sift_due()
+        assert passed and mgr.cache_stats()["gc_runs"] > 0
+        # live growth: due once a collection leaves >= trigger nodes
+        while mgr._last_gc_size < trigger:
+            holder.nodes += self._churn(mgr, vs, rng)
+            assert not mgr.sift_due()
+            mgr.collect()
+        assert mgr.sift_due()
+
+    def test_without_gc_the_arena_counts(self):
+        mgr, vs = fresh(8)
+        mgr.dyn_reorder, mgr.sift_threshold = True, 60
+        rng = random.Random(9)
+        holder = TestRootProviders.Holder(self._churn(mgr, vs, rng, 4))
+        mgr.register_root_provider(holder)
+        while not mgr.sift_due():
+            assert mgr.nodes_built == mgr.total_nodes < 60
+            self._churn(mgr, vs, rng, 1)
+        mgr.sift()
+        trigger = mgr._next_sift_at
+        # nothing is reclaimed, so garbage re-arms it like live nodes
+        while mgr.total_nodes < trigger:
+            assert not mgr.sift_due()
+            self._churn(mgr, vs, rng, 1)
+        assert mgr.sift_due()
 
 
 class TestInPlaceReorder:

@@ -315,6 +315,10 @@ BIT_TRUTH = {
         "x" if {x, y} - {"0", "1"} else str(int(x) ^ int(y))),
     ops.case_equal: lambda x, y: "1" if x == y else "0",
     ops.case_not_equal: lambda x, y: "0" if x == y else "1",
+    ops.equal: lambda x, y: (
+        "x" if {x, y} - {"0", "1"} else "1" if x == y else "0"),
+    ops.not_equal: lambda x, y: (
+        "x" if {x, y} - {"0", "1"} else "0" if x == y else "1"),
 }
 FUSED = list(BIT_TRUTH)
 
@@ -345,6 +349,70 @@ def test_fused_bit_operators_on_all_sixteen_pairs(m, op):
             return FourVec(m, [bit]).to_verilog_bits()
 
         assert char(fast) == truth(char(x), char(y))
+
+
+@pytest.fixture
+def nor_calls(monkeypatch):
+    """Count ``nor`` calls: the generic ``==`` chain builds one per bit
+    (its ``both_known``), the fused two-valued chain none."""
+    calls = []
+    nor = BddManager.nor
+
+    def counting(mgr, f, g):
+        calls.append((f, g))
+        return nor(mgr, f, g)
+
+    monkeypatch.setattr(BddManager, "nor", counting)
+    return calls
+
+
+def two_valued_vec(m, rng, width, symbols):
+    """A two-valued vector: each bit a 0/1 constant or a fresh symbol."""
+    bits = [(m.new_var(), FALSE) if rng.random() < symbols
+            else rng.choice(CONCRETE_BITS) for _ in range(width)]
+    return FourVec(m, bits)
+
+
+@pytest.mark.parametrize("width", range(1, 17))
+def test_two_valued_equality_is_the_fused_chain(m, nor_calls, width):
+    """Two-valued ``==``/``!=`` on constant/symbol mixes: the fused
+    chain builds the oracle's rails and never the generic ``nor``."""
+    rng = random.Random(width)
+    for symbols in (1.0, 0.5, 0.2):
+        x = two_valued_vec(m, rng, width, symbols)
+        y = two_valued_vec(m, rng, width, symbols)
+        if x.known_int() is not None and y.known_int() is not None:
+            y = two_valued_vec(m, rng, width, 1.0)  # keep it symbolic
+        # shared bits too: x against a copy with one rail swapped
+        z = FourVec(m, x.bits[:-1] + y.bits[-1:])
+        for a, b in ((x, y), (x, z), (x, x)):
+            for op in (ops.equal, ops.not_equal):
+                ref, fast = run_both(m, op, a, b)
+                assert_identical(ref, fast)
+        m.fastpath = True
+        del nor_calls[:]
+        ops.equal(x, y)
+        assert nor_calls == []
+
+
+def test_one_xz_rail_takes_the_generic_equality_chain(m, nor_calls):
+    """An operand with a single non-FALSE X/Z rail keeps the generic
+    chain (one ``nor`` per bit and the tristate's) and still matches
+    the oracle."""
+    rng = random.Random(7)
+    for width in (1, 4, 9):
+        x = two_valued_vec(m, rng, width, 1.0)
+        y = two_valued_vec(m, rng, width, 0.5)
+        bits = list(y.bits)
+        bits[rng.randrange(width)] = (m.new_var(), m.new_var())
+        y = FourVec(m, bits)
+        for a, b in ((x, y), (y, x)):
+            for op in (ops.equal, ops.not_equal):
+                ref, fast = run_both(m, op, a, b)
+                assert_identical(ref, fast)
+            del nor_calls[:]
+            ops.equal(a, b)
+            assert len(nor_calls) == width + 1
 
 
 def interleaved_symbols(m, width, count):

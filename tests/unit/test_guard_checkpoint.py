@@ -16,6 +16,7 @@ import pytest
 import repro
 from repro import SimOptions
 from repro.compile import compile_design
+from repro.designs import load
 from repro.errors import CheckpointError
 from repro.frontend import elaborate, parse_source
 from repro.guard import (
@@ -153,6 +154,31 @@ class TestRejection:
         _rewrite_payload(ckpt, evil)
         with pytest.raises(CheckpointError, match="builtin"):
             load_checkpoint(compile_src(), ckpt)
+
+
+class TestSiftTrigger:
+    @pytest.mark.parametrize("threshold", [10 ** 7, 5000],
+                             ids=["before-first-sift", "after-a-sift"])
+    def test_trigger_state_round_trips(self, tmp_path, threshold):
+        # the phase, the re-arm point and the nodes built so far: a
+        # resumed run must sift exactly where the whole run does
+        source, top, defines = load("gcd", rounds=1, width=4)
+        options = SimOptions(gc_threshold=200, dyn_reorder=True,
+                             reorder_threshold=threshold)
+        sim = repro.open_sim(source, top=top, defines=defines,
+                             options=options)
+        sim.run(until=10)
+        mgr = sim.kernel.mgr
+        assert mgr.cache_stats()["gc_reclaimed"] > 0
+        assert (mgr._next_sift_at is None) == (threshold > 5000)
+        path = str(tmp_path / "gcd.ckpt")
+        save_checkpoint(sim.kernel, path)
+        program = compile_design(elaborate(
+            parse_source(source, defines=defines), top=top))
+        resumed = load_checkpoint(program, path, options=options).mgr
+        for attr in ("_next_sift_at", "_last_gc_size", "total_nodes",
+                     "nodes_built"):
+            assert getattr(resumed, attr) == getattr(mgr, attr), attr
 
 
 def _read_parts(path):
