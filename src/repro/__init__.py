@@ -59,7 +59,7 @@ from repro.errors import (
     VerilogSyntaxError,
 )
 from repro.fourval import FourVec
-from repro.frontend import elaborate, parse_source
+from repro.frontend import elaborate, parse_source, read_source_file
 from repro.guard import (
     BudgetReport, Fault, FaultInjector, ResourceBudgets, load_checkpoint,
     save_checkpoint,
@@ -137,8 +137,7 @@ def open_sim(
     if (source is None) == (path is None):
         raise CompileError("open_sim takes exactly one of source= or path=")
     if path is not None:
-        with open(path, "r", encoding="utf-8") as handle:
-            source = handle.read()
+        source = read_source_file(path)
     modules = parse_source(source, defines=defines)
     design = elaborate(modules, top=top)
     program = compile_design(design)

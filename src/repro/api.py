@@ -42,7 +42,7 @@ import enum
 import os
 from typing import Dict, Optional, Tuple
 
-from repro.errors import ReproError, RequestError
+from repro.errors import ReproError, RequestError, VerilogSyntaxError
 
 #: Version tag of the request schema all entry points parse.
 REQUEST_SCHEMA = "repro.serve.request/1"
@@ -267,13 +267,16 @@ def resolve_design(spec: Dict, base_dir: Optional[str], where: str,
                     f"(got {file_path!r})")
             file_path = os.path.join(base_dir, file_path)
         if inline:
+            from repro.frontend import read_source_file
+
             try:
-                with open(file_path, "r", encoding="utf-8") as handle:
-                    source = handle.read()
+                source = read_source_file(file_path)
             except OSError as exc:
                 raise RequestError(
                     f"{where}: cannot read source file {file_path!r}: "
                     f"{exc}") from exc
+            except VerilogSyntaxError as exc:
+                raise RequestError(f"{where}: {exc}") from None
             file_path = None
         elif not os.path.exists(file_path):
             raise RequestError(

@@ -18,6 +18,7 @@ from types import MappingProxyType
 from typing import Mapping, Optional
 
 from repro.errors import BatchError
+from repro.frontend import read_source_file
 from repro.sim import SimOptions
 
 
@@ -68,8 +69,7 @@ class RunRequest:
         """The Verilog text (reads ``path`` when the request carries one)."""
         if self.source is not None:
             return self.source
-        with open(self.path, "r", encoding="utf-8") as handle:
-            return handle.read()
+        return read_source_file(self.path)
 
     def design_key(self) -> tuple:
         """Hashable identity of the *compiled design* this run needs.

@@ -4,7 +4,13 @@ A compiled expression is a :class:`CExpr`: its self-determined width
 and signedness (computed once, per 1364's sizing rules), the set of
 nets it reads (used for ``@*``, ``wait`` and continuous-assign
 sensitivity), and an ``eval(kernel, env, control, width)`` closure that
-produces a :class:`FourVec` of exactly ``width`` bits.
+produces a :class:`FourVec` of exactly ``width`` bits.  The expression
+type is static too: an unsigned operator compiles its signed
+context-determined operands unsigned (``ExprCompiler._unsigned``).
+
+Most expressions also get a ``word`` twin for the compiled tier, built
+on :mod:`repro.fourval.word`, the one home of Verilog's integer
+semantics, which :mod:`repro.fourval.ops` uses for its word level too.
 
 ``env`` carries function-local values during user-function evaluation
 (functions contain no delays, so they evaluate inline as pure data
@@ -19,6 +25,7 @@ target indices are captured at schedule time, per 1364.
 
 from __future__ import annotations
 
+import dataclasses
 from dataclasses import dataclass
 from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 
@@ -28,6 +35,7 @@ from repro.errors import CompileError
 from repro.frontend import ast_nodes as ast
 from repro.frontend.elaborate import NetInfo, Scope
 from repro.fourval import FourVec, ops
+from repro.fourval import word as words
 from repro.fourval.vector import BIT_X
 
 Env = Optional[Dict[str, FourVec]]
@@ -69,6 +77,10 @@ class CExpr:
     #: consumers that convert a result via two's complement (index
     #: expressions) care.
     rt_signed: Optional[bool] = None
+    #: Set on a signed operator whose context-determined operands are
+    #: signed: rebuilds it with those operands read unsigned, for its
+    #: use inside an unsigned expression (``ExprCompiler._unsigned``).
+    retype: Optional[Callable[[], "CExpr"]] = None
 
 
 def _rt_signed(cexpr: CExpr) -> bool:
@@ -76,137 +88,66 @@ def _rt_signed(cexpr: CExpr) -> bool:
     return cexpr.signed if cexpr.rt_signed is None else cexpr.rt_signed
 
 
-def _word_resize(value: int, width: int, signed: bool, ctx_width: int) -> int:
-    """Word-level mirror of ``FourVec.resize``: ``value`` is the raw
-    unsigned contents of a ``width``-bit vector with signedness
-    ``signed``; return its raw contents at ``ctx_width`` bits."""
-    if ctx_width <= width:
-        return value & ((1 << ctx_width) - 1)
-    if signed and (value >> (width - 1)) & 1:
-        return (value | (-1 << width)) & ((1 << ctx_width) - 1)
-    return value
+def _binary_word(fn, lword: WordFn, rword: WordFn, lw: int,
+                 rw: Optional[int], signed: bool, sized: bool) -> WordFn:
+    """Word twin of a binary operator.
 
-
-def _signed_int(value: int, width: int) -> int:
-    """Two's-complement interpretation of a raw ``width``-bit word."""
-    if (value >> (width - 1)) & 1:
-        return value - (1 << width)
-    return value
-
-
-def _arith_word(op: str, lword: WordFn, rword: WordFn, width: int,
-                signed: bool) -> WordFn:
-    """Word twin of an arithmetic/bitwise binary operator.
-
-    Mirrors the fully-concrete fast paths in :mod:`repro.fourval.ops`
-    exactly, including signed division/modulo rounding; ``/`` and ``%``
-    bail (return ``None``) on a zero divisor because the generic result
-    is all-X there.
+    ``fn`` is the operator's :mod:`repro.fourval.word` function, picked
+    at compile time.  The left operand is read at ``lw`` bits, or at
+    the context width when ``sized`` (a context-determined operator)
+    and that is wider; the right operand at ``rw`` bits, or at the left
+    operand's width when ``rw`` is ``None``.  ``None`` from ``fn``
+    (a zero divisor) means the generic result is all X.
     """
 
     def word(kern, ctx_width):
-        opw = max(width, ctx_width)
+        opw = ctx_width if sized and ctx_width > lw else lw
         lv = lword(kern, opw)
         if lv is None:
             return None
-        rv = rword(kern, opw)
+        rv = rword(kern, opw if rw is None else rw)
         if rv is None:
             return None
-        mask = (1 << opw) - 1
-        if op == "+":
-            result = lv + rv
-        elif op == "-":
-            result = lv - rv
-        elif op == "*":
-            result = lv * rv
-        elif op == "&":
-            result = lv & rv
-        elif op == "|":
-            result = lv | rv
-        elif op == "^":
-            result = lv ^ rv
-        elif op in ("~^", "^~"):
-            result = ~(lv ^ rv)
-        elif op == "**":
-            result = pow(lv, rv, 1 << opw)
-        elif op in ("/", "%"):
-            if rv == 0:
-                return None  # division by zero yields all X
-            if signed:
-                sl, sr = _signed_int(lv, opw), _signed_int(rv, opw)
-                if op == "/":
-                    result = abs(sl) // abs(sr)
-                    if (sl < 0) != (sr < 0):
-                        result = -result
-                else:
-                    result = abs(sl) % abs(sr)
-                    if sl < 0:
-                        result = -result
-            else:
-                result = lv // rv if op == "/" else lv % rv
-        else:  # pragma: no cover - table-driven callers only
+        result = fn(lv, rv, opw, signed)
+        if result is None:
             return None
-        return (result & mask) & ((1 << ctx_width) - 1)
-
-    return word
-
-
-def _compare_word(op: str, lword: WordFn, rword: WordFn, opw: int,
-                  signed: bool) -> WordFn:
-    """Word twin of a comparison operator (result is one bit)."""
-
-    def word(kern, ctx_width):
-        lv = lword(kern, opw)
-        if lv is None:
-            return None
-        rv = rword(kern, opw)
-        if rv is None:
-            return None
-        if op in ("==", "==="):
-            return 1 if lv == rv else 0
-        if op in ("!=", "!=="):
-            return 1 if lv != rv else 0
-        if signed:
-            lv, rv = _signed_int(lv, opw), _signed_int(rv, opw)
-        if op == "<":
-            return 1 if lv < rv else 0
-        if op == "<=":
-            return 1 if lv <= rv else 0
-        if op == ">":
-            return 1 if lv > rv else 0
-        return 1 if lv >= rv else 0  # >=
-
-    return word
-
-
-def _shift_word(op: str, lword: WordFn, rword: WordFn, lw: int,
-                rw: int) -> WordFn:
-    """Word twin of a shift (amount self-determined, raw unsigned)."""
-
-    def word(kern, ctx_width):
-        opw = max(lw, ctx_width)
-        lv = lword(kern, opw)
-        if lv is None:
-            return None
-        rv = rword(kern, rw)
-        if rv is None:
-            return None
-        mask = (1 << opw) - 1
-        if op == "<<":
-            result = (lv << rv) & mask if rv < opw else 0
-        elif op == ">>":
-            result = lv >> rv if rv < opw else 0
-        else:  # >>> — arithmetic: replicate the original sign bit
-            sign = (lv >> (opw - 1)) & 1
-            if rv >= opw:
-                result = mask if sign else 0
-            else:
-                result = lv >> rv
-                if sign:
-                    result |= mask ^ ((1 << (opw - rv)) - 1)
         return result & ((1 << ctx_width) - 1)
 
     return word
+
+
+def _unary_word(fn, oword: WordFn, ow: int, sized: bool) -> WordFn:
+    """Word twin of a unary or reduction operator (see :func:`_binary_word`)."""
+
+    def word(kern, ctx_width):
+        opw = ctx_width if sized and ctx_width > ow else ow
+        v = oword(kern, opw)
+        if v is None:
+            return None
+        return fn(v, opw) & ((1 << ctx_width) - 1)
+
+    return word
+
+
+def _zero_extended(cexpr: CExpr) -> CExpr:
+    """A signed leaf as an operand of an unsigned expression: its own
+    value, zero-extended to the context (1364-2001 §4.5.2)."""
+    inner, width, inner_word = cexpr.eval, cexpr.width, cexpr.word
+
+    def ev(kern, env, ctrl, ctx_width):
+        value = inner(kern, env, ctrl, width)
+        return value.as_signed(False).resize(ctx_width)
+
+    word = None
+    if inner_word is not None:
+        def word(kern, ctx_width):
+            v = inner_word(kern, width)
+            if v is None:
+                return None
+            return words.resize(v, width, False, ctx_width)
+
+    return dataclasses.replace(cexpr, signed=False, eval=ev, word=word,
+                               rt_signed=None)
 
 
 class ConstFolder:
@@ -264,7 +205,7 @@ class ConstFolder:
         return CExpr(width=cexpr.width, signed=cexpr.signed, eval=ev,
                      support=cexpr.support, flexible=cexpr.flexible,
                      const=True, word=word, word_cost=0,
-                     rt_signed=probe.signed)
+                     rt_signed=probe.signed, retype=cexpr.retype)
 
 
 @dataclass
@@ -359,6 +300,25 @@ class ExprCompiler:
         if result.const and not getattr(result.eval, "_const_folded", False):
             result = self.ctx.folder.fold(result)
         return result
+
+    def _unsigned(self, cexpr: CExpr) -> CExpr:
+        """``cexpr`` as a context-determined operand of an unsigned
+        expression: signed operands below it read unsigned, down to
+        the leaves (1364-2001 §4.5.1).  Self-determined operands keep
+        their own type."""
+        if not cexpr.signed:
+            return cexpr
+        if cexpr.retype is not None:
+            result = cexpr.retype()
+        else:
+            if cexpr.const:
+                # a constant leaf whose sign bit is a known 0 extends the
+                # same either way (a folded constant's word reads its bits)
+                value = cexpr.word(self.ctx.folder, cexpr.width)
+                if value is not None and not value >> (cexpr.width - 1):
+                    return cexpr
+            result = _zero_extended(cexpr)
+        return self.ctx.folder.fold(result) if result.const else result
 
     def compile_condition(self, expr: ast.Expr) -> CExpr:
         """Compile an expression used as a truth condition."""
@@ -462,7 +422,7 @@ class ExprCompiler:
             raw = kern.state.known_word(full)
             if raw is None:
                 return None
-            return _word_resize(raw, width, signed, ctx_width)
+            return words.resize(raw, width, signed, ctx_width)
 
         return CExpr(width=width, signed=signed, eval=ev,
                      support=frozenset([full]), word=word)
@@ -510,7 +470,7 @@ class ExprCompiler:
                     if iv is None:
                         return None
                     if idx_signed:
-                        iv = _signed_int(iv, iw)
+                        iv = words.to_signed(iv, iw)
                     if not low <= iv <= high:
                         return None  # reads X
                     stored = kern.state.array_words(full).get(iv)
@@ -519,7 +479,7 @@ class ExprCompiler:
                     raw = stored.known_int()
                     if raw is None:
                         return None
-                    return _word_resize(raw, width, signed, ctx_width)
+                    return words.resize(raw, width, signed, ctx_width)
 
             return CExpr(width=width, signed=signed, eval=ev_word,
                          support=index.support | frozenset([full]),
@@ -539,7 +499,7 @@ class ExprCompiler:
                 if iv is None:
                     return None
                 if idx_signed:
-                    iv = _signed_int(iv, iw)
+                    iv = words.to_signed(iv, iw)
                 offset = info.bit_offset(iv)
                 if not 0 <= offset < info.width:
                     return None  # out-of-range reads X
@@ -592,12 +552,12 @@ class ExprCompiler:
                 slot = kern.state.peek(full)
                 if type(slot) is int:
                     raw = (slot >> offset) & seg_mask
-                    return _word_resize(raw, width, False, ctx_width)
+                    return words.resize(raw, width, False, ctx_width)
                 mask, value = slot.concrete_summary()
                 if (mask >> offset) & seg_mask != seg_mask:
                     return None  # some selected bit not concrete-known
                 raw = (value >> offset) & seg_mask
-                return _word_resize(raw, width, False, ctx_width)
+                return words.resize(raw, width, False, ctx_width)
 
         return CExpr(width=width, signed=False, eval=ev,
                      support=frozenset([full]), word=word)
@@ -626,7 +586,7 @@ class ExprCompiler:
                     if pv is None:
                         return None
                     acc = (acc << pw) | pv
-                return _word_resize(acc, width, False, ctx_width)
+                return words.resize(acc, width, False, ctx_width)
 
         return CExpr(width=width, signed=False, eval=ev, support=support,
                      const=all(p.const for p in parts),
@@ -654,7 +614,7 @@ class ExprCompiler:
                 acc = 0
                 for _ in range(count):
                     acc = (acc << inner_w) | iv
-                return _word_resize(acc, width, False, ctx_width)
+                return words.resize(acc, width, False, ctx_width)
 
         return CExpr(width=width, signed=False, eval=ev, support=value.support,
                      const=value.const, word=word, word_cost=value.word_cost)
@@ -663,103 +623,48 @@ class ExprCompiler:
     # operators
     # ------------------------------------------------------------------
 
-    _UNARY_REDUCTIONS = {
-        "&": ops.reduce_and, "|": ops.reduce_or, "^": ops.reduce_xor,
-        "~&": ops.reduce_nand, "~|": ops.reduce_nor,
-        "~^": ops.reduce_xnor, "^~": ops.reduce_xnor,
+    #: op -> (ops function, word ops it counts, context-determined)
+    _UNARY_OPS = {
+        "-": (ops.negate, 1, True), "~": (ops.bitwise_not, 1, True),
+        "!": (ops.logical_not, 1, False),
+        "&": (ops.reduce_and, 1, False), "|": (ops.reduce_or, 1, False),
+        "^": (ops.reduce_xor, 1, False), "~&": (ops.reduce_nand, 2, False),
+        "~|": (ops.reduce_nor, 2, False), "~^": (ops.reduce_xnor, 2, False),
+        "^~": (ops.reduce_xnor, 2, False),
     }
 
     def _compile_unary(self, expr: ast.Unary) -> CExpr:
         operand = self.compile(expr.operand)
-        op = expr.op
-        if op == "+":
+        if expr.op == "+":
             return operand
-        oword, ow = operand.word, operand.width
-        if op == "-":
-            def ev_neg(kern, env, ctrl, ctx_width):
-                opw = max(operand.width, ctx_width)
-                value = operand.eval(kern, env, ctrl, opw)
-                return ops.negate(value).resize(ctx_width)
+        if expr.op not in self._UNARY_OPS:
+            raise CompileError(f"unsupported unary operator {expr.op!r}")
+        return self._unary(expr.op, operand)
 
-            word_neg = None
-            if oword is not None:
-                def word_neg(kern, ctx_width):
-                    opw = max(ow, ctx_width)
-                    v = oword(kern, opw)
-                    if v is None:
-                        return None
-                    return (-v) & ((1 << ctx_width) - 1)
+    def _unary(self, op: str, operand: CExpr) -> CExpr:
+        func, own_cost, sized = self._UNARY_OPS[op]
+        ow = operand.width
+        if sized:  # - ~: the operand takes the context width and type
+            width, signed = ow, operand.signed
+            rt = _rt_signed(operand) if op == "-" else False
+        else:  # ! and reductions: a self-determined operand, one bit
+            width, signed, rt = 1, False, None
 
-            return CExpr(width=operand.width, signed=operand.signed,
-                         eval=ev_neg, support=operand.support,
-                         const=operand.const, word=word_neg,
-                         word_cost=operand.word_cost + 1,
-                         rt_signed=_rt_signed(operand))
-        if op == "~":
-            def ev_not(kern, env, ctrl, ctx_width):
-                opw = max(operand.width, ctx_width)
-                value = operand.eval(kern, env, ctrl, opw)
-                return ops.bitwise_not(value).resize(ctx_width)
+        def ev(kern, env, ctrl, ctx_width):
+            opw = ctx_width if sized and ctx_width > ow else ow
+            value = operand.eval(kern, env, ctrl, opw)
+            return func(value).resize(ctx_width)
 
-            word_not = None
-            if oword is not None:
-                def word_not(kern, ctx_width):
-                    opw = max(ow, ctx_width)
-                    v = oword(kern, opw)
-                    if v is None:
-                        return None
-                    return ~v & ((1 << ctx_width) - 1)
-
-            return CExpr(width=operand.width, signed=operand.signed,
-                         eval=ev_not, support=operand.support,
-                         const=operand.const, word=word_not,
-                         word_cost=operand.word_cost + 1, rt_signed=False)
-        if op == "!":
-            def ev_lnot(kern, env, ctrl, ctx_width):
-                value = operand.eval(kern, env, ctrl, operand.width)
-                return ops.logical_not(value).resize(ctx_width)
-
-            word_lnot = None
-            if oword is not None:
-                def word_lnot(kern, ctx_width):
-                    v = oword(kern, ow)
-                    if v is None:
-                        return None
-                    return 0 if v else 1
-
-            return CExpr(width=1, signed=False, eval=ev_lnot,
-                         support=operand.support, const=operand.const,
-                         word=word_lnot, word_cost=operand.word_cost + 1)
-        reduction = self._UNARY_REDUCTIONS.get(op)
-        if reduction is not None:
-            def ev_red(kern, env, ctrl, ctx_width):
-                value = operand.eval(kern, env, ctrl, operand.width)
-                return reduction(value).resize(ctx_width)
-
-            word_red = None
-            red_cost = 2 if op in ("~&", "~|", "~^", "^~") else 1
-            if oword is not None:
-                full = (1 << ow) - 1
-                base = op.lstrip("~").replace("^~", "^") or op[-1]
-
-                def word_red(kern, ctx_width):
-                    v = oword(kern, ow)
-                    if v is None:
-                        return None
-                    if base == "&":
-                        bit = 1 if v == full else 0
-                    elif base == "|":
-                        bit = 1 if v else 0
-                    else:  # ^
-                        bit = bin(v).count("1") & 1
-                    return bit ^ 1 if op.startswith("~") or op == "^~" \
-                        else bit
-
-            return CExpr(width=1, signed=False, eval=ev_red,
-                         support=operand.support, const=operand.const,
-                         word=word_red,
-                         word_cost=operand.word_cost + red_cost)
-        raise CompileError(f"unsupported unary operator {op!r}")
+        word = None
+        if operand.word is not None:
+            word = _unary_word(words.UNARY[op], operand.word, ow, sized)
+        retype = None
+        if signed:
+            retype = lambda: self._unary(op, self._unsigned(operand))
+        return CExpr(width=width, signed=signed, eval=ev,
+                     support=operand.support, const=operand.const,
+                     word=word, word_cost=operand.word_cost + own_cost,
+                     rt_signed=rt, retype=retype)
 
     _ARITH_OPS = {
         "+": ops.add, "-": ops.subtract, "*": ops.multiply,
@@ -777,103 +682,102 @@ class ExprCompiler:
     _SHIFT_OPS = {
         "<<": ops.shift_left, ">>": ops.shift_right, ">>>": ops.arith_shift_right,
     }
+    #: ops that count two word ops (their generic form nests two calls)
+    _TWO_OP = frozenset(("~^", "^~", "!=", "<=", ">="))
 
     def _compile_binary(self, expr: ast.Binary) -> CExpr:
         left = self.compile(expr.left)
         right = self.compile(expr.right)
-        op = expr.op
-        support = left.support | right.support
-        const = left.const and right.const
-        child_cost = left.word_cost + right.word_cost
-        have_words = left.word is not None and right.word is not None
-        lword, rword = left.word, right.word
-        if op in self._ARITH_OPS:
-            if op == "**":
-                self.ctx.derivable = False
-            func = self._ARITH_OPS[op]
-            width = max(left.width, right.width)
-            signed = left.signed and right.signed
+        if expr.op == "**":
+            self.ctx.derivable = False
+        if expr.op not in words.BINARY:
+            raise CompileError(f"unsupported binary operator {expr.op!r}")
+        return self._binary(expr.op, left, right)
 
-            def ev_arith(kern, env, ctrl, ctx_width):
-                opw = max(width, ctx_width)
-                lv = left.eval(kern, env, ctrl, opw).as_signed(left.signed)
-                rv = right.eval(kern, env, ctrl, opw).as_signed(right.signed)
-                return func(lv, rv).resize(ctx_width)
+    def _binary(self, op: str, left: CExpr, right: CExpr) -> CExpr:
+        """Compile ``left op right`` from compiled operands.
 
-            word = None
-            own_cost = 2 if op in ("~^", "^~") else 1
-            rt = False if op in ("&", "|", "^", "~^", "^~", "**") else None
-            if have_words:
-                word = _arith_word(op, lword, rword, width, signed)
-
-            return CExpr(width=width, signed=signed, eval=ev_arith,
-                         support=support, const=const, word=word,
-                         word_cost=child_cost + own_cost, rt_signed=rt)
-        if op in self._COMPARE_OPS:
-            func = self._COMPARE_OPS[op]
-            opw = max(left.width, right.width, 1)
-
-            def ev_cmp(kern, env, ctrl, ctx_width):
-                lv = left.eval(kern, env, ctrl, opw).as_signed(left.signed)
-                rv = right.eval(kern, env, ctrl, opw).as_signed(right.signed)
-                return func(lv, rv).resize(ctx_width)
-
-            word = None
-            own_cost = 2 if op in ("!=", "<=", ">=") else 1
-            if have_words:
-                word = _compare_word(op, lword, rword, opw,
-                                     left.signed and right.signed)
-
-            return CExpr(width=1, signed=False, eval=ev_cmp, support=support,
-                         const=const, word=word,
-                         word_cost=child_cost + own_cost)
-        if op in self._LOGICAL_OPS:
-            func = self._LOGICAL_OPS[op]
-
-            def ev_logic(kern, env, ctrl, ctx_width):
-                lv = left.eval(kern, env, ctrl, left.width)
-                rv = right.eval(kern, env, ctrl, right.width)
-                return func(lv, rv).resize(ctx_width)
-
-            word = None
-            if have_words:
-                lw, rw = left.width, right.width
-                want_and = op == "&&"
-
-                def word(kern, ctx_width):
-                    lv = lword(kern, lw)
-                    rv = rword(kern, rw)
-                    if lv is None or rv is None:
-                        return None
-                    truth = (lv and rv) if want_and else (lv or rv)
-                    return 1 if truth else 0
-
-            return CExpr(width=1, signed=False, eval=ev_logic, support=support,
-                         const=const, word=word, word_cost=child_cost + 1)
+        Arithmetic, bitwise and comparison operands share one type:
+        signed only if both are, else both read unsigned.  A shift's
+        left operand takes the context; its amount, like the logical
+        operands, is self-determined.
+        """
+        fn = words.BINARY[op]
+        lw, rw = left.width, right.width
+        retype = None
+        rt = None
         if op in self._SHIFT_OPS:
             func = self._SHIFT_OPS[op]
+            width, signed, rt = lw, left.signed, False
+            wargs = (lw, rw, signed, True)
+            if signed:
+                retype = lambda: self._binary(
+                    op, self._unsigned(left), right)
 
-            def ev_shift(kern, env, ctrl, ctx_width):
-                opw = max(left.width, ctx_width)
-                lv = left.eval(kern, env, ctrl, opw)
-                rv = right.eval(kern, env, ctrl, right.width)
+            def ev(kern, env, ctrl, ctx_width):
+                opw = ctx_width if ctx_width > lw else lw
+                lv = left.eval(kern, env, ctrl, opw).as_signed(signed)
+                rv = right.eval(kern, env, ctrl, rw)
+                return func(lv, rv).resize(ctx_width)
+        elif op in self._LOGICAL_OPS:
+            func = self._LOGICAL_OPS[op]
+            width, signed = 1, False
+            wargs = (lw, rw, False, False)
+
+            def ev(kern, env, ctrl, ctx_width):
+                lv = left.eval(kern, env, ctrl, lw)
+                rv = right.eval(kern, env, ctrl, rw)
+                return func(lv, rv).resize(ctx_width)
+        else:
+            opsigned = left.signed and right.signed
+            if not opsigned and (left.signed or right.signed):
+                left, right = self._unsigned(left), self._unsigned(right)
+            opw = max(lw, rw)
+            if op in self._COMPARE_OPS:
+                func = self._COMPARE_OPS[op]
+                width, signed, sized, opw = 1, False, False, max(opw, 1)
+            else:
+                func = self._ARITH_OPS[op]
+                width, signed, sized = opw, opsigned, True
+                if op in ("&", "|", "^", "~^", "^~", "**"):
+                    rt = False
+                if signed:
+                    retype = lambda: self._binary(
+                        op, self._unsigned(left), self._unsigned(right))
+            wargs = (opw, None, opsigned, sized)
+
+            def ev(kern, env, ctrl, ctx_width):
+                w = ctx_width if sized and ctx_width > opw else opw
+                lv = left.eval(kern, env, ctrl, w).as_signed(opsigned)
+                rv = right.eval(kern, env, ctrl, w).as_signed(opsigned)
                 return func(lv, rv).resize(ctx_width)
 
-            word = None
-            if have_words:
-                word = _shift_word(op, lword, rword, left.width, right.width)
-
-            return CExpr(width=left.width, signed=left.signed, eval=ev_shift,
-                         support=support, const=const, word=word,
-                         word_cost=child_cost + 1, rt_signed=False)
-        raise CompileError(f"unsupported binary operator {op!r}")
+        word = None
+        if left.word is not None and right.word is not None:
+            word = _binary_word(fn, left.word, right.word, *wargs)
+        own_cost = 2 if op in self._TWO_OP else 1
+        return CExpr(width=width, signed=signed, eval=ev,
+                     support=left.support | right.support,
+                     const=left.const and right.const, word=word,
+                     word_cost=left.word_cost + right.word_cost + own_cost,
+                     rt_signed=rt, retype=retype)
 
     def _compile_ternary(self, expr: ast.Ternary) -> CExpr:
-        cond = self.compile(expr.cond)
-        then_value = self.compile(expr.then_value)
-        else_value = self.compile(expr.else_value)
+        return self._ternary(self.compile(expr.cond),
+                             self.compile(expr.then_value),
+                             self.compile(expr.else_value))
+
+    def _ternary(self, cond: CExpr, then_value: CExpr,
+                 else_value: CExpr) -> CExpr:
         width = max(then_value.width, else_value.width)
         signed = then_value.signed and else_value.signed
+        retype = None
+        if signed:
+            retype = lambda: self._ternary(
+                cond, self._unsigned(then_value), self._unsigned(else_value))
+        elif then_value.signed or else_value.signed:
+            then_value = self._unsigned(then_value)
+            else_value = self._unsigned(else_value)
         support = cond.support | then_value.support | else_value.support
 
         def ev(kern, env, ctrl, ctx_width):
@@ -910,7 +814,7 @@ class ExprCompiler:
                      word=word,
                      word_cost=(cond.word_cost + then_value.word_cost
                                 + else_value.word_cost + 1),
-                     rt_signed=rt)
+                     rt_signed=rt, retype=retype)
 
     # ------------------------------------------------------------------
     # calls
@@ -956,7 +860,7 @@ class ExprCompiler:
                     v = inner_word(kern, inner_w)
                     if v is None:
                         return None
-                    return _word_resize(v, inner_w, signed, ctx_width)
+                    return words.resize(v, inner_w, signed, ctx_width)
 
             return CExpr(width=inner.width, signed=signed, eval=ev_cast,
                          support=inner.support, const=inner.const,

@@ -25,8 +25,10 @@ Most of a real RTL run is concrete — testbench counters, literals,
 resolved nets — so every operator first consults the vectors' cached
 concrete summaries (:meth:`FourVec.concrete_summary`):
 
-* **word level**: both operands fully concrete-known → one pure-int
-  computation, no BDD calls at all (``mgr._fp_word``);
+* **word level**: both operands fully concrete-known → one call into
+  :mod:`repro.fourval.word`, no BDD calls at all (``mgr._fp_word``).
+  That module is the one home of Verilog's integer semantics: the
+  compiled tier's word twins call the same functions;
 * **per-bit short-circuits**: mixed operands → constant bits collapse
   without touching the manager (``0 & x = 0``, ``1 | x = 1``,
   known shift amounts; ``mgr._fp_bits``);
@@ -52,6 +54,7 @@ from typing import Callable, List, Optional, Tuple
 
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import FourValueError
+from repro.fourval import word
 from repro.fourval.vector import BIT_0, BIT_1, BIT_X, BitPair, FourVec
 
 
@@ -70,24 +73,31 @@ def _fast1(x: FourVec) -> Optional[int]:
     return x.known_int()
 
 
-def _fast2(x: FourVec, y: FourVec) -> Optional[Tuple[int, int]]:
-    """Both operands as raw unsigned ints, or None (symbolic/disabled)."""
-    if not x.mgr.fastpath:
-        return None
-    vx = x.known_int()
-    if vx is None:
-        return None
-    vy = y.known_int()
-    if vy is None:
-        return None
-    return vx, vy
+def _tier_a(fn: Callable, x: FourVec, y: Optional[FourVec], width: int,
+            signed: bool = False, result_signed: bool = False
+            ) -> Optional[FourVec]:
+    """The word level: ``fn`` from :mod:`repro.fourval.word` on fully
+    known operands, as a ``width``-bit constant (all X where ``fn``
+    gives ``None``).  ``y`` is ``None`` for a unary ``fn``.
 
-
-def _to_signed(value: int, width: int) -> int:
-    """Reinterpret a raw unsigned word as two's complement."""
-    if value >> (width - 1):
-        return value - (1 << width)
-    return value
+    Returns ``None`` with fast paths off, or when an operand is not
+    fully known, after counting the op as symbolic.
+    """
+    mgr = x.mgr
+    if not mgr.fastpath:
+        return None
+    a = x.known_int()
+    if a is not None and y is None:
+        value = fn(a, x.width)
+    elif a is not None and (b := y.known_int()) is not None:
+        value = fn(a, b, x.width, signed)
+    else:
+        mgr._fp_sym += 1
+        return None
+    mgr._fp_word += 1
+    if value is None:
+        return FourVec(mgr, (BIT_X,) * width, result_signed)
+    return FourVec.from_int(mgr, value, width, result_signed)
 
 
 def _known0(mgr: BddManager, bit: BitPair) -> int:
@@ -120,12 +130,9 @@ def _make_tristate(mgr: BddManager, is1: int, is0: int) -> BitPair:
 def bitwise_not(x: FourVec) -> FourVec:
     """``~x`` — 4-valued inversion (X/Z stay X)."""
     mgr = x.mgr
-    value = _fast1(x)
-    if value is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, ~value, x.width)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.invert, x, None, x.width)
+    if known is not None:
+        return known
     bits = [(mgr.or_(b, mgr.not_(a)), b) for a, b in x.bits]
     # Z must become X, not Z: force the a-rail high wherever b is set —
     # done above — and normalize b unchanged (Z and X share b=1; with
@@ -203,14 +210,12 @@ def _xor_fused(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
 def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
     """``x & y``."""
     _check_same_width(x, y, "&")
+    known = _tier_a(word.and_, x, y, x.width)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] & vals[1], x.width)
     if not mgr.fastpath:
         return _bitwise_binary(x, y, _and_bit, "&")
-    mgr._fp_sym += 1
     # Mixed operands: constant-cofactor short-circuits.  Each branch is
     # the algebraic reduction of _and_bit for that constant input, so
     # the rails are identical BDD nodes; the other bits take the fused
@@ -236,14 +241,12 @@ def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
 def bitwise_or(x: FourVec, y: FourVec) -> FourVec:
     """``x | y``."""
     _check_same_width(x, y, "|")
+    known = _tier_a(word.or_, x, y, x.width)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] | vals[1], x.width)
     if not mgr.fastpath:
         return _bitwise_binary(x, y, _or_bit, "|")
-    mgr._fp_sym += 1
     bits: List[BitPair] = []
     shortcuts = 0
     for bx, by in zip(x.bits, y.bits):
@@ -265,14 +268,12 @@ def bitwise_or(x: FourVec, y: FourVec) -> FourVec:
 def bitwise_xor(x: FourVec, y: FourVec) -> FourVec:
     """``x ^ y``."""
     _check_same_width(x, y, "^")
+    known = _tier_a(word.xor, x, y, x.width)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] ^ vals[1], x.width)
     if not mgr.fastpath:
         return _bitwise_binary(x, y, _xor_bit, "^")
-    mgr._fp_sym += 1
     bits: List[BitPair] = []
     shortcuts = 0
     for bx, by in zip(x.bits, y.bits):
@@ -307,13 +308,9 @@ def bitwise_xnor(x: FourVec, y: FourVec) -> FourVec:
 def reduce_and(x: FourVec) -> FourVec:
     """``&x`` — 1 iff all bits known 1, 0 if any bit known 0, else X."""
     mgr = x.mgr
-    value = _fast1(x)
-    if value is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(
-            mgr, 1 if value == (1 << x.width) - 1 else 0, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.reduce_and, x, None, 1)
+    if known is not None:
+        return known
     is1 = mgr.and_all(_known1(mgr, bit) for bit in x.bits)
     is0 = mgr.or_all(_known0(mgr, bit) for bit in x.bits)
     return FourVec(mgr, [_make_tristate(mgr, is1, is0)])
@@ -322,12 +319,9 @@ def reduce_and(x: FourVec) -> FourVec:
 def reduce_or(x: FourVec) -> FourVec:
     """``|x``."""
     mgr = x.mgr
-    value = _fast1(x)
-    if value is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, 1 if value else 0, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.reduce_or, x, None, 1)
+    if known is not None:
+        return known
     is1 = mgr.or_all(_known1(mgr, bit) for bit in x.bits)
     is0 = mgr.and_all(_known0(mgr, bit) for bit in x.bits)
     return FourVec(mgr, [_make_tristate(mgr, is1, is0)])
@@ -336,12 +330,9 @@ def reduce_or(x: FourVec) -> FourVec:
 def reduce_xor(x: FourVec) -> FourVec:
     """``^x`` — X if any bit is X/Z, else parity."""
     mgr = x.mgr
-    value = _fast1(x)
-    if value is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, bin(value).count("1") & 1, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.reduce_xor, x, None, 1)
+    if known is not None:
+        return known
     any_xz = x.has_xz()
     parity = FALSE
     for a, _ in x.bits:
@@ -386,12 +377,9 @@ def _truth_conditions(x: FourVec) -> Tuple[int, int]:
 def logical_not(x: FourVec) -> FourVec:
     """``!x``."""
     mgr = x.mgr
-    value = _fast1(x)
-    if value is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, 0 if value else 1, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.lnot, x, None, 1)
+    if known is not None:
+        return known
     is_true, is_false = _truth_conditions(x)
     return FourVec(mgr, [_make_tristate(mgr, is_false, is_true)])
 
@@ -399,12 +387,9 @@ def logical_not(x: FourVec) -> FourVec:
 def logical_and(x: FourVec, y: FourVec) -> FourVec:
     """``x && y`` (short-circuit pessimism per 1364)."""
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, 1 if vals[0] and vals[1] else 0, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.land, x, y, 1)
+    if known is not None:
+        return known
     tx, fx = _truth_conditions(x)
     ty, fy = _truth_conditions(y)
     is1 = mgr.and_(tx, ty)
@@ -415,12 +400,9 @@ def logical_and(x: FourVec, y: FourVec) -> FourVec:
 def logical_or(x: FourVec, y: FourVec) -> FourVec:
     """``x || y``."""
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, 1 if vals[0] or vals[1] else 0, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.lor, x, y, 1)
+    if known is not None:
+        return known
     tx, fx = _truth_conditions(x)
     ty, fy = _truth_conditions(y)
     is1 = mgr.or_(tx, ty)
@@ -436,21 +418,18 @@ def logical_or(x: FourVec, y: FourVec) -> FourVec:
 def equal(x: FourVec, y: FourVec) -> FourVec:
     """``x == y`` — X when the comparison cannot be decided."""
     _check_same_width(x, y, "==")
+    known = _tier_a(word.eq, x, y, 1)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, 1 if vals[0] == vals[1] else 0, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
-        if all(bx[1] == FALSE and by[1] == FALSE
-               for bx, by in zip(x.bits, y.bits)):
-            # Two-valued operands: every ``both_known`` below is TRUE,
-            # so the tristate reduces to (¬diff, FALSE) — one chain.
-            diff = FALSE
-            for (ax, _), (ay, _) in zip(x.bits, y.bits):
-                diff = mgr.or_(diff, mgr.xor(ax, ay))
-            return FourVec(mgr, [(mgr.not_(diff), FALSE)])
+    if mgr.fastpath and all(bx[1] == FALSE and by[1] == FALSE
+                            for bx, by in zip(x.bits, y.bits)):
+        # Two-valued operands: every ``both_known`` below is TRUE, so
+        # the tristate reduces to (¬diff, FALSE) — one chain.
+        diff = FALSE
+        for (ax, _), (ay, _) in zip(x.bits, y.bits):
+            diff = mgr.or_(diff, mgr.xor(ax, ay))
+        return FourVec(mgr, [(mgr.not_(diff), FALSE)])
     definite_diff = FALSE
     all_known_equal = TRUE
     for bx, by in zip(x.bits, y.bits):
@@ -471,14 +450,12 @@ def not_equal(x: FourVec, y: FourVec) -> FourVec:
 def case_equal(x: FourVec, y: FourVec) -> FourVec:
     """``x === y`` — literal 4-valued match, always a known result."""
     _check_same_width(x, y, "===")
+    known = _tier_a(word.eq, x, y, 1)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, 1 if vals[0] == vals[1] else 0, 1)
     if mgr.fastpath:
         # One chain: the vectors differ where any rail differs.
-        mgr._fp_sym += 1
         diff = FALSE
         for (ax, xx), (ay, xy) in zip(x.bits, y.bits):
             diff = mgr.or_(diff, mgr.or_(mgr.xor(ax, ay), mgr.xor(xx, xy)))
@@ -512,14 +489,11 @@ def _wildcard_match(
     expr: FourVec, item: FourVec, z_wild: bool, x_wild: bool
 ) -> int:
     _check_same_width(expr, item, "case-match")
+    # Fully-known operands contain no Z/X, so no wildcard can fire.
+    known = _tier_a(word.eq, expr, item, 1)
+    if known is not None:
+        return known.bits[0][0]
     mgr = expr.mgr
-    vals = _fast2(expr, item)
-    if vals is not None:
-        # Fully-known operands contain no Z/X, so no wildcard can fire.
-        mgr._fp_word += 1
-        return TRUE if vals[0] == vals[1] else FALSE
-    if mgr.fastpath:
-        mgr._fp_sym += 1
     match = TRUE
     for be, bi in zip(expr.bits, item.bits):
         if x_wild:
@@ -559,16 +533,9 @@ def less_than(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "<")
     mgr = x.mgr
     signed = x.signed and y.signed
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        vx, vy = vals
-        if signed:
-            vx = _to_signed(vx, x.width)
-            vy = _to_signed(vy, y.width)
-        return FourVec.from_int(mgr, 1 if vx < vy else 0, 1)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.lt, x, y, 1, signed)
+    if known is not None:
+        return known
     if signed:
         x, y = _signed_flip(x), _signed_flip(y)
     known = mgr.and_(x.known(), y.known())
@@ -679,12 +646,9 @@ def add(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "+")
     mgr = x.mgr
     signed = x.signed and y.signed
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] + vals[1], x.width, signed)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.add, x, y, x.width, signed, signed)
+    if known is not None:
+        return known
     xz = mgr.or_(x.has_xz(), y.has_xz())
     return _poisoned(mgr, xz, (x, y),
                      lambda x, y: _add_rails(mgr, x, y, FALSE), signed)
@@ -695,12 +659,9 @@ def subtract(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "-")
     mgr = x.mgr
     signed = x.signed and y.signed
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] - vals[1], x.width, signed)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.sub, x, y, x.width, signed, signed)
+    if known is not None:
+        return known
     xz = mgr.or_(x.has_xz(), y.has_xz())
     return _poisoned(mgr, xz, (x, y), lambda x, y: _sub_rails(mgr, x, y),
                      signed)
@@ -722,12 +683,9 @@ def multiply(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "*")
     mgr = x.mgr
     signed = x.signed and y.signed
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] * vals[1], x.width, signed)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.mul, x, y, x.width, signed, signed)
+    if known is not None:
+        return known
     xz = mgr.or_(x.has_xz(), y.has_xz())
     return _poisoned(mgr, xz, (x, y), lambda x, y: _mul_rails(mgr, x, y),
                      signed)
@@ -799,22 +757,9 @@ def divide(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "/")
     mgr = x.mgr
     signed = x.signed and y.signed
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        vx, vy = vals
-        if vy == 0:
-            return FourVec(mgr, (BIT_X,) * x.width, signed)
-        if signed:
-            sx = _to_signed(vx, x.width)
-            sy = _to_signed(vy, y.width)
-            quo = abs(sx) // abs(sy)
-            if (sx < 0) != (sy < 0):
-                quo = -quo
-            return FourVec.from_int(mgr, quo, x.width, True)
-        return FourVec.from_int(mgr, vx // vy, x.width)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.div, x, y, x.width, signed, signed)
+    if known is not None:
+        return known
     xz = _div_xz(mgr, x, y)
     if signed:
         return _poisoned(
@@ -829,22 +774,9 @@ def modulo(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "%")
     mgr = x.mgr
     signed = x.signed and y.signed
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        vx, vy = vals
-        if vy == 0:
-            return FourVec(mgr, (BIT_X,) * x.width, signed)
-        if signed:
-            sx = _to_signed(vx, x.width)
-            sy = _to_signed(vy, y.width)
-            rem = abs(sx) % abs(sy)
-            if sx < 0:
-                rem = -rem
-            return FourVec.from_int(mgr, rem, x.width, True)
-        return FourVec.from_int(mgr, vx % vy, x.width)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
+    known = _tier_a(word.mod, x, y, x.width, signed, signed)
+    if known is not None:
+        return known
     xz = _div_xz(mgr, x, y)
     if signed:
         return _poisoned(
@@ -889,16 +821,12 @@ def power(x: FourVec, y: FourVec) -> FourVec:
     _check_same_width(x, y, "**")
     if y.width > 16 and not y.is_constant():
         raise FourValueError("symbolic exponent wider than 16 bits")
+    # The generic path runs on the raw a-rails: base and exponent are
+    # both treated as unsigned words and the result is unsigned.
+    known = _tier_a(word.power, x, y, x.width)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        # The generic path runs on the raw a-rails: base and exponent
-        # are both treated as unsigned words and the result is unsigned.
-        mgr._fp_word += 1
-        return FourVec.from_int(
-            mgr, pow(vals[0], vals[1], 1 << x.width), x.width)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
     xz = mgr.or_(x.has_xz(), y.has_xz())
     return _poisoned(mgr, xz, (x, y), _power_rails, False)
 
@@ -923,89 +851,77 @@ def _power_rails(x: FourVec, y: FourVec) -> List[int]:
 # ----------------------------------------------------------------------
 
 
-def _shift(x: FourVec, y: FourVec, direction: str) -> FourVec:
-    mgr = x.mgr
+def _shift(x: FourVec, y: FourVec, fn: Callable, left: bool,
+           fill_sign: bool) -> FourVec:
+    """A shift of ``x`` by the unsigned amount ``y``; ``fn`` is its
+    :mod:`repro.fourval.word` function.  The result is unsigned."""
     width = x.width
-    if mgr.fastpath:
-        amount = y.known_int()
-        if amount is not None:
-            value = x.known_int()
-            if value is not None:
-                # fully concrete: one int shift
-                mgr._fp_word += 1
-                if direction == "shl":
-                    result = value << amount if amount < width else 0
-                elif direction == "shr":
-                    result = value >> amount if amount < width else 0
-                else:  # ashr: replicate the original sign bit
-                    sign = value >> (width - 1) & 1
-                    if amount >= width:
-                        result = (1 << width) - 1 if sign else 0
-                    else:
-                        result = value >> amount
-                        if sign:
-                            result |= ((1 << width) - 1) ^ (
-                                (1 << (width - amount)) - 1)
-                return FourVec.from_int(mgr, result, width)
-            # known shift amount over a symbolic word: positionally
-            # rearrange the rails once instead of per-power-of-2 merges
-            # (the generic loop's ite(TRUE, s, r) selections compose to
-            # exactly this single shift, so the rails are identical).
-            mgr._fp_sym += 1
-            mgr._fp_bits += width
-            xz = x.has_xz()
-            return _poisoned(
-                mgr, xz, (x,),
-                lambda x: _shifted_rails([a for a, _ in x.bits], amount,
-                                         direction), False)
-        mgr._fp_sym += 1
+    known = _tier_a(fn, x, y, width, x.signed)
+    if known is not None:
+        return known
+    mgr = x.mgr
+    amount = y.known_int() if mgr.fastpath else None
+    if amount is not None:
+        # known shift amount over a symbolic word: positionally
+        # rearrange the rails once instead of per-power-of-2 merges
+        # (the generic loop's ite(TRUE, s, r) selections compose to
+        # exactly this single shift, so the rails are identical).
+        mgr._fp_bits += width
+        return _poisoned(
+            mgr, x.has_xz(), (x,),
+            lambda x: _shifted_rails([a for a, _ in x.bits], amount,
+                                     left, fill_sign), False)
     xz = mgr.or_(x.has_xz(), y.has_xz())
     return _poisoned(mgr, xz, (x, y),
-                     lambda x, y: _barrel_rails(x, y, direction), False)
+                     lambda x, y: _barrel_rails(x, y, left, fill_sign), False)
 
 
-def _shifted_rails(rails: List[int], amount: int, direction: str) -> List[int]:
-    """``rails`` shifted by a known ``amount`` (``ashr`` fills with the top)."""
+def _shifted_rails(rails: List[int], amount: int, left: bool,
+                   fill_sign: bool) -> List[int]:
+    """``rails`` shifted by a known ``amount``; a right shift fills with
+    the top rail when ``fill_sign``, else with zeros."""
     width = len(rails)
-    fill = rails[-1] if direction == "ashr" else FALSE
+    fill = rails[-1] if fill_sign else FALSE
     if amount >= width:
         return [fill] * width
     if not amount:
         return rails
-    if direction == "shl":
+    if left:
         return [FALSE] * amount + rails[: width - amount]
     return rails[amount:] + [fill] * amount
 
 
-def _barrel_rails(x: FourVec, y: FourVec, direction: str) -> List[int]:
+def _barrel_rails(x: FourVec, y: FourVec, left: bool,
+                  fill_sign: bool) -> List[int]:
     """Log shifter on the a-rails: one merge stage per amount bit.
 
-    Every stage keeps the top rail (an ``ashr`` stage fills with it), so
-    it stays the sign of ``x`` throughout.
+    Every stage keeps the top rail (a sign-filling stage fills with
+    it), so it stays the sign of ``x`` throughout.
     """
     mgr = x.mgr
     rails = [a for a, _ in x.bits]
     for bit_index, (yb, _) in enumerate(y.bits):
         if yb == FALSE:
             continue
-        shifted = _shifted_rails(rails, 1 << bit_index, direction)
+        shifted = _shifted_rails(rails, 1 << bit_index, left, fill_sign)
         rails = [mgr.ite(yb, s, r) for s, r in zip(shifted, rails)]
     return rails
 
 
 def shift_left(x: FourVec, y: FourVec) -> FourVec:
     """``x << y`` (``y`` self-determined, possibly symbolic)."""
-    return _shift(x, y, "shl")
+    return _shift(x, y, word.shl, True, False)
 
 
 def shift_right(x: FourVec, y: FourVec) -> FourVec:
     """``x >> y`` — logical right shift."""
-    return _shift(x, y, "shr")
+    return _shift(x, y, word.shr, False, False)
 
 
 def arith_shift_right(x: FourVec, y: FourVec) -> FourVec:
-    """``x >>> y`` — arithmetic right shift (sign fill)."""
-    return _shift(x, y, "ashr")
+    """``x >>> y`` — sign fill if ``x`` is signed, else zero fill
+    (1364-2001 §4.1.12)."""
+    return _shift(x, y, word.ashr, False, x.signed)
 
 
 # ----------------------------------------------------------------------
@@ -1059,10 +975,10 @@ def resolve_wire(x: FourVec, y: FourVec) -> FourVec:
     """
     _check_same_width(x, y, "wire-resolve")
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
+    vx = _fast1(x)
+    vy = None if vx is None else y.known_int()
+    if vy is not None:
         mgr._fp_word += 1
-        vx, vy = vals
         if vx == vy:
             return FourVec.from_int(mgr, vx, x.width)
         bits = []
@@ -1118,13 +1034,10 @@ def _encode_states(mgr: BddManager, out0: int, out1: int, outz: int) -> BitPair:
 def resolve_wand(x: FourVec, y: FourVec) -> FourVec:
     """``wand`` net resolution — wired AND (1364 Table 9: 0 dominates)."""
     _check_same_width(x, y, "wand-resolve")
+    known = _tier_a(word.and_, x, y, x.width)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] & vals[1], x.width)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
     bits: List[BitPair] = []
     for bx, by in zip(x.bits, y.bits):
         x0, x1, xz, _ = _driver_states(mgr, bx)
@@ -1140,13 +1053,10 @@ def resolve_wand(x: FourVec, y: FourVec) -> FourVec:
 def resolve_wor(x: FourVec, y: FourVec) -> FourVec:
     """``wor`` net resolution — wired OR (1 dominates)."""
     _check_same_width(x, y, "wor-resolve")
+    known = _tier_a(word.or_, x, y, x.width)
+    if known is not None:
+        return known
     mgr = x.mgr
-    vals = _fast2(x, y)
-    if vals is not None:
-        mgr._fp_word += 1
-        return FourVec.from_int(mgr, vals[0] | vals[1], x.width)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
     bits: List[BitPair] = []
     for bx, by in zip(x.bits, y.bits):
         x0, x1, xz, _ = _driver_states(mgr, bx)

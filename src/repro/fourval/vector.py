@@ -13,6 +13,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import FourValueError
+from repro.fourval.word import to_signed
 
 #: One four-valued bit: ``(a, b)`` BDD pair in aval/bval encoding.
 BitPair = Tuple[int, int]
@@ -216,9 +217,7 @@ class FourVec:
         summary = self._summary
         if summary is not None and summary[0] == (1 << len(self.bits)) - 1:
             value = summary[1]
-            if self.signed and value >> (self.width - 1):
-                value -= 1 << self.width
-            return value
+            return to_signed(value, self.width) if self.signed else value
         value = 0
         for i, (a, b) in enumerate(self.bits):
             if b != FALSE or a > TRUE:
@@ -228,9 +227,7 @@ class FourVec:
                 )
             if a == TRUE:
                 value |= 1 << i
-        if self.signed and value >> (self.width - 1):
-            value -= 1 << self.width
-        return value
+        return to_signed(value, self.width) if self.signed else value
 
     def to_int_or_none(self) -> Optional[int]:
         """Like :meth:`to_int` but returning ``None`` instead of raising."""

@@ -15,10 +15,10 @@ including all delay/event control, tasks/functions and
 non-synthesizable testbench constructs.
 """
 
-from repro.frontend.lexer import Lexer, Token
+from repro.frontend.lexer import Lexer, Token, read_source_file
 from repro.frontend.parser import parse_source
 from repro.frontend.elaborate import Design, elaborate
 from repro.frontend.printer import print_module, print_modules
 
-__all__ = ["Lexer", "Token", "parse_source", "Design", "elaborate",
-           "print_module", "print_modules"]
+__all__ = ["Lexer", "Token", "read_source_file", "parse_source", "Design",
+           "elaborate", "print_module", "print_modules"]

@@ -43,6 +43,21 @@ _SYSID_RE = re.compile(r"\$[a-zA-Z_][a-zA-Z0-9_$]*")
 _ESCAPED_RE = re.compile(r"\\[^\s]+")
 
 
+def read_source_file(path: str) -> str:
+    """The text of the Verilog file ``path``.
+
+    A file that is not UTF-8 raises a one-line
+    :class:`VerilogSyntaxError` naming it; ``OSError`` passes through.
+    """
+    try:
+        with open(path, "r", encoding="utf-8") as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        raise VerilogSyntaxError(
+            f"source file {path!r} is not UTF-8 text ({exc.reason} "
+            f"0x{exc.object[exc.start]:02x})") from None
+
+
 class Token(NamedTuple):
     """One lexical token with its source position."""
 

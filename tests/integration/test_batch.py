@@ -346,3 +346,23 @@ def test_cli_batch_bad_manifest(tmp_path, capsys):
     path.write_text("not json")
     assert main(["batch", str(path)]) == 2
     assert "error:" in capsys.readouterr().err
+
+
+def test_cli_batch_non_utf8_source(tmp_path, capsys):
+    """A manifest naming a non-UTF-8 file fails with one error line."""
+    from repro import api
+    from repro.cli import main
+    from repro.errors import RequestError
+
+    bad = tmp_path / "latin1.v"
+    bad.write_bytes(b'module tb; initial $display("\xff"); endmodule\n')
+    manifest = _write_manifest(tmp_path, [{"name": "a", "path": "latin1.v"}])
+    assert main(["batch", manifest, "--quiet", "--no-trace",
+                 "--out-dir", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "latin1.v" in err and "UTF-8" in err
+    # the inline read (mutation manifests) reports it as a request error
+    with pytest.raises(RequestError, match="UTF-8"):
+        api.resolve_design({"path": "latin1.v"}, str(tmp_path), "runs[0]",
+                           inline=True)

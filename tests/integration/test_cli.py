@@ -68,6 +68,15 @@ class TestMain:
         assert main([str(bad)]) == 2
         assert "error:" in capsys.readouterr().err
 
+    def test_non_utf8_source_is_one_error_line(self, tmp_path, capsys):
+        bad = tmp_path / "latin1.v"
+        bad.write_bytes(b'module tb; initial $display("\xff"); endmodule\n')
+        assert main([str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "latin1.v" in err and "UTF-8" in err
+        assert "Traceback" not in err
+
     def test_until_bound(self, tmp_path, capsys):
         path = tmp_path / "t.v"
         path.write_text("""

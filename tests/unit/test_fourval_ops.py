@@ -202,9 +202,13 @@ class TestShifts:
         assert ops.shift_right(v, FourVec.from_int(m, 2, 4)).to_int() == 0b0011
 
     def test_arith_shift_right(self, m):
-        v = FourVec.from_int(m, 0b1000, 4)
-        assert ops.arith_shift_right(v, FourVec.from_int(m, 2, 4)) \
-            .to_int() == 0b1110
+        # sign fill on a signed operand, zero fill on an unsigned one
+        # (1364-2001 4.1.12)
+        amount = FourVec.from_int(m, 2, 4)
+        v = FourVec.from_int(m, 0b1000, 4, signed=True)
+        assert ops.arith_shift_right(v, amount).to_int() == 0b1110
+        u = FourVec.from_int(m, 0b1000, 4)
+        assert ops.arith_shift_right(u, amount).to_int() == 0b0010
 
     def test_symbolic_shift_amount(self, m):
         v = FourVec.from_int(m, 1, 4)

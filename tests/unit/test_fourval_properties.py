@@ -85,6 +85,47 @@ def ref_lt(x, y):
     return "1" if int(x, 2) < int(y, 2) else "0"
 
 
+def _ref_int(x, signed):
+    value = int(x, 2)
+    return value - (1 << len(x)) if signed and x[0] == "1" else value
+
+
+def _ref_bits(value, width=WIDTH):
+    return format(value % (1 << width), f"0{width}b")
+
+
+def ref_div(x, y, signed):
+    """Quotient truncated toward zero; X/Z or a zero divisor: all X."""
+    if any(c in "xz" for c in x + y) or "1" not in y:
+        return "x" * len(x)
+    a, b = _ref_int(x, signed), _ref_int(y, signed)
+    quo = a // b if (a < 0) == (b < 0) or a % b == 0 else a // b + 1
+    return _ref_bits(quo, len(x))
+
+
+def ref_mod(x, y, signed):
+    """``a - b * (a / b)``: the remainder takes the sign of ``a``."""
+    quo = ref_div(x, y, signed)
+    if "x" in quo:
+        return quo
+    a, b = _ref_int(x, signed), _ref_int(y, signed)
+    return _ref_bits(a - b * _ref_int(quo, True), len(x))
+
+
+def ref_lt_signed(x, y, signed):
+    if any(c in "xz" for c in x + y):
+        return "x"
+    return "1" if _ref_int(x, signed) < _ref_int(y, signed) else "0"
+
+
+def ref_ashr(x, amount, signed):
+    """``x >>> amount`` on strings: the sign fills only a signed ``x``."""
+    if any(c in "xz" for c in x):
+        return "x" * len(x)
+    fill = x[0] if signed else "0"
+    return (fill * amount + x)[:len(x)]
+
+
 def ref_reduce_and(x):
     if "0" in x:
         return "0"
@@ -123,8 +164,8 @@ def ref_shift_left(x, amount_text, width=WIDTH):
 # helpers
 # ----------------------------------------------------------------------
 
-def make(m, text):
-    return FourVec.from_verilog_bits(m, text)
+def make(m, text, signed=False):
+    return FourVec.from_verilog_bits(m, text, signed)
 
 
 def check_binary(x_text, y_text, impl, ref):
@@ -212,6 +253,21 @@ def test_lt_matches_reference(x, y):
     m = BddManager()
     got = ops.less_than(make(m, x), make(m, y)).to_verilog_bits()
     assert got == ref_lt(x, y)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(known_vectors, vectors), st.one_of(known_vectors, vectors),
+       st.booleans(), st.integers(min_value=0, max_value=WIDTH + 1))
+def test_signed_ops_match_reference(x, y, signed, amount):
+    """``/``, ``%``, ``<`` and ``>>>`` on signed and unsigned operands."""
+    m = BddManager()
+    a, b = make(m, x, signed), make(m, y, signed)
+    assert ops.divide(a, b).to_verilog_bits() == ref_div(x, y, signed)
+    assert ops.modulo(a, b).to_verilog_bits() == ref_mod(x, y, signed)
+    assert ops.less_than(a, b).to_verilog_bits() == \
+        ref_lt_signed(x, y, signed)
+    shift = ops.arith_shift_right(a, FourVec.from_int(m, amount, 3))
+    assert shift.to_verilog_bits() == ref_ashr(x, amount, signed)
 
 
 @settings(max_examples=300, deadline=None)
