@@ -2,11 +2,13 @@
 
 Nodes are plain integers.  The two terminals are the constants
 :data:`FALSE` (``0``) and :data:`TRUE` (``1``); internal nodes are ids
-``>= 2`` indexing parallel arrays inside the owning
-:class:`BddManager`.  Because the unique table enforces structural
-sharing, two nodes represent the same Boolean function iff their ids
-are equal — the property the simulator relies on to detect dead
-execution paths (``control == FALSE``) in O(1).
+``>= 2`` into the node store, the :class:`~repro.bdd.arena.Arena` a
+:class:`BddManager` holds.  Because the unique table enforces
+structural sharing, two nodes represent the same Boolean function iff
+their ids are equal — the property the simulator relies on to detect
+dead execution paths (``control == FALSE``) in O(1).  The manager
+keeps the policy: variables, roots, when to collect, sift or
+concretize.
 
 The manager deliberately avoids *reference counting*: symbolic
 simulation creates and drops huge numbers of intermediate functions,
@@ -28,15 +30,15 @@ Variable order management comes in three flavours:
   is remapped;
 * :meth:`sift` — dynamic sifting (Rudell): each variable is moved
   through the order with adjacent-level swaps on a scratch copy of the
-  live graph, bounded by ``sift_max_swap``/``sift_max_growth`` the way
+  live graph, bounded by ``SIFT_MAX_SWAP``/``SIFT_MAX_GROWTH`` the way
   CUDD bounds its reordering passes, and the best order found is then
   applied with :meth:`reorder`.
 
 ``clear_caches`` can still be called to drop just the operator caches
 between simulation phases if memory pressure matters.
 
-The operators run as recursive kernels (:func:`_make_kernels`) bound
-to the arena and the computed tables.  Recursion depth is bounded by
+The operators run as recursive kernels (:meth:`Arena.kernels`) bound
+to the arena's lists and computed tables.  Recursion depth is bounded by
 the variable count, and the manager raises the interpreter's limit to
 fit as variables are created.  No kernel refers to itself or to the
 manager, and root providers are held weakly, so a dropped manager —
@@ -50,246 +52,24 @@ from __future__ import annotations
 import sys
 import time as _time
 import weakref
+from itertools import chain
 from typing import (
-    Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
+    Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.bdd.arena import _AND, _ITE, _NOT, _OR, _XOR, Arena, FALSE, TRUE
 from repro.errors import BddError
-
-FALSE = 0
-TRUE = 1
-
-_TERMINAL_LEVEL = 1 << 30
-
 
 #: Interpreter frames reserved for the callers of a BDD operation on
 #: top of the ``2 * var_count`` the kernels may use.
 _RECURSION_MARGIN = 200
 
-#: Indices into ``BddManager._hits`` (computed-table hits per operator).
-_ITE, _NOT, _AND, _OR, _XOR = range(5)
+#: Dynamic sifting bounds (cf. CUDD's reordering limits): total swaps
+#: per sift, intermediate growth per variable, variables per pass.
+SIFT_MAX_SWAP = 1_000_000
+SIFT_MAX_GROWTH = 1.2
+SIFT_MAX_VARS = 1000
 
-#: Binary apply opcodes (offsets of ``_AND``/``_OR``/``_XOR``).
-_OP_AND, _OP_OR, _OP_XOR = range(3)
-
-
-def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
-                  unique: Dict[Tuple[int, int, int], int],
-                  ite_cache: Dict[Tuple[int, int, int], int],
-                  not_cache: Dict[int, int],
-                  and_cache: Dict[Tuple[int, int], int],
-                  or_cache: Dict[Tuple[int, int], int],
-                  xor_cache: Dict[Tuple[int, int], int],
-                  hits: List[int]):
-    """Build the recursive ``ite``/``not``/``and``/``or``/``xor``/``constrain`` kernels.
-
-    Each kernel takes *itself* as its first argument and recurses
-    through it, so no closure refers to itself and none refers to the
-    manager: dropping a manager frees its arena through reference
-    counting alone.  Every kernel expands the low cofactor before the
-    high one and stores the same cache and unique-table keys in the
-    same order, so node ids are a pure function of the operation
-    sequence.  Terminal shortcuts never consult a cache and are counted
-    by neither side; ``hits`` collects computed-table hits (misses fall
-    out of the table lengths, see :attr:`BddManager.ite_cache_misses`).
-    ``constrain`` has no computed table of its own: its memo is a dict
-    the caller passes down, so it lives exactly as long as one call
-    (or one operator's rails, when the caller shares it) and counts as
-    neither hit nor miss.
-    """
-    unique_get = unique.get
-
-    def not_k(rec, f):
-        if f <= TRUE:
-            return f ^ 1
-        result = not_cache.get(f)
-        if result is not None:
-            hits[_NOT] += 1
-            return result
-        r0 = rec(rec, lows[f])
-        r1 = rec(rec, highs[f])
-        # complements of distinct canonical children stay distinct
-        level = levels[f]
-        key = (level, r0, r1)
-        result = unique_get(key)
-        if result is None:
-            result = len(levels)
-            levels.append(level)
-            lows.append(r0)
-            highs.append(r1)
-            unique[key] = result
-        not_cache[f] = result
-        not_cache[result] = f
-        return result
-
-    def apply_k(op: int, cache: Dict[Tuple[int, int], int]):
-        # One binary recursion per operator; ``op`` only steers the
-        # terminal cases, so the expanding path is the same for all.
-        slot = _AND + op
-
-        def kernel(rec, f, g):
-            if f > g:
-                f, g = g, f
-            # f <= g, so a terminal g implies a terminal f: the
-            # f-checks below cover every terminal case.
-            if f == FALSE:
-                return FALSE if op == _OP_AND else g
-            if f == TRUE:
-                if op == _OP_AND:
-                    return g
-                if op == _OP_OR:
-                    return TRUE
-                return not_k(not_k, g)
-            if f == g:
-                return FALSE if op == _OP_XOR else g
-            key = (f, g)
-            result = cache.get(key)
-            if result is not None:
-                hits[slot] += 1
-                return result
-            lf = levels[f]
-            lg = levels[g]
-            if lf == lg:
-                top = lf
-                r0 = rec(rec, lows[f], lows[g])
-                r1 = rec(rec, highs[f], highs[g])
-            elif lf < lg:
-                top = lf
-                r0 = rec(rec, lows[f], g)
-                r1 = rec(rec, highs[f], g)
-            else:
-                top = lg
-                r0 = rec(rec, f, lows[g])
-                r1 = rec(rec, f, highs[g])
-            if r0 == r1:
-                result = r0
-            else:
-                ukey = (top, r0, r1)
-                result = unique_get(ukey)
-                if result is None:
-                    result = len(levels)
-                    levels.append(top)
-                    lows.append(r0)
-                    highs.append(r1)
-                    unique[ukey] = result
-            cache[key] = result
-            return result
-
-        return kernel
-
-    and_k = apply_k(_OP_AND, and_cache)
-    or_k = apply_k(_OP_OR, or_cache)
-    xor_k = apply_k(_OP_XOR, xor_cache)
-
-    def ite_k(rec, f, g, h):
-        # Terminal and triple reductions (cheap canonicalization that
-        # multiplies computed-table hit rates).
-        if f == TRUE:
-            return g
-        if f == FALSE:
-            return h
-        if g == h:
-            return g
-        if g == f:
-            g = TRUE
-        if h == f:
-            h = FALSE
-        if g == TRUE:
-            if h == FALSE:
-                return f
-            return or_k(or_k, f, h)
-        if h == FALSE:
-            return and_k(and_k, f, g)
-        key = (f, g, h)
-        result = ite_cache.get(key)
-        if result is not None:
-            hits[_ITE] += 1
-            return result
-        lf = levels[f]
-        lg = levels[g]
-        lh = levels[h]
-        top = lf if lf < lg else lg
-        if lh < top:
-            top = lh
-        if lf == top:
-            f0 = lows[f]
-            f1 = highs[f]
-        else:
-            f0 = f1 = f
-        if lg == top:
-            g0 = lows[g]
-            g1 = highs[g]
-        else:
-            g0 = g1 = g
-        if lh == top:
-            h0 = lows[h]
-            h1 = highs[h]
-        else:
-            h0 = h1 = h
-        r0 = rec(rec, f0, g0, h0)
-        r1 = rec(rec, f1, g1, h1)
-        if r0 == r1:
-            result = r0
-        else:
-            ukey = (top, r0, r1)
-            result = unique_get(ukey)
-            if result is None:
-                result = len(levels)
-                levels.append(top)
-                lows.append(r0)
-                highs.append(r1)
-                unique[ukey] = result
-        ite_cache[key] = result
-        return result
-
-    def constrain_k(rec, f, c, memo):
-        # Coudert-Madre generalized cofactor: where one cofactor of the
-        # care set is empty, follow the other and drop the variable.
-        if c == TRUE or f <= TRUE:
-            return f
-        if c == FALSE:
-            return FALSE
-        if f == c:
-            return TRUE
-        key = (f, c)
-        result = memo.get(key)
-        if result is not None:
-            return result
-        lf = levels[f]
-        lc = levels[c]
-        top = lf if lf < lc else lc
-        if lf == top:
-            f0 = lows[f]
-            f1 = highs[f]
-        else:
-            f0 = f1 = f
-        if lc == top:
-            c0 = lows[c]
-            c1 = highs[c]
-        else:
-            c0 = c1 = c
-        if c0 == FALSE:
-            result = rec(rec, f1, c1, memo)
-        elif c1 == FALSE:
-            result = rec(rec, f0, c0, memo)
-        else:
-            r0 = rec(rec, f0, c0, memo)
-            r1 = rec(rec, f1, c1, memo)
-            if r0 == r1:
-                result = r0
-            else:
-                ukey = (top, r0, r1)
-                result = unique_get(ukey)
-                if result is None:
-                    result = len(levels)
-                    levels.append(top)
-                    lows.append(r0)
-                    highs.append(r1)
-                    unique[ukey] = result
-        memo[key] = result
-        return result
-
-    return ite_k, not_k, and_k, or_k, xor_k, constrain_k
 
 
 class BddRef:
@@ -321,7 +101,7 @@ class BddRef:
 
 
 class BddManager:
-    """Owner of a BDD node arena and its operator caches.
+    """Owner of a BDD node :class:`Arena` and the policy over it.
 
     All node ids returned by one manager are only meaningful to that
     manager.  Typical use::
@@ -334,20 +114,8 @@ class BddManager:
     """
 
     def __init__(self) -> None:
-        # Parallel node arrays; slots 0/1 are placeholders for terminals.
-        self._level: List[int] = [_TERMINAL_LEVEL, _TERMINAL_LEVEL]
-        self._low: List[int] = [0, 0]
-        self._high: List[int] = [0, 0]
-        self._unique: Dict[Tuple[int, int, int], int] = {}
-        self._ite_cache: Dict[Tuple[int, int, int], int] = {}
-        self._not_cache: Dict[int, int] = {}
-        # Specialized apply layer: and/or/xor run dedicated binary
-        # recursions with their own (smaller-keyed, commutatively
-        # canonicalized) computed tables instead of routing through the
-        # generic ite triple.
-        self._and_cache: Dict[Tuple[int, int], int] = {}
-        self._or_cache: Dict[Tuple[int, int], int] = {}
-        self._xor_cache: Dict[Tuple[int, int], int] = {}
+        # The node store: arrays, unique and computed tables, counters.
+        self.arena = Arena()
         # Interned constant FourVecs (terminal rails only, so entries
         # stay valid across GC and reordering).  Owned here because the
         # vector layer has no per-manager state of its own.  Each entry
@@ -356,19 +124,6 @@ class BddManager:
         self._const_vec_cache: Dict[Tuple[int, int, bool], object] = {}
         self._var_names: List[str] = []
         self._var_bdds: List[int] = []
-        # Cache instrumentation (repro.obs).  Misses are derived for
-        # free: every miss inserts exactly one computed-table entry and
-        # the tables are only dropped by _drop_op_caches(), which folds
-        # their lengths into the miss bases.  Only hits pay an
-        # increment (in ``_hits``, indexed by _ITE/_NOT/_AND/_OR/_XOR);
-        # terminal shortcuts that never consult a cache are counted by
-        # neither side.
-        self._hits = [0] * 5
-        self._ite_miss_base = 0
-        self._not_miss_base = 0
-        self._and_miss_base = 0
-        self._or_miss_base = 0
-        self._xor_miss_base = 0
         # --- word-level fast-path telemetry (repro.fourval.ops) -------
         # The four-valued operator layer dispatches to pure-integer
         # word-level implementations when operands are fully
@@ -378,11 +133,8 @@ class BddManager:
         self._fp_word = 0             # whole operators done word-level
         self._fp_bits = 0             # per-bit constant short-circuits
         self._fp_sym = 0              # operators on the per-bit BDD path
-        # --- pure-function call memo (repro.compile.funcs) -------------
-        # (function token, argument rails...) -> (result rails, known
-        # word or None, fast-path counter deltas).  Keyed by node ids,
-        # so _drop_op_caches() empties it with the computed tables.
-        self._call_memo: Dict[tuple, tuple] = {}
+        # --- pure-function calls (repro.compile.funcs) ----------------
+        # The memo is ``arena.call_memo``, aliased as ``_call_memo``.
         self._calls = 0               # user function calls, memo or not
         self._call_hits = 0           # TRUE-control calls the memo answered
         self._call_derived = 0        # narrower-control calls derived from it
@@ -394,9 +146,6 @@ class BddManager:
         self.dyn_reorder = False          # enable sifting at safe points
         self.reorder_growth = 2.0         # re-sift after this live growth
         self.sift_threshold = 4096        # nodes built before the first sift
-        self.sift_max_swap = 1_000_000    # swap budget per sift (cf. CUDD)
-        self.sift_max_growth = 1.2        # per-variable growth bound
-        self.sift_max_vars = 1000         # variables sifted per pass
         self.sift_converge = False        # repeat passes until no gain
         self._handles: "weakref.WeakSet[BddRef]" = weakref.WeakSet()
         # Weak, in registration order: a provider (the kernel) holds
@@ -408,8 +157,6 @@ class BddManager:
         # Sift trigger state (see sift_due): None until the first sift,
         # then the live count that re-arms it.
         self._next_sift_at: Optional[int] = None
-        self._dropped = 0                 # nodes GC/reorder removed
-        self._peak = 0                    # high-water mark across GCs
         self._gc_runs = 0
         self._gc_reclaimed = 0
         self._gc_seconds = 0.0
@@ -442,7 +189,7 @@ class BddManager:
         level = len(self._var_names)
         self._var_names.append(name if name is not None else f"v{level}")
         self._ensure_recursion_limit()
-        node = self._mk(level, FALSE, TRUE)
+        node = self.arena.mk(level, FALSE, TRUE)
         self._var_bdds.append(node)
         return node
 
@@ -462,33 +209,16 @@ class BddManager:
 
     def level_of(self, node: int) -> int:
         """Return the level (order position) of ``node``'s top variable."""
-        return self._level[node]
-
-    # ------------------------------------------------------------------
-    # node construction
-    # ------------------------------------------------------------------
-
-    def _mk(self, level: int, low: int, high: int) -> int:
-        """Find-or-create the node ``(level, low, high)`` (reduced)."""
-        if low == high:
-            return low
-        key = (level, low, high)
-        node = self._unique.get(key)
-        if node is None:
-            node = len(self._level)
-            self._level.append(level)
-            self._low.append(low)
-            self._high.append(high)
-            self._unique[key] = node
-        return node
+        return self.arena.level[node]
 
     def cofactors(self, node: int, level: int) -> Tuple[int, int]:
         """Return the (low, high) cofactors of ``node`` w.r.t. ``level``.
 
         ``level`` must not be below ``node``'s top level.
         """
-        if self._level[node] == level:
-            return self._low[node], self._high[node]
+        arena = self.arena
+        if arena.level[node] == level:
+            return arena.low[node], arena.high[node]
         return node, node
 
     # ------------------------------------------------------------------
@@ -496,20 +226,13 @@ class BddManager:
     # ------------------------------------------------------------------
 
     def _bind_kernels(self) -> None:
-        """Bind the recursive operator kernels to the current arena.
-
-        The kernels close over the arena lists, the unique table and
-        the computed tables themselves (no attribute lookups on the hot
-        path), so every operation that *replaces* one of those objects
-        must rebind: :meth:`collect`, :meth:`reorder` and a checkpoint
-        restore all call :meth:`_drop_op_caches` after replacing them,
-        and it rebinds.
-        """
+        """Bind the kernels (and alias the call memo) to the arena's
+        current tables; whatever replaces the arena or a table calls
+        this.  The hot path then reads one attribute per operation."""
+        arena = self.arena
         (self._ite_k, self._not_k, self._and_k, self._or_k,
-         self._xor_k, self._constrain_k) = _make_kernels(
-            self._level, self._low, self._high, self._unique,
-            self._ite_cache, self._not_cache, self._and_cache,
-            self._or_cache, self._xor_cache, self._hits)
+         self._xor_k, self._constrain_k) = arena.kernels()
+        self._call_memo = arena.call_memo
 
     def _ensure_recursion_limit(self) -> None:
         """Raise the interpreter recursion limit to fit this manager.
@@ -669,18 +392,18 @@ class BddManager:
     def _restrict(
         self, f: int, level: int, value: bool, memo: Dict[int, int]
     ) -> int:
-        node_level = self._level[f]
+        node_level = self.arena.level[f]
         if node_level > level:
             return f
         cached = memo.get(f)
         if cached is not None:
             return cached
         if node_level == level:
-            result = self._high[f] if value else self._low[f]
+            result = self.arena.high[f] if value else self.arena.low[f]
         else:
-            low = self._restrict(self._low[f], level, value, memo)
-            high = self._restrict(self._high[f], level, value, memo)
-            result = self._mk(node_level, low, high)
+            low = self._restrict(self.arena.low[f], level, value, memo)
+            high = self._restrict(self.arena.high[f], level, value, memo)
+            result = self.arena.mk(node_level, low, high)
         memo[f] = result
         return result
 
@@ -698,16 +421,16 @@ class BddManager:
         cached = memo.get(f)
         if cached is not None:
             return cached
-        level = self._level[f]
+        level = self.arena.level[f]
         value = assignment.get(level)
         if value is None:
-            low = self._restrict_many(self._low[f], assignment, memo)
-            high = self._restrict_many(self._high[f], assignment, memo)
-            result = self._mk(level, low, high)
+            low = self._restrict_many(self.arena.low[f], assignment, memo)
+            high = self._restrict_many(self.arena.high[f], assignment, memo)
+            result = self.arena.mk(level, low, high)
         elif value:
-            result = self._restrict_many(self._high[f], assignment, memo)
+            result = self._restrict_many(self.arena.high[f], assignment, memo)
         else:
-            result = self._restrict_many(self._low[f], assignment, memo)
+            result = self._restrict_many(self.arena.low[f], assignment, memo)
         memo[f] = result
         return result
 
@@ -716,17 +439,17 @@ class BddManager:
         return self._compose(f, level, g, {})
 
     def _compose(self, f: int, level: int, g: int, memo: Dict[int, int]) -> int:
-        node_level = self._level[f]
+        node_level = self.arena.level[f]
         if node_level > level:
             return f
         cached = memo.get(f)
         if cached is not None:
             return cached
         if node_level == level:
-            result = self.ite(g, self._high[f], self._low[f])
+            result = self.ite(g, self.arena.high[f], self.arena.low[f])
         else:
-            low = self._compose(self._low[f], level, g, memo)
-            high = self._compose(self._high[f], level, g, memo)
+            low = self._compose(self.arena.low[f], level, g, memo)
+            high = self._compose(self.arena.high[f], level, g, memo)
             result = self.ite(self.var(node_level), high, low)
         memo[f] = result
         return result
@@ -744,13 +467,13 @@ class BddManager:
         cached = memo.get(f)
         if cached is not None:
             return cached
-        level = self._level[f]
-        low = self._exists(self._low[f], levels, memo)
-        high = self._exists(self._high[f], levels, memo)
+        level = self.arena.level[f]
+        low = self._exists(self.arena.low[f], levels, memo)
+        high = self._exists(self.arena.high[f], levels, memo)
         if level in levels:
             result = self.or_(low, high)
         else:
-            result = self._mk(level, low, high)
+            result = self.arena.mk(level, low, high)
         memo[f] = result
         return result
 
@@ -769,11 +492,12 @@ class BddManager:
         convention used when completing an error-trace witness (don't
         care bits are reported as zero, like the paper's resimulation).
         """
+        arena = self.arena
         while f > TRUE:
-            if assignment.get(self._level[f], False):
-                f = self._high[f]
+            if assignment.get(arena.level[f], False):
+                f = arena.high[f]
             else:
-                f = self._low[f]
+                f = arena.low[f]
         return f == TRUE
 
     def sat_one(self, f: int) -> Optional[Dict[int, bool]]:
@@ -784,14 +508,15 @@ class BddManager:
         """
         if f == FALSE:
             return None
+        arena = self.arena
         cube: Dict[int, bool] = {}
         while f > TRUE:
-            if self._high[f] != FALSE:
-                cube[self._level[f]] = True
-                f = self._high[f]
+            if arena.high[f] != FALSE:
+                cube[arena.level[f]] = True
+                f = arena.high[f]
             else:
-                cube[self._level[f]] = False
-                f = self._low[f]
+                cube[arena.level[f]] = False
+                f = arena.low[f]
         return cube
 
     def sat_count(self, f: int, nvars: Optional[int] = None) -> int:
@@ -806,9 +531,10 @@ class BddManager:
         if f == TRUE:
             return 1 << nvars
         memo: Dict[int, int] = {}
+        levels, lows, highs = self.arena.level, self.arena.low, self.arena.high
 
         def eff_level(node: int) -> int:
-            return nvars if node <= TRUE else self._level[node]
+            return nvars if node <= TRUE else levels[node]
 
         def count(node: int) -> int:
             # Satisfying assignments over the variables in
@@ -819,8 +545,8 @@ class BddManager:
                 return 1
             cached = memo.get(node)
             if cached is None:
-                level = self._level[node]
-                low, high = self._low[node], self._high[node]
+                level = levels[node]
+                low, high = lows[node], highs[node]
                 cached = count(low) * (1 << (eff_level(low) - level - 1)) + count(
                     high
                 ) * (1 << (eff_level(high) - level - 1))
@@ -828,7 +554,7 @@ class BddManager:
             return cached
 
         # Variables ordered above the root are free choices.
-        return count(f) * (1 << self._level[f])
+        return count(f) * (1 << levels[f])
 
     def all_sat(self, f: int, levels: Optional[Sequence[int]] = None) -> Iterator[Dict[int, bool]]:
         """Yield every satisfying assignment of ``f``.
@@ -866,26 +592,27 @@ class BddManager:
         if f == TRUE:
             yield dict(cube)
             return
-        level = self._level[f]
+        level = self.arena.level[f]
         cube[level] = False
-        yield from self._all_paths(self._low[f], cube)
+        yield from self._all_paths(self.arena.low[f], cube)
         cube[level] = True
-        yield from self._all_paths(self._high[f], cube)
+        yield from self._all_paths(self.arena.high[f], cube)
         del cube[level]
 
     def support(self, f: int) -> Set[int]:
         """Set of variable levels ``f`` depends on."""
         seen: Set[int] = set()
         support: Set[int] = set()
+        arena = self.arena
         stack = [f]
         while stack:
             node = stack.pop()
             if node <= TRUE or node in seen:
                 continue
             seen.add(node)
-            support.add(self._level[node])
-            stack.append(self._low[node])
-            stack.append(self._high[node])
+            support.add(arena.level[node])
+            stack.append(arena.low[node])
+            stack.append(arena.high[node])
         return support
 
     # ------------------------------------------------------------------
@@ -895,14 +622,15 @@ class BddManager:
     def node_count(self, f: int) -> int:
         """Number of internal nodes in ``f`` (terminals excluded)."""
         seen: Set[int] = set()
+        arena = self.arena
         stack = [f]
         while stack:
             node = stack.pop()
             if node <= TRUE or node in seen:
                 continue
             seen.add(node)
-            stack.append(self._low[node])
-            stack.append(self._high[node])
+            stack.append(arena.low[node])
+            stack.append(arena.high[node])
         return len(seen)
 
     @property
@@ -912,47 +640,22 @@ class BddManager:
         Between collections this grows append-only; :meth:`collect`
         compacts it back down to the live count.
         """
-        return len(self._level) - 2
+        return self.arena.size()
 
     @property
     def peak_nodes(self) -> int:
         """High-water mark of the arena across collections."""
-        current = len(self._level) - 2
-        return self._peak if self._peak > current else current
-
-    @property
-    def ite_cache_hits(self) -> int:
-        return self._hits[_ITE]
-
-    @property
-    def ite_cache_misses(self) -> int:
-        # Every miss stores exactly one computed-table entry, so the
-        # count falls out of the table length — no hot-path counter.
-        return self._ite_miss_base + len(self._ite_cache)
-
-    @property
-    def not_cache_hits(self) -> int:
-        return self._hits[_NOT]
-
-    @property
-    def not_cache_misses(self) -> int:
-        # Each miss inserts a complement *pair* (f -> r and r -> f);
-        # neither key can pre-exist (a present r -> f implies f -> r
-        # was inserted alongside it, which would have been a hit).
-        return self._not_miss_base + len(self._not_cache) // 2
+        return max(self.arena.peak, self.arena.size())
 
     @property
     def apply_cache_hits(self) -> int:
         """Hits across the specialized and/or/xor apply caches."""
-        hits = self._hits
-        return hits[_AND] + hits[_OR] + hits[_XOR]
+        return sum(self.arena.hits[_AND:])
 
     @property
     def apply_cache_misses(self) -> int:
         """Misses across the specialized and/or/xor apply caches."""
-        return (self._and_miss_base + len(self._and_cache)
-                + self._or_miss_base + len(self._or_cache)
-                + self._xor_miss_base + len(self._xor_cache))
+        return sum(self.arena.misses()[_AND:])
 
     @property
     def fastpath_word_ops(self) -> int:
@@ -975,12 +678,11 @@ class BddManager:
         Hit rates are fractions in [0, 1]; ``nodes``/``peak_nodes``
         count internal nodes (terminals excluded).
         """
-        ite_hits = self._hits[_ITE]
-        not_hits = self._hits[_NOT]
-        ite_misses = self.ite_cache_misses
-        not_misses = self.not_cache_misses
-        apply_hits = self.apply_cache_hits
-        apply_misses = self.apply_cache_misses
+        hits = self.arena.hits
+        misses = self.arena.misses()
+        ite_hits, ite_misses = hits[_ITE], misses[_ITE]
+        not_hits, not_misses = hits[_NOT], misses[_NOT]
+        apply_hits, apply_misses = sum(hits[_AND:]), sum(misses[_AND:])
         ite_total = ite_hits + ite_misses
         not_total = not_hits + not_misses
         apply_total = apply_hits + apply_misses
@@ -1023,38 +725,17 @@ class BddManager:
         Gauges are callback-backed: they read the manager at snapshot
         time, so attaching costs nothing on the operator hot paths.
         """
-        hits = self._hits
-        pairs = (
+        pairs = [
             ("bdd.nodes", "internal nodes in the arena",
              lambda: self.total_nodes),
             ("bdd.peak_nodes", "arena high-water mark across GCs",
              lambda: self.peak_nodes),
             ("bdd.vars", "BDD variables created",
              lambda: self.var_count),
-            ("bdd.ite_cache.hits", "ite computed-table hits",
-             lambda: hits[_ITE]),
-            ("bdd.ite_cache.misses", "ite computed-table misses",
-             lambda: self.ite_cache_misses),
-            ("bdd.not_cache.hits", "not cache hits",
-             lambda: hits[_NOT]),
-            ("bdd.not_cache.misses", "not cache misses",
-             lambda: self.not_cache_misses),
             ("bdd.apply.hits", "and/or/xor apply-cache hits",
              lambda: self.apply_cache_hits),
             ("bdd.apply.misses", "and/or/xor apply-cache misses",
              lambda: self.apply_cache_misses),
-            ("bdd.apply.and.hits", "and apply-cache hits",
-             lambda: hits[_AND]),
-            ("bdd.apply.and.misses", "and apply-cache misses",
-             lambda: self._and_miss_base + len(self._and_cache)),
-            ("bdd.apply.or.hits", "or apply-cache hits",
-             lambda: hits[_OR]),
-            ("bdd.apply.or.misses", "or apply-cache misses",
-             lambda: self._or_miss_base + len(self._or_cache)),
-            ("bdd.apply.xor.hits", "xor apply-cache hits",
-             lambda: hits[_XOR]),
-            ("bdd.apply.xor.misses", "xor apply-cache misses",
-             lambda: self._xor_miss_base + len(self._xor_cache)),
             ("bdd.gc.runs", "mark-and-sweep collections",
              lambda: self._gc_runs),
             ("bdd.gc.reclaimed_nodes", "dead nodes reclaimed by GC",
@@ -1071,7 +752,17 @@ class BddManager:
              lambda: self._reorder_seconds),
             ("bdd.reorder.nodes_saved", "live-node reduction from sifting",
              lambda: self._reorder_saved),
-        )
+        ]
+        for slot, name, table in (
+                (_ITE, "ite_cache", "ite computed-table"),
+                (_NOT, "not_cache", "not cache"),
+                (_AND, "apply.and", "and apply-cache"),
+                (_OR, "apply.or", "or apply-cache"),
+                (_XOR, "apply.xor", "xor apply-cache")):
+            pairs.append((f"bdd.{name}.hits", f"{table} hits",
+                          lambda slot=slot: self.arena.hits[slot]))
+            pairs.append((f"bdd.{name}.misses", f"{table} misses",
+                          lambda slot=slot: self.arena.misses()[slot]))
         for name, help_, fn in pairs:
             registry.gauge(name, help_).set_function(fn)
 
@@ -1124,32 +815,10 @@ class BddManager:
             setattr(self, attr,
                     timed(getattr(BddManager, attr), hist.labels(op=name)))
 
-    def _drop_op_caches(self) -> None:
-        """Drop every computed table, folding lengths into miss bases.
-
-        Node ids are about to be (or may already be) invalidated by the
-        caller — GC compaction, reordering, or a checkpoint restore —
-        so cached entries keyed on old ids must not survive; that
-        includes the pure-function call memo.  Callers
-        that replace the arena lists or the unique table do so first:
-        the kernels are rebound here to whatever the manager holds.
-        """
-        self._ite_miss_base += len(self._ite_cache)
-        self._not_miss_base += len(self._not_cache) // 2
-        self._and_miss_base += len(self._and_cache)
-        self._or_miss_base += len(self._or_cache)
-        self._xor_miss_base += len(self._xor_cache)
-        self._ite_cache = {}
-        self._not_cache = {}
-        self._and_cache = {}
-        self._or_cache = {}
-        self._xor_cache = {}
-        self._call_memo = {}
-        self._bind_kernels()
-
     def clear_caches(self) -> None:
-        """Drop the operator caches (the unique table is kept)."""
-        self._drop_op_caches()
+        """Drop the operator caches and the call memo (nodes are kept)."""
+        self.arena.drop_caches()
+        self._bind_kernels()
 
     def to_expr(self, f: int) -> str:
         """Render ``f`` as a nested ``ite(...)`` string for debugging."""
@@ -1157,9 +826,9 @@ class BddManager:
             return "0"
         if f == TRUE:
             return "1"
-        name = self._var_names[self._level[f]]
-        low = self.to_expr(self._low[f])
-        high = self.to_expr(self._high[f])
+        name = self._var_names[self.arena.level[f]]
+        low = self.to_expr(self.arena.low[f])
+        high = self.to_expr(self.arena.high[f])
         if low == "0" and high == "1":
             return name
         if low == "1" and high == "0":
@@ -1181,28 +850,50 @@ class BddManager:
         example), and callers that know their structure — e.g.
         interleaving operand bits — can use this between phases.
         """
-        order = list(order)
+        roots = set(roots)
+        new, memo = self._translated(list(order), roots)
+        return new, {root: memo[root] for root in roots}
+
+    def _translated(self, order: List[int], roots: Iterable[int]
+                    ) -> Tuple["BddManager", Dict[int, int]]:
+        """Translate ``roots`` into a fresh manager ordered by ``order``;
+        returns it and the memo of every node translated.  One ``ite``
+        per node, low child's graph first (the recursive post-order, on
+        an explicit stack), so the new ids depend on the roots alone."""
         if sorted(order) != list(range(self.var_count)):
             raise BddError(
                 f"order must be a permutation of range({self.var_count})"
             )
         new = BddManager()
-        new_var_bdd: Dict[int, int] = {}
+        var_bdd = [0] * self.var_count
         for old_level in order:
-            new_var_bdd[old_level] = new.new_var(self._var_names[old_level])
+            var_bdd[old_level] = new.new_var(self._var_names[old_level])
+        levels, lows, highs = self.arena.level, self.arena.low, self.arena.high
         memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
-
-        def translate(node: int) -> int:
-            cached = memo.get(node)
-            if cached is not None:
-                return cached
-            low = translate(self._low[node])
-            high = translate(self._high[node])
-            result = new.ite(new_var_bdd[self._level[node]], high, low)
-            memo[node] = result
-            return result
-
-        return new, {root: translate(root) for root in set(roots)}
+        stack: List[int] = []
+        for root in roots:
+            if root in memo:
+                continue
+            stack.append(root)
+            while stack:
+                node = stack[-1]
+                if node in memo:
+                    stack.pop()
+                    continue
+                low, high = lows[node], highs[node]
+                done = True
+                if high not in memo:
+                    stack.append(high)
+                    done = False
+                if low not in memo:
+                    stack.append(low)
+                    done = False
+                if done:
+                    memo[node] = new.ite(
+                        var_bdd[levels[node]], memo[high], memo[low]
+                    )
+                    stack.pop()
+        return new, memo
 
     # ------------------------------------------------------------------
     # garbage collection / in-place reordering (safe-point operations)
@@ -1268,62 +959,21 @@ class BddManager:
         number of nodes reclaimed.
         """
         started = _time.perf_counter()
-        size = len(self._level)
-        if size - 2 > self._peak:
-            self._peak = size - 2
-        lows = self._low
-        highs = self._high
-        levels = self._level
-        marked = bytearray(size)
-        marked[FALSE] = marked[TRUE] = 1
-        stack: List[int] = []
+        arena = self.arena
+        size = len(arena.level)
         handles = list(self._handles)
-        for root in self._iter_roots():
-            if not marked[root]:
-                marked[root] = 1
-                stack.append(root)
-        while stack:
-            node = stack.pop()
-            child = lows[node]
-            if not marked[child]:
-                marked[child] = 1
-                stack.append(child)
-            child = highs[node]
-            if not marked[child]:
-                marked[child] = 1
-                stack.append(child)
-        # Compact in place: ids only ever shrink, and a node's children
-        # have smaller ids than the node itself, so by the time a node
-        # is moved its children's new ids are already final.
-        node_map = list(range(size))
-        write = 2
-        for node in range(2, size):
-            if marked[node]:
-                node_map[node] = write
-                levels[write] = levels[node]
-                lows[write] = node_map[lows[node]]
-                highs[write] = node_map[highs[node]]
-                write += 1
-        del levels[write:]
-        del lows[write:]
-        del highs[write:]
-        self._unique = {
-            (levels[node], lows[node], highs[node]): node
-            for node in range(2, write)
-        }
-        # The computed tables are keyed by old ids; fold their lengths
-        # into the miss bases (same bookkeeping as clear_caches) so the
-        # derived miss counters stay monotonic.
-        self._drop_op_caches()
+        # Compaction rebuilds the unique table and drops the computed
+        # tables (they are keyed by old ids), so the kernels rebind.
+        node_map = arena.compact(arena.mark(self._iter_roots()))
+        self._bind_kernels()
         self._var_bdds = [node_map[node] for node in self._var_bdds]
         for handle in handles:
             handle.node = node_map[handle.node]
         lookup = node_map.__getitem__
         for provider in self._providers():
             provider.bdd_remap(lookup, None)
-        reclaimed = size - write
-        self._dropped += reclaimed
-        self._last_gc_size = write - 2
+        reclaimed = size - len(arena.level)
+        self._last_gc_size = arena.size()
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
         self._gc_seconds += _time.perf_counter() - started
@@ -1333,7 +983,7 @@ class BddManager:
         """True when the arena grew ``gc_threshold`` nodes since last GC."""
         threshold = self.gc_threshold
         return (threshold is not None
-                and len(self._level) - 2 - self._last_gc_size >= threshold)
+                and self.arena.size() - self._last_gc_size >= threshold)
 
     def maybe_collect(self) -> int:
         """Collect iff :meth:`gc_due`; a no-op with the default config.
@@ -1356,72 +1006,28 @@ class BddManager:
         went, for anything keyed by variable level).  Node ids held
         outside the root protocol are invalidated.
         """
-        order = list(order)
-        if sorted(order) != list(range(self.var_count)):
-            raise BddError(
-                f"order must be a permutation of range({self.var_count})"
-            )
         started = _time.perf_counter()
-        before = len(self._level) - 2
-        if before > self._peak:
-            self._peak = before
-        scratch = BddManager()
-        var_bdd = [0] * self.var_count
-        level_map = [0] * self.var_count
-        for pos, old_level in enumerate(order):
-            var_bdd[old_level] = scratch.new_var(self._var_names[old_level])
-            level_map[old_level] = pos
-        levels = self._level
-        lows = self._low
-        highs = self._high
-        memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
+        order = list(order)
         handles = list(self._handles)
         roots = list(self._iter_roots())
-        stack: List[int] = []
-        for root in roots:
-            if root in memo:
-                continue
-            stack.append(root)
-            while stack:
-                node = stack[-1]
-                if node in memo:
-                    stack.pop()
-                    continue
-                low, high = lows[node], highs[node]
-                done = True
-                if high not in memo:
-                    stack.append(high)
-                    done = False
-                if low not in memo:
-                    stack.append(low)
-                    done = False
-                if done:
-                    memo[node] = scratch.ite(
-                        var_bdd[levels[node]], memo[high], memo[low]
-                    )
-                    stack.pop()
-        # Translation litters the scratch arena with superseded
-        # intermediate ite results, and translations of *internal* old
-        # nodes need not be subgraphs of the translated roots under
-        # the new order.  Compact the scratch arena pinning only the
-        # external roots, so the adopted arena is exactly their live
-        # graph.
-        pin = _ReorderPin({root: memo[root] for root in roots})
-        scratch.register_root_provider(pin)
-        scratch.collect()
-        root_map = pin.memo
-        # Adopt the scratch arena wholesale.  The old computed tables
-        # are keyed by dead ids; their lengths fold into the miss bases
-        # to keep the derived counters monotonic (translation work in
-        # the scratch manager is maintenance, not workload — its own
-        # counters are deliberately dropped).
-        self._level = scratch._level
-        self._low = scratch._low
-        self._high = scratch._high
-        self._unique = scratch._unique
-        self._drop_op_caches()
+        scratch, memo = self._translated(order, roots)
+        level_map = [0] * self.var_count
+        for pos, old_level in enumerate(order):
+            level_map[old_level] = pos
+        # Translation leaves superseded intermediate results, and an
+        # internal old node's translation need not lie under any root's:
+        # compact the scratch arena down to the variables and the roots,
+        # then adopt it whole with this manager's counters.
+        arena = scratch.arena
+        var_bdds = scratch._var_bdds
+        node_map = arena.compact(arena.mark(
+            chain(var_bdds, (memo[root] for root in roots))))
+        arena.inherit(self.arena)
+        self.arena = arena
+        self._bind_kernels()
         self._var_names = [self._var_names[old] for old in order]
-        self._var_bdds = scratch._var_bdds
+        self._var_bdds = [node_map[node] for node in var_bdds]
+        root_map = {root: node_map[memo[root]] for root in roots}
         for handle in handles:
             handle.node = root_map[handle.node]
         lookup = root_map.__getitem__
@@ -1431,10 +1037,7 @@ class BddManager:
             level_map[level]: chosen
             for level, chosen in self._concretized.items()
         }
-        after = len(self._level) - 2
-        if before > after:
-            self._dropped += before - after
-        self._last_gc_size = after
+        self._last_gc_size = arena.size()
         self._reorder_runs += 1
         self._reorder_seconds += _time.perf_counter() - started
 
@@ -1443,16 +1046,16 @@ class BddManager:
 
         Collects first (sifting cost scales with live size), then moves
         each variable through the order with adjacent-level swaps on a
-        scratch copy of the live graph — bounded by ``sift_max_swap``
-        total swaps, ``sift_max_growth`` intermediate growth per
-        variable and ``sift_max_vars`` candidates per pass, with
+        scratch copy of the live graph — bounded by ``SIFT_MAX_SWAP``
+        total swaps, ``SIFT_MAX_GROWTH`` intermediate growth per
+        variable and ``SIFT_MAX_VARS`` candidates per pass, with
         ``sift_converge`` repeating passes while they improve, the same
         shape as CUDD's ``CUDD_REORDER_SIFT``/``_CONVERGE`` — and
         finally applies the best order found with :meth:`reorder`.
         """
         started = _time.perf_counter()
         self.collect()
-        before = len(self._level) - 2
+        before = self.arena.size()
         saved = 0
         if self.var_count >= 2 and before > 0:
             space = _SiftSpace(self)
@@ -1461,12 +1064,12 @@ class BddManager:
             self._reorder_seconds += _time.perf_counter() - started
             if space.order != list(range(self.var_count)):
                 self.reorder(space.order)  # adds its own time share
-            saved = before - (len(self._level) - 2)
+            saved = before - self.arena.size()
             if saved > 0:
                 self._reorder_saved += saved
         else:
             self._reorder_seconds += _time.perf_counter() - started
-        live = len(self._level) - 2
+        live = self.arena.size()
         self._next_sift_at = max(self.sift_threshold,
                                  int(live * self.reorder_growth))
         return saved
@@ -1475,7 +1078,7 @@ class BddManager:
     def nodes_built(self) -> int:
         """Nodes this manager has built: the arena plus every node a
         collection or reorder has dropped.  No collection lowers it."""
-        return self._dropped + len(self._level) - 2
+        return self.arena.dropped + self.arena.size()
 
     def sift_due(self) -> bool:
         """True when dynamic sifting is armed and its trigger is met.
@@ -1495,7 +1098,7 @@ class BddManager:
         if trigger is None:
             return self.nodes_built >= self.sift_threshold
         if self.gc_threshold is None:
-            return len(self._level) - 2 >= trigger
+            return self.arena.size() >= trigger
         return self._last_gc_size >= trigger
 
     def maybe_sift(self) -> int:
@@ -1530,8 +1133,8 @@ class BddManager:
             if restricted > TRUE and restricted not in seen:
                 seen.add(restricted)
                 stack.append(restricted)
-        lows = self._low
-        highs = self._high
+        lows = self.arena.low
+        highs = self.arena.high
         while stack:
             node = stack.pop()
             for child in (lows[node], highs[node]):
@@ -1591,26 +1194,40 @@ class BddManager:
 
     def check_node(self, f: int) -> None:
         """Validate that ``f`` is a node of this manager (for API misuse)."""
-        if not isinstance(f, int) or f < 0 or f >= len(self._level):
+        if not isinstance(f, int) or f < 0 or f >= len(self.arena.level):
             raise BddError(f"not a node of this manager: {f!r}")
 
+    # ------------------------------------------------------------------
+    # checkpoint image
+    # ------------------------------------------------------------------
 
-class _ReorderPin:
-    """Pins translated roots while a reorder scratch arena compacts.
+    def image(self) -> Dict[str, object]:
+        """Arena, variables and GC/sift state as builtins (checkpoint
+        format v2); node ids elsewhere in a checkpoint index it."""
+        arena = self.arena.image()
+        # the key order is part of a checkpoint's bytes
+        return {"level": arena["level"], "low": arena["low"],
+                "high": arena["high"], "var_names": list(self._var_names),
+                "var_bdds": list(self._var_bdds),
+                "concretized": dict(self._concretized),
+                "last_gc_size": self._last_gc_size,
+                "next_sift_at": self._next_sift_at,
+                "dropped": arena["dropped"], "peak": arena["peak"]}
 
-    ``memo`` maps old-manager ids to scratch ids; the scratch
-    manager's own :meth:`BddManager.collect` rewrites the scratch side
-    through this provider so the mapping survives the compaction.
-    """
-
-    def __init__(self, memo: Dict[int, int]) -> None:
-        self.memo = memo
-
-    def bdd_roots(self) -> Iterable[int]:
-        return self.memo.values()
-
-    def bdd_remap(self, lookup, level_map) -> None:
-        self.memo = {old: lookup(new) for old, new in self.memo.items()}
+    def restore(self, image: Dict[str, object]) -> None:
+        """Replace nodes and variables with a validated :meth:`image`;
+        caches, hit/miss and fast-path counters restart from zero."""
+        var_names = list(image["var_names"])
+        self.arena = Arena.from_image(image, len(var_names))
+        self._bind_kernels()
+        self._var_names = var_names
+        self._var_bdds = list(image["var_bdds"])
+        self._ensure_recursion_limit()
+        self._concretized = {int(level): bool(value)
+                             for level, value in image["concretized"].items()}
+        self._last_gc_size = image["last_gc_size"]
+        self._next_sift_at = image["next_sift_at"]
+        self._fp_word = self._fp_bits = self._fp_sym = 0
 
 
 class _SiftSpace:
@@ -1636,9 +1253,10 @@ class _SiftSpace:
 
     def __init__(self, mgr: BddManager) -> None:
         # Terminals keep _TERMINAL_LEVEL, which labels no variable.
-        self.var = list(mgr._level)
-        self.low = list(mgr._low)
-        self.high = list(mgr._high)
+        arena = mgr.arena
+        self.var = list(arena.level)
+        self.low = list(arena.low)
+        self.high = list(arena.high)
         size = len(self.var)
         self.nvars = mgr.var_count
         self.order = list(range(self.nvars))     # position -> orig level
@@ -1659,9 +1277,6 @@ class _SiftSpace:
         self.size = size - 2
         self.free: List[int] = []
         self.swaps = 0
-        self.max_growth = mgr.sift_max_growth
-        self.max_swap = mgr.sift_max_swap
-        self.max_vars = mgr.sift_max_vars
         self.converge = mgr.sift_converge
 
     def swap(self, p: int) -> None:
@@ -1768,7 +1383,7 @@ class _SiftSpace:
 
     def _sift_one(self, pos: int, budget: List[int]) -> None:
         """Move one variable through the order, settle at its best spot."""
-        limit = int(self.size * self.max_growth) + 2
+        limit = int(self.size * SIFT_MAX_GROWTH) + 2
         best_size = self.size
         best_pos = pos
         cur = pos
@@ -1804,7 +1419,7 @@ class _SiftSpace:
 
     def run(self) -> None:
         """Sift the largest levels first; optionally repeat to converge."""
-        budget = [self.max_swap]
+        budget = [SIFT_MAX_SWAP]
         while True:
             start_size = self.size
             # Largest first; equal sizes in order position.  Candidates
@@ -1812,7 +1427,7 @@ class _SiftSpace:
             # positions of later candidates.
             tables = self.tables
             candidates = sorted(self.order, key=lambda var: len(tables[var]),
-                                reverse=True)[: self.max_vars]
+                                reverse=True)[:SIFT_MAX_VARS]
             for var in candidates:
                 if budget[0] <= 0:
                     break

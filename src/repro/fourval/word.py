@@ -57,14 +57,24 @@ def xor(a, b, width, signed): return a ^ b
 def xnor(a, b, width, signed): return ~(a ^ b)
 
 
+def trunc_div(a: int, b: int) -> int:
+    """Integer quotient rounded toward zero (``b`` nonzero)."""
+    quo = abs(a) // abs(b)
+    return -quo if (a < 0) != (b < 0) else quo
+
+
+def trunc_mod(a: int, b: int) -> int:
+    """Remainder with the sign of ``a`` (``b`` nonzero)."""
+    rem = abs(a) % abs(b)
+    return -rem if a < 0 else rem
+
+
 def div(a: int, b: int, width: int, signed: bool) -> Optional[int]:
     """Quotient rounded toward zero; a zero divisor gives all X."""
     if not b:
         return None
     if signed:
-        a, b = to_signed(a, width), to_signed(b, width)
-        quo = abs(a) // abs(b)
-        return -quo if (a < 0) != (b < 0) else quo
+        return trunc_div(to_signed(a, width), to_signed(b, width))
     return a // b
 
 
@@ -73,9 +83,7 @@ def mod(a: int, b: int, width: int, signed: bool) -> Optional[int]:
     if not b:
         return None
     if signed:
-        a, b = to_signed(a, width), to_signed(b, width)
-        rem = abs(a) % abs(b)
-        return -rem if a < 0 else rem
+        return trunc_mod(to_signed(a, width), to_signed(b, width))
     return a % b
 
 

@@ -16,6 +16,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from repro.errors import ElaborationError
+from repro.fourval import word
 from repro.frontend import ast_nodes as ast
 
 _NET_KINDS = frozenset(["wire", "tri", "tri0", "tri1", "wand", "wor",
@@ -488,12 +489,12 @@ def const_eval(expr: ast.Expr, scope: Scope) -> int:
             "+": lambda a, b: a + b,
             "-": lambda a, b: a - b,
             "*": lambda a, b: a * b,
-            "/": lambda a, b: a // b if b else _raise_div(),
-            "%": lambda a, b: a % b if b else _raise_div(),
-            "**": lambda a, b: a ** b,
-            "<<": lambda a, b: a << b,
-            ">>": lambda a, b: a >> b,
-            ">>>": lambda a, b: a >> b,
+            "/": lambda a, b: word.trunc_div(a, b) if b else _raise_div(),
+            "%": lambda a, b: word.trunc_mod(a, b) if b else _raise_div(),
+            "**": _const_power,
+            "<<": _const_shl,
+            ">>": lambda a, b: a >> _shift_count(b),
+            ">>>": lambda a, b: a >> _shift_count(b),
             "<": lambda a, b: int(a < b),
             "<=": lambda a, b: int(a <= b),
             ">": lambda a, b: int(a > b),
@@ -529,3 +530,44 @@ def _bad_const_op(op: str):
 
 def _raise_div() -> int:
     raise ElaborationError("division by zero in constant expression")
+
+
+#: Widest result of a constant ``<<`` or ``**`` elaboration computes.
+_MAX_CONST_BITS = 65_536
+
+
+def _too_wide() -> ElaborationError:
+    return ElaborationError(
+        f"constant expression result wider than {_MAX_CONST_BITS} bits")
+
+
+def _shift_count(count: int) -> int:
+    if count < 0:
+        raise ElaborationError(
+            f"negative shift count {count} in constant expression")
+    return count
+
+
+def _const_shl(value: int, count: int) -> int:
+    count = _shift_count(count)
+    if value and value.bit_length() + count > _MAX_CONST_BITS:
+        raise _too_wide()
+    return value << count
+
+
+def _const_power(base: int, exp: int) -> int:
+    """``base ** exp`` under 1364's integer ``**`` rules."""
+    if exp < 0:
+        if base == 0:
+            raise ElaborationError(
+                "zero to a negative power in constant expression")
+        if base == -1:
+            return -1 if exp & 1 else 1
+        return 1 if base == 1 else 0
+    # |base| >= 2 makes the result at least 2 ** ((bits - 1) * exp)
+    if abs(base) > 1 and (abs(base).bit_length() - 1) * exp >= _MAX_CONST_BITS:
+        raise _too_wide()
+    result = base ** exp
+    if result.bit_length() > _MAX_CONST_BITS:
+        raise _too_wide()
+    return result

@@ -51,7 +51,7 @@ from repro.compile.compiler import Program
 from repro.compile.instructions import (
     AccumulationMode, NbaUpdate, WaitCond, WaitEvent,
 )
-from repro.errors import CheckpointError
+from repro.errors import BddError, CheckpointError
 from repro.fourval import FourVec
 
 MAGIC = b"REPROCKPT 1\n"
@@ -183,7 +183,6 @@ def _collect_payload(kern) -> Dict[str, Any]:
         raise CheckpointError(
             "cannot checkpoint mid-step state (pending $strobe events)"
         )
-    mgr = kern.mgr
     sched = kern.sched
     events: List[Dict[str, Any]] = []
     for event in sched.snapshot_events():
@@ -221,18 +220,7 @@ def _collect_payload(kern) -> Dict[str, Any]:
     }
     stats = kern.stats
     payload: Dict[str, Any] = {
-        "mgr": {
-            "level": list(mgr._level),
-            "low": list(mgr._low),
-            "high": list(mgr._high),
-            "var_names": list(mgr._var_names),
-            "var_bdds": list(mgr._var_bdds),
-            "concretized": dict(mgr._concretized),
-            "last_gc_size": mgr._last_gc_size,
-            "next_sift_at": mgr._next_sift_at,
-            "dropped": mgr._dropped,
-            "peak": mgr._peak,
-        },
+        "mgr": kern.mgr.image(),
         "now": kern.now,
         "finished": kern.finished,
         "stopped": kern.stopped,
@@ -475,6 +463,8 @@ def load_checkpoint(program: Program, path: str, options=None):
                         Violation)
     except CheckpointError:
         raise
+    except BddError as exc:
+        raise CheckpointError(f"{path}: invalid BDD arena: {exc}")
     except (KeyError, IndexError, TypeError, ValueError, AttributeError) as exc:
         raise CheckpointError(f"{path}: malformed payload: {exc!r}")
 
@@ -486,29 +476,7 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
     mgr = kern.mgr
 
     # -- arena image (verbatim: node ids in the payload index into it) --
-    image = payload["mgr"]
-    mgr._level = list(image["level"])
-    mgr._low = list(image["low"])
-    mgr._high = list(image["high"])
-    mgr._unique = {
-        (mgr._level[node], mgr._low[node], mgr._high[node]): node
-        for node in range(2, len(mgr._level))
-    }
-    # fresh computed tables, with the kernels rebound to the new arena
-    mgr._drop_op_caches()
-    mgr._hits[:] = [0] * len(mgr._hits)  # in place: the kernels hold it
-    mgr._ite_miss_base = mgr._not_miss_base = 0
-    mgr._and_miss_base = mgr._or_miss_base = mgr._xor_miss_base = 0
-    mgr._fp_word = mgr._fp_bits = mgr._fp_sym = 0
-    mgr._var_names = list(image["var_names"])
-    mgr._var_bdds = list(image["var_bdds"])
-    mgr._ensure_recursion_limit()
-    mgr._concretized = {int(k): bool(v)
-                        for k, v in image["concretized"].items()}
-    mgr._last_gc_size = image["last_gc_size"]
-    mgr._next_sift_at = image["next_sift_at"]
-    mgr._dropped = image["dropped"]
-    mgr._peak = image["peak"]
+    mgr.restore(payload["mgr"])
 
     # -- kernel scalars --
     kern._started = True

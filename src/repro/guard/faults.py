@@ -105,13 +105,7 @@ class FaultInjector:
 
     def _fire(self, fault: Fault, guard, kern) -> None:
         if fault.kind == "arena-blowup":
-            mgr = kern.mgr
-            # Junk rows: internal-node shape, reachable from nothing.
-            level = max(0, mgr.var_count - 1)
-            for _ in range(fault.magnitude):
-                mgr._level.append(level)
-                mgr._low.append(0)
-                mgr._high.append(1)
+            kern.mgr.arena.pad(max(0, kern.mgr.var_count - 1), fault.magnitude)
         elif fault.kind == "clock-skew":
             if guard._deadline is not None:
                 guard._deadline -= fault.magnitude

@@ -45,7 +45,8 @@ def test_gcd_arena_is_node_for_node_identical():
     sim = _gcd_sim()
     sim.run(until=5000)
     mgr = sim.mgr
-    arena = json.dumps([mgr._level, mgr._low, mgr._high]).encode()
+    nodes = mgr.arena
+    arena = json.dumps([nodes.level, nodes.low, nodes.high]).encode()
     assert hashlib.sha256(arena).hexdigest() == GCD_ARENA_SHA256
     stats = mgr.cache_stats()
     assert {key: stats[key] for key in GCD_CACHE_STATS} == GCD_CACHE_STATS

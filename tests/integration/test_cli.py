@@ -77,6 +77,15 @@ class TestMain:
         assert "latin1.v" in err and "UTF-8" in err
         assert "Traceback" not in err
 
+    def test_constant_expression_error_is_one_line(self, tmp_path, capsys):
+        path = tmp_path / "shift.v"
+        path.write_text("module tb; parameter P = 1 << -1; endmodule\n")
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert "negative shift count" in err
+        assert "Traceback" not in err
+
     def test_until_bound(self, tmp_path, capsys):
         path = tmp_path / "t.v"
         path.write_text("""

@@ -70,7 +70,8 @@ def _random_graph(seed=11, nvars=24, nops=160, nroots=8):
 def _sifted(mgr):
     """(swaps, order, live nodes, arena sha256) after one ``sift``."""
     mgr.sift()
-    arena = json.dumps([mgr._level, mgr._low, mgr._high]).encode()
+    nodes = mgr.arena
+    arena = json.dumps([nodes.level, nodes.low, nodes.high]).encode()
     return (mgr.cache_stats()["reorder_swaps"], mgr._var_names,
             mgr.total_nodes, hashlib.sha256(arena).hexdigest())
 
@@ -183,8 +184,8 @@ def _garbage_load(monkeypatch, share):
             state["next"] += 1
             for i in range(depth):
                 level = mgr.var_count - 1 - i
-                node = (mgr._mk(level, FALSE, node) if minterm >> i & 1
-                        else mgr._mk(level, node, FALSE))
+                node = (mgr.arena.mk(level, FALSE, node) if minterm >> i & 1
+                        else mgr.arena.mk(level, node, FALSE))
         maintain(kernel)
         state["last"] = mgr.total_nodes
 

@@ -210,6 +210,29 @@ class TestConstEval:
         with pytest.raises(ElaborationError):
             self.design_scope("parameter A = 4'b10xz;")
 
+    def test_division_truncates_toward_zero(self):
+        scope = self.design_scope(
+            "parameter A = -7 / 2; parameter B = -7 % 2;"
+            " parameter C = 7 / -2; parameter D = 7 % -2;")
+        assert [scope.params[name] for name in "ABCD"] == [-3, -1, -3, 1]
+
+    def test_negative_exponent(self):
+        scope = self.design_scope(
+            "parameter A = 2 ** -1; parameter B = 1 ** -3;"
+            " parameter C = (-1) ** -3; parameter D = (-1) ** -2;")
+        assert [scope.params[name] for name in "ABCD"] == [0, 1, -1, 1]
+
+    @pytest.mark.parametrize("expr, match", [
+        ("0 ** -1", "negative power"),
+        ("1 << -1", "negative shift count"),
+        ("8 >> -2", "negative shift count"),
+        ("1 << 64'hFFFFFFFFFFFF", "wider than 65536 bits"),
+        ("3 ** 50000", "wider than 65536 bits"),
+    ])
+    def test_out_of_range_operands(self, expr, match):
+        with pytest.raises(ElaborationError, match=match):
+            self.design_scope(f"parameter A = {expr};")
+
     def test_non_parameter_identifier(self):
         with pytest.raises(ElaborationError):
             elab("module tb; reg r; parameter A = r; endmodule")

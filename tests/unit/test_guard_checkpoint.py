@@ -24,7 +24,9 @@ from repro.guard import (
     save_checkpoint,
 )
 from repro.guard.checkpoint import MAGIC
-from repro.guard.faults import corrupt_header, flip_byte, truncate_file
+from repro.guard.faults import (
+    Fault, FaultInjector, corrupt_header, flip_byte, truncate_file,
+)
 
 SRC = """
     module tb; reg [3:0] a; reg [7:0] acc; reg clk; integer i;
@@ -156,6 +158,53 @@ class TestRejection:
             load_checkpoint(compile_src(), ckpt)
 
 
+class TestArenaValidation:
+    """A checkpoint whose checksum holds but whose arena is not a
+    reduced, ordered node store is refused with one line."""
+
+    def _load_with(self, ckpt, mutate):
+        _rewrite_arena(ckpt, mutate)
+        with pytest.raises(CheckpointError, match="invalid BDD arena") as info:
+            load_checkpoint(compile_src(), ckpt)
+        assert "\n" not in str(info.value)
+        return str(info.value)
+
+    def test_forward_child_reference(self, ckpt):
+        def forward(image):
+            image["low"][2] = len(image["low"]) - 1
+
+        assert "does not precede" in self._load_with(ckpt, forward)
+
+    def test_level_beyond_variables(self, ckpt):
+        def too_deep(image):
+            image["level"][-1] = len(image["var_names"])
+
+        assert "not below" in self._load_with(ckpt, too_deep)
+
+    def test_duplicate_node(self, ckpt):
+        def duplicate(image):
+            for name in ("level", "low", "high"):
+                image[name].append(image[name][-1])
+
+        assert "duplicates node" in self._load_with(ckpt, duplicate)
+
+    def test_blown_up_arena_still_loads(self, tmp_path):
+        # fault-injected dead rows are a valid image until GC drops them
+        faults = FaultInjector([Fault("arena-blowup", at_step=2,
+                                      magnitude=10)])
+        sim = repro.open_sim(SRC, options=SimOptions(faults=faults))
+        sim.run(until=20)
+        path = str(tmp_path / "blown.ckpt")
+        save_checkpoint(sim.kernel, path)
+        assert load_checkpoint(compile_src(), path).run().finished
+
+    def test_equal_children(self, ckpt):
+        def redundant(image):
+            image["high"][-1] = image["low"][-1]
+
+        assert "equal children" in self._load_with(ckpt, redundant)
+
+
 class TestSiftTrigger:
     @pytest.mark.parametrize("threshold", [10 ** 7, 5000],
                              ids=["before-first-sift", "after-a-sift"])
@@ -207,3 +256,12 @@ def _rewrite_payload(path, payload):
     header["payload_bytes"] = len(payload)
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     _write_parts(path, magic, header, payload)
+
+
+def _rewrite_arena(path, mutate):
+    """Apply ``mutate`` to the payload's arena image, keeping the
+    checksum valid."""
+    _, _, payload = _read_parts(path)
+    data = pickle.loads(payload)
+    mutate(data["mgr"])
+    _rewrite_payload(path, pickle.dumps(data, protocol=4))
