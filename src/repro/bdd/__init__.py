@@ -1,8 +1,10 @@
 """A from-scratch hash-consed ROBDD package.
 
 The paper's simulator represents every symbolic expression with BDDs
-built by CUDD; this package is the pure-Python substitute.  It provides
-a classic reduced ordered BDD with:
+built by CUDD; this package is the substitute.  Its node store runs in
+C (``native.c``, built with cffi on first use) or, where that cannot
+be built, in pure Python, with identical results.  It provides a
+classic reduced ordered BDD with:
 
 * a unique table (hash consing) so equality is pointer equality,
 * an ``ite``-based operator core with a computed-table cache,

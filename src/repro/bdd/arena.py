@@ -5,12 +5,14 @@ Internal nodes are ids ``>= 2`` into the parallel ``level``/``low``/
 children precede their parents, and the unique table maps each
 ``(level, low, high)`` triple to its one node.  The
 :class:`~repro.bdd.manager.BddManager` holding an arena keeps the
-policy and reaches the store only through its methods, so another
-store (a native one, say) replaces this one class.
+policy and reaches the store only through its methods, so the native
+store (:class:`repro.bdd.native.NativeArena`, the same interface over
+C) replaces this one class.  This one is the oracle and the fallback.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import islice
 from typing import Dict, Iterable, List, Tuple
 
@@ -36,6 +38,7 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
                   and_cache: Dict[Tuple[int, int], int],
                   or_cache: Dict[Tuple[int, int], int],
                   xor_cache: Dict[Tuple[int, int], int],
+                  constrain_cache: Dict[Tuple[int, int], int],
                   hits: List[int]):
     """Build the recursive ``ite``/``not``/``and``/``or``/``xor``/``constrain`` kernels.
 
@@ -45,8 +48,9 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
     Every kernel expands the low cofactor first and stores the same
     keys in the same order, so node ids are a pure function of the
     operation sequence.  Terminal shortcuts are counted as neither hit
-    nor miss.  ``constrain``'s memo is a dict the caller passes down
-    (one call, or one operator's rails); it is no computed table.
+    nor miss.  ``constrain``'s memo is a table of its own, kept like
+    the computed tables to the next safe point but counted nowhere: a
+    hit there returns the node a recomputation would find again.
     """
     unique_get = unique.get
 
@@ -193,7 +197,7 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
         ite_cache[key] = result
         return result
 
-    def constrain_k(rec, f, c, memo):
+    def constrain_k(rec, f, c):
         # Coudert-Madre generalized cofactor: where one cofactor of the
         # care set is empty, follow the other and drop the variable.
         if c == TRUE or f <= TRUE:
@@ -203,7 +207,7 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
         if f == c:
             return TRUE
         key = (f, c)
-        result = memo.get(key)
+        result = constrain_cache.get(key)
         if result is not None:
             return result
         lf = levels[f]
@@ -220,12 +224,12 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
         else:
             c0 = c1 = c
         if c0 == FALSE:
-            result = rec(rec, f1, c1, memo)
+            result = rec(rec, f1, c1)
         elif c1 == FALSE:
-            result = rec(rec, f0, c0, memo)
+            result = rec(rec, f0, c0)
         else:
-            r0 = rec(rec, f0, c0, memo)
-            r1 = rec(rec, f1, c1, memo)
+            r0 = rec(rec, f0, c0)
+            r1 = rec(rec, f1, c1)
             if r0 == r1:
                 result = r0
             else:
@@ -237,7 +241,7 @@ def _make_kernels(levels: List[int], lows: List[int], highs: List[int],
                     lows.append(r0)
                     highs.append(r1)
                     unique[ukey] = result
-        memo[key] = result
+        constrain_cache[key] = result
         return result
 
     return ite_k, not_k, and_k, or_k, xor_k, constrain_k
@@ -254,8 +258,8 @@ class Arena:
     """
 
     __slots__ = ("level", "low", "high", "unique", "ite_cache", "not_cache",
-                 "and_cache", "or_cache", "xor_cache", "call_memo", "hits",
-                 "miss_base", "peak", "dropped")
+                 "and_cache", "or_cache", "xor_cache", "constrain_cache",
+                 "call_memo", "hits", "miss_base", "peak", "dropped")
 
     def __init__(self) -> None:
         # Slots 0/1 are placeholders for the terminals.
@@ -283,9 +287,17 @@ class Arena:
             self.unique[key] = node
         return node
 
+    def node(self, f: int) -> Tuple[int, int, int]:
+        """``(level, low, high)`` of node ``f``."""
+        return self.level[f], self.low[f], self.high[f]
+
     def size(self) -> int:
         """Internal nodes in the arena (terminals excluded)."""
         return len(self.level) - 2
+
+    def export(self) -> Tuple[List[int], List[int], List[int]]:
+        """Copies of the level, low and high arrays (terminals first)."""
+        return list(self.level), list(self.low), list(self.high)
 
     def misses(self) -> List[int]:
         """Computed-table misses per table, indexed like ``hits``."""
@@ -297,11 +309,13 @@ class Arena:
                 base[_XOR] + len(self.xor_cache)]
 
     def kernels(self):
-        """The operator kernels, bound to the current lists and tables:
-        rebuild them after :meth:`drop_caches` or :meth:`compact`."""
-        return _make_kernels(self.level, self.low, self.high, self.unique,
-                             self.ite_cache, self.not_cache, self.and_cache,
-                             self.or_cache, self.xor_cache, self.hits)
+        """``ite``/``not``/``and``/``or``/``xor``/``constrain``, bound to
+        the current lists and tables (each called with its node ids
+        alone): rebuild them after :meth:`drop_caches` or :meth:`compact`."""
+        return tuple(partial(kernel, kernel) for kernel in _make_kernels(
+            self.level, self.low, self.high, self.unique, self.ite_cache,
+            self.not_cache, self.and_cache, self.or_cache, self.xor_cache,
+            self.constrain_cache, self.hits))
 
     def drop_caches(self) -> None:
         """Empty the computed tables and the call memo; their lengths
@@ -316,6 +330,8 @@ class Arena:
         self.and_cache: Dict[Tuple[int, int], int] = {}
         self.or_cache: Dict[Tuple[int, int], int] = {}
         self.xor_cache: Dict[Tuple[int, int], int] = {}
+        # (f, c) -> f constrained to c; counted nowhere
+        self.constrain_cache: Dict[Tuple[int, int], int] = {}
         # (function token, argument rails...) -> (result rails, known
         # word or None, fast-path counter deltas): repro.compile.funcs
         self.call_memo: Dict[tuple, tuple] = {}
@@ -401,9 +417,9 @@ class Arena:
 
     def image(self) -> Dict[str, object]:
         """The node arrays and node counters as builtins (ids verbatim)."""
-        return {"level": list(self.level), "low": list(self.low),
-                "high": list(self.high), "dropped": self.dropped,
-                "peak": self.peak}
+        level, low, high = self.export()
+        return {"level": level, "low": low, "high": high,
+                "dropped": self.dropped, "peak": self.peak}
 
     @classmethod
     def from_image(cls, image, var_count: int) -> "Arena":

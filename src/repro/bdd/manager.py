@@ -37,14 +37,19 @@ Variable order management comes in three flavours:
 ``clear_caches`` can still be called to drop just the operator caches
 between simulation phases if memory pressure matters.
 
-The operators run as recursive kernels (:meth:`Arena.kernels`) bound
-to the arena's lists and computed tables.  Recursion depth is bounded by
-the variable count, and the manager raises the interpreter's limit to
-fit as variables are created.  No kernel refers to itself or to the
-manager, and root providers are held weakly, so a dropped manager —
-and a dropped simulation with it (the simulation kernel empties the
-constant-vector cache, whose vectors point back here) — frees its
-arena through reference counting at once.
+The operators run as the store's kernels (:meth:`Arena.kernels`).
+There are two stores with one interface and one node format: the
+native one (:class:`~repro.bdd.native.NativeArena`, C) whenever it can
+be built and fast paths are on, else the Python :class:`Arena`.  The
+manager picks one before its first non-terminal node and names it in
+:attr:`BddManager.bdd_kernel`; both build the same nodes in the same
+order.  Recursion depth is bounded by the variable count, and the
+manager raises the interpreter's limit to fit as variables are
+created.  No kernel refers to itself or to the manager, and root
+providers are held weakly, so a dropped manager — and a dropped
+simulation with it (the simulation kernel empties the constant-vector
+cache, whose vectors point back here) — frees its arena through
+reference counting at once.
 """
 
 from __future__ import annotations
@@ -57,6 +62,7 @@ from typing import (
     Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple,
 )
 
+from repro.bdd import native
 from repro.bdd.arena import _AND, _ITE, _NOT, _OR, _XOR, Arena, FALSE, TRUE
 from repro.errors import BddError
 
@@ -115,7 +121,9 @@ class BddManager:
 
     def __init__(self) -> None:
         # The node store: arrays, unique and computed tables, counters.
+        # A Python arena until the store is chosen (_choose_store).
         self.arena = Arena()
+        self._kernel: Optional[str] = None
         # Interned constant FourVecs (terminal rails only, so entries
         # stay valid across GC and reordering).  Owned here because the
         # vector layer has no per-manager state of its own.  Each entry
@@ -169,7 +177,10 @@ class BddManager:
         self._concretized: Dict[int, bool] = {}
         self._concretize_runs = 0
         self._concretize_seconds = 0.0
-        self._bind_kernels()
+        # No kernel runs before the first non-terminal node (every
+        # operator answers terminal operands itself), so _start_store
+        # binds them; the call memo is in use from the start.
+        self._call_memo = self.arena.call_memo
 
     # ------------------------------------------------------------------
     # variables
@@ -186,6 +197,8 @@ class BddManager:
         Returns the BDD of the variable itself.  ``name`` is only used
         for diagnostics (:meth:`var_name`, :meth:`to_expr`).
         """
+        if self._kernel is None:
+            self._choose_store()
         level = len(self._var_names)
         self._var_names.append(name if name is not None else f"v{level}")
         self._ensure_recursion_limit()
@@ -209,17 +222,48 @@ class BddManager:
 
     def level_of(self, node: int) -> int:
         """Return the level (order position) of ``node``'s top variable."""
-        return self.arena.level[node]
+        return self.arena.node(node)[0]
 
     def cofactors(self, node: int, level: int) -> Tuple[int, int]:
         """Return the (low, high) cofactors of ``node`` w.r.t. ``level``.
 
         ``level`` must not be below ``node``'s top level.
         """
-        arena = self.arena
-        if arena.level[node] == level:
-            return arena.low[node], arena.high[node]
+        node_level, low, high = self.arena.node(node)
+        if node_level == level:
+            return low, high
         return node, node
+
+    # ------------------------------------------------------------------
+    # the node store
+    # ------------------------------------------------------------------
+
+    @property
+    def bdd_kernel(self) -> str:
+        """The store this manager runs: ``"native"`` or ``"python
+        (<reason>)"``."""
+        return self._kernel or "python (no BDD variables)"
+
+    def _choose_store(self) -> None:
+        """Pick the store, once, before the first non-terminal node:
+        the native one unless fast paths are off or it cannot run."""
+        if not self.fastpath:
+            self._start_store("python (--no-fastpath)")
+        else:
+            reason = native.unavailable()
+            self._start_store("native" if reason is None
+                              else f"python ({reason})")
+
+    def _start_store(self, kernel: str) -> None:
+        """Replace the (still empty) arena with an empty ``kernel`` store
+        and bind its kernels."""
+        self._kernel = kernel
+        if kernel == "native":
+            # only terminal rails so far: the call memo stays valid
+            memo = self.arena.call_memo
+            self.arena = native.NativeArena()
+            self.arena.call_memo = memo
+        self._bind_kernels()
 
     # ------------------------------------------------------------------
     # core operators
@@ -228,7 +272,9 @@ class BddManager:
     def _bind_kernels(self) -> None:
         """Bind the kernels (and alias the call memo) to the arena's
         current tables; whatever replaces the arena or a table calls
-        this.  The hot path then reads one attribute per operation."""
+        this.  The hot path then reads one attribute per operation.  A
+        native kernel returns a negative id on failure, which the
+        operators turn into the arena's one-line error."""
         arena = self.arena
         (self._ite_k, self._not_k, self._and_k, self._or_k,
          self._xor_k, self._constrain_k) = arena.kernels()
@@ -259,8 +305,12 @@ class BddManager:
         operand-sorted two-key caches recognize
         ``ite(f, g, 0) == ite(g, f, 0)`` as one entry.
         """
-        kernel = self._ite_k
-        return kernel(kernel, f, g, h)
+        if f <= TRUE:
+            return g if f == TRUE else h
+        result = self._ite_k(f, g, h)
+        if result < 0:
+            self.arena.fail()
+        return result
 
     # On two terminal operands (concrete bits, the common case outside
     # symbolic regions) the result is the bitwise operator on the ids,
@@ -270,47 +320,56 @@ class BddManager:
         """Boolean complement (cached in both directions)."""
         if f <= TRUE:
             return f ^ 1
-        kernel = self._not_k
-        return kernel(kernel, f)
+        result = self._not_k(f)
+        if result < 0:
+            self.arena.fail()
+        return result
 
     def and_(self, f: int, g: int) -> int:
         """Conjunction — dedicated apply (operands sorted, own cache)."""
         if f <= TRUE and g <= TRUE:
             return f & g
-        kernel = self._and_k
-        return kernel(kernel, f, g)
+        result = self._and_k(f, g)
+        if result < 0:
+            self.arena.fail()
+        return result
 
     def or_(self, f: int, g: int) -> int:
         """Disjunction — dedicated apply (operands sorted, own cache)."""
         if f <= TRUE and g <= TRUE:
             return f | g
-        kernel = self._or_k
-        return kernel(kernel, f, g)
+        result = self._or_k(f, g)
+        if result < 0:
+            self.arena.fail()
+        return result
 
     def xor(self, f: int, g: int) -> int:
         """Exclusive or — dedicated apply (operands sorted, own cache)."""
         if f <= TRUE and g <= TRUE:
             return f ^ g
-        kernel = self._xor_k
-        return kernel(kernel, f, g)
+        result = self._xor_k(f, g)
+        if result < 0:
+            self.arena.fail()
+        return result
 
-    def constrain(self, f: int, c: int,
-                  memo: Optional[Dict[Tuple[int, int], int]] = None) -> int:
+    def constrain(self, f: int, c: int) -> int:
         """Generalized cofactor ``f↓c`` (Coudert–Madre; ``Cudd_bddConstrain``).
 
         The result agrees with ``f`` wherever ``c`` holds and is free
         outside it, which usually makes it smaller: where one cofactor
         of ``c`` is empty the variable is dropped and the other branch
         taken.  ``c == FALSE`` gives ``FALSE``; ``f == c`` gives
-        ``TRUE``.  Callers that constrain several functions by the same
-        ``c`` may pass one ``memo`` dict to all of them; node ids in it
-        are only valid until the next safe point.  No computed table
-        is touched, so the cache counters do not move.
+        ``TRUE``.  Its memo is a table of the store's, kept to the next
+        safe point, so callers that constrain several functions by the
+        same ``c`` share it.  No computed table is touched, so the cache
+        counters do not move.
         """
         if c == TRUE or f <= TRUE:
             return f
-        kernel = self._constrain_k
-        return kernel(kernel, f, c, {} if memo is None else memo)
+        result = self._constrain_k(f, c)
+        if result < 0:
+            self.arena.fail()
+        return result
 
     def xnor(self, f: int, g: int) -> int:
         """Equivalence (complement of the shared xor cache entry)."""
@@ -392,17 +451,17 @@ class BddManager:
     def _restrict(
         self, f: int, level: int, value: bool, memo: Dict[int, int]
     ) -> int:
-        node_level = self.arena.level[f]
+        node_level, low, high = self.arena.node(f)
         if node_level > level:
             return f
         cached = memo.get(f)
         if cached is not None:
             return cached
         if node_level == level:
-            result = self.arena.high[f] if value else self.arena.low[f]
+            result = high if value else low
         else:
-            low = self._restrict(self.arena.low[f], level, value, memo)
-            high = self._restrict(self.arena.high[f], level, value, memo)
+            low = self._restrict(low, level, value, memo)
+            high = self._restrict(high, level, value, memo)
             result = self.arena.mk(node_level, low, high)
         memo[f] = result
         return result
@@ -421,16 +480,16 @@ class BddManager:
         cached = memo.get(f)
         if cached is not None:
             return cached
-        level = self.arena.level[f]
+        level, low, high = self.arena.node(f)
         value = assignment.get(level)
         if value is None:
-            low = self._restrict_many(self.arena.low[f], assignment, memo)
-            high = self._restrict_many(self.arena.high[f], assignment, memo)
+            low = self._restrict_many(low, assignment, memo)
+            high = self._restrict_many(high, assignment, memo)
             result = self.arena.mk(level, low, high)
         elif value:
-            result = self._restrict_many(self.arena.high[f], assignment, memo)
+            result = self._restrict_many(high, assignment, memo)
         else:
-            result = self._restrict_many(self.arena.low[f], assignment, memo)
+            result = self._restrict_many(low, assignment, memo)
         memo[f] = result
         return result
 
@@ -439,17 +498,17 @@ class BddManager:
         return self._compose(f, level, g, {})
 
     def _compose(self, f: int, level: int, g: int, memo: Dict[int, int]) -> int:
-        node_level = self.arena.level[f]
+        node_level, low, high = self.arena.node(f)
         if node_level > level:
             return f
         cached = memo.get(f)
         if cached is not None:
             return cached
         if node_level == level:
-            result = self.ite(g, self.arena.high[f], self.arena.low[f])
+            result = self.ite(g, high, low)
         else:
-            low = self._compose(self.arena.low[f], level, g, memo)
-            high = self._compose(self.arena.high[f], level, g, memo)
+            low = self._compose(low, level, g, memo)
+            high = self._compose(high, level, g, memo)
             result = self.ite(self.var(node_level), high, low)
         memo[f] = result
         return result
@@ -467,9 +526,9 @@ class BddManager:
         cached = memo.get(f)
         if cached is not None:
             return cached
-        level = self.arena.level[f]
-        low = self._exists(self.arena.low[f], levels, memo)
-        high = self._exists(self.arena.high[f], levels, memo)
+        level, low, high = self.arena.node(f)
+        low = self._exists(low, levels, memo)
+        high = self._exists(high, levels, memo)
         if level in levels:
             result = self.or_(low, high)
         else:
@@ -492,12 +551,10 @@ class BddManager:
         convention used when completing an error-trace witness (don't
         care bits are reported as zero, like the paper's resimulation).
         """
-        arena = self.arena
+        node = self.arena.node
         while f > TRUE:
-            if assignment.get(arena.level[f], False):
-                f = arena.high[f]
-            else:
-                f = arena.low[f]
+            level, low, high = node(f)
+            f = high if assignment.get(level, False) else low
         return f == TRUE
 
     def sat_one(self, f: int) -> Optional[Dict[int, bool]]:
@@ -508,15 +565,12 @@ class BddManager:
         """
         if f == FALSE:
             return None
-        arena = self.arena
+        node = self.arena.node
         cube: Dict[int, bool] = {}
         while f > TRUE:
-            if arena.high[f] != FALSE:
-                cube[arena.level[f]] = True
-                f = arena.high[f]
-            else:
-                cube[arena.level[f]] = False
-                f = arena.low[f]
+            level, low, high = node(f)
+            cube[level] = high != FALSE
+            f = high if high != FALSE else low
         return cube
 
     def sat_count(self, f: int, nvars: Optional[int] = None) -> int:
@@ -531,10 +585,10 @@ class BddManager:
         if f == TRUE:
             return 1 << nvars
         memo: Dict[int, int] = {}
-        levels, lows, highs = self.arena.level, self.arena.low, self.arena.high
+        node_of = self.arena.node
 
         def eff_level(node: int) -> int:
-            return nvars if node <= TRUE else levels[node]
+            return nvars if node <= TRUE else node_of(node)[0]
 
         def count(node: int) -> int:
             # Satisfying assignments over the variables in
@@ -545,8 +599,7 @@ class BddManager:
                 return 1
             cached = memo.get(node)
             if cached is None:
-                level = levels[node]
-                low, high = lows[node], highs[node]
+                level, low, high = node_of(node)
                 cached = count(low) * (1 << (eff_level(low) - level - 1)) + count(
                     high
                 ) * (1 << (eff_level(high) - level - 1))
@@ -554,7 +607,7 @@ class BddManager:
             return cached
 
         # Variables ordered above the root are free choices.
-        return count(f) * (1 << levels[f])
+        return count(f) * (1 << node_of(f)[0])
 
     def all_sat(self, f: int, levels: Optional[Sequence[int]] = None) -> Iterator[Dict[int, bool]]:
         """Yield every satisfying assignment of ``f``.
@@ -592,27 +645,28 @@ class BddManager:
         if f == TRUE:
             yield dict(cube)
             return
-        level = self.arena.level[f]
+        level, low, high = self.arena.node(f)
         cube[level] = False
-        yield from self._all_paths(self.arena.low[f], cube)
+        yield from self._all_paths(low, cube)
         cube[level] = True
-        yield from self._all_paths(self.arena.high[f], cube)
+        yield from self._all_paths(high, cube)
         del cube[level]
 
     def support(self, f: int) -> Set[int]:
         """Set of variable levels ``f`` depends on."""
         seen: Set[int] = set()
         support: Set[int] = set()
-        arena = self.arena
+        node_of = self.arena.node
         stack = [f]
         while stack:
             node = stack.pop()
             if node <= TRUE or node in seen:
                 continue
             seen.add(node)
-            support.add(arena.level[node])
-            stack.append(arena.low[node])
-            stack.append(arena.high[node])
+            level, low, high = node_of(node)
+            support.add(level)
+            stack.append(low)
+            stack.append(high)
         return support
 
     # ------------------------------------------------------------------
@@ -622,15 +676,16 @@ class BddManager:
     def node_count(self, f: int) -> int:
         """Number of internal nodes in ``f`` (terminals excluded)."""
         seen: Set[int] = set()
-        arena = self.arena
+        node_of = self.arena.node
         stack = [f]
         while stack:
             node = stack.pop()
             if node <= TRUE or node in seen:
                 continue
             seen.add(node)
-            stack.append(arena.low[node])
-            stack.append(arena.high[node])
+            _, low, high = node_of(node)
+            stack.append(low)
+            stack.append(high)
         return len(seen)
 
     @property
@@ -826,9 +881,10 @@ class BddManager:
             return "0"
         if f == TRUE:
             return "1"
-        name = self._var_names[self.arena.level[f]]
-        low = self.to_expr(self.arena.low[f])
-        high = self.to_expr(self.arena.high[f])
+        level, low, high = self.arena.node(f)
+        name = self._var_names[level]
+        low = self.to_expr(low)
+        high = self.to_expr(high)
         if low == "0" and high == "1":
             return name
         if low == "1" and high == "0":
@@ -865,10 +921,11 @@ class BddManager:
                 f"order must be a permutation of range({self.var_count})"
             )
         new = BddManager()
+        new._start_store(self.bdd_kernel)
         var_bdd = [0] * self.var_count
         for old_level in order:
             var_bdd[old_level] = new.new_var(self._var_names[old_level])
-        levels, lows, highs = self.arena.level, self.arena.low, self.arena.high
+        levels, lows, highs = self.arena.export()
         memo: Dict[int, int] = {FALSE: FALSE, TRUE: TRUE}
         stack: List[int] = []
         for root in roots:
@@ -960,7 +1017,7 @@ class BddManager:
         """
         started = _time.perf_counter()
         arena = self.arena
-        size = len(arena.level)
+        size = arena.size()
         handles = list(self._handles)
         # Compaction rebuilds the unique table and drops the computed
         # tables (they are keyed by old ids), so the kernels rebind.
@@ -972,7 +1029,7 @@ class BddManager:
         lookup = node_map.__getitem__
         for provider in self._providers():
             provider.bdd_remap(lookup, None)
-        reclaimed = size - len(arena.level)
+        reclaimed = size - arena.size()
         self._last_gc_size = arena.size()
         self._gc_runs += 1
         self._gc_reclaimed += reclaimed
@@ -1133,11 +1190,10 @@ class BddManager:
             if restricted > TRUE and restricted not in seen:
                 seen.add(restricted)
                 stack.append(restricted)
-        lows = self.arena.low
-        highs = self.arena.high
+        node_of = self.arena.node
         while stack:
             node = stack.pop()
-            for child in (lows[node], highs[node]):
+            for child in node_of(node)[1:]:
                 if child > TRUE and child not in seen:
                     seen.add(child)
                     stack.append(child)
@@ -1194,7 +1250,7 @@ class BddManager:
 
     def check_node(self, f: int) -> None:
         """Validate that ``f`` is a node of this manager (for API misuse)."""
-        if not isinstance(f, int) or f < 0 or f >= len(self.arena.level):
+        if not isinstance(f, int) or f < 0 or f >= self.arena.size() + 2:
             raise BddError(f"not a node of this manager: {f!r}")
 
     # ------------------------------------------------------------------
@@ -1218,7 +1274,9 @@ class BddManager:
         """Replace nodes and variables with a validated :meth:`image`;
         caches, hit/miss and fast-path counters restart from zero."""
         var_names = list(image["var_names"])
-        self.arena = Arena.from_image(image, len(var_names))
+        if self._kernel is None:
+            self._choose_store()
+        self.arena = type(self.arena).from_image(image, len(var_names))
         self._bind_kernels()
         self._var_names = var_names
         self._var_bdds = list(image["var_bdds"])
@@ -1253,10 +1311,7 @@ class _SiftSpace:
 
     def __init__(self, mgr: BddManager) -> None:
         # Terminals keep _TERMINAL_LEVEL, which labels no variable.
-        arena = mgr.arena
-        self.var = list(arena.level)
-        self.low = list(arena.low)
-        self.high = list(arena.high)
+        self.var, self.low, self.high = mgr.arena.export()
         size = len(self.var)
         self.nvars = mgr.var_count
         self.order = list(range(self.nvars))     # position -> orig level

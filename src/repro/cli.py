@@ -891,6 +891,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         print(f"[stats] cpu={sim.kernel.cpu_seconds:.3f}s "
               f"bdd-nodes={sim.mgr.total_nodes} "
               f"bdd-peak={sim.mgr.peak_nodes}")
+        print(f"[stats] bdd kernel: {sim.mgr.bdd_kernel}")
         heartbeat = getattr(sim.kernel, "_heartbeat", None)
         if heartbeat is not None:
             sink = heartbeat.path or "(in-process only)"

@@ -576,7 +576,7 @@ def _care_operands(
     ``care`` is where the caller's result is not already X.  Outside it
     the result is X whatever the a-rails compute, so each a-rail is
     replaced by its generalized cofactor (:meth:`BddManager.constrain`,
-    one memo for all rails): it agrees with the original wherever
+    whose memo all rails share): it agrees with the original wherever
     ``care`` holds, and a chain of pointwise Boolean operators run on
     the replacements therefore builds the same function there — the
     same canonical node once the caller masks the X region back in —
@@ -589,10 +589,8 @@ def _care_operands(
     if care == FALSE:
         return None
     constrain = mgr.constrain
-    memo: dict = {}
     return tuple(
-        FourVec(mgr, [(constrain(a, care, memo), b) for a, b in v.bits],
-                v.signed)
+        FourVec(mgr, [(constrain(a, care), b) for a, b in v.bits], v.signed)
         for v in operands
     )
 

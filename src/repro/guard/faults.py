@@ -16,7 +16,9 @@ Fault kinds:
     growth: the ladder's GC rung reclaims them — exercising rungs 1-2
     without needing a design that genuinely explodes.  (Deliberately
     *not* ``new_var``: variable nodes are pinned by the manager
-    forever and would defeat the GC rung.)
+    forever and would defeat the GC rung.)  A design with no BDD
+    variable has no level to hang valid rows on, so there the fault is
+    skipped and recorded in :attr:`FaultInjector.skipped`.
 
 ``clock-skew``
     Pull the guard's wall-clock deadline ``magnitude`` seconds into the
@@ -84,6 +86,8 @@ class FaultInjector:
     def __init__(self, faults: List[Fault]) -> None:
         self.faults = list(faults)
         self.fired: List[Fault] = []
+        #: fired faults that could not apply (and changed nothing)
+        self.skipped: List[Fault] = []
         #: Batch attempt number the current run carries; attempt-scoped
         #: faults compare against this.  The batch worker sets it
         #: before each attempt; standalone runs stay at 1.
@@ -105,7 +109,10 @@ class FaultInjector:
 
     def _fire(self, fault: Fault, guard, kern) -> None:
         if fault.kind == "arena-blowup":
-            kern.mgr.arena.pad(max(0, kern.mgr.var_count - 1), fault.magnitude)
+            if kern.mgr.var_count == 0:
+                self.skipped.append(fault)
+            else:
+                kern.mgr.arena.pad(kern.mgr.var_count - 1, fault.magnitude)
         elif fault.kind == "clock-skew":
             if guard._deadline is not None:
                 guard._deadline -= fault.magnitude

@@ -165,6 +165,8 @@ def format_profile(document: dict, top: int = 10,
             bits.append(f"{meta['cpu_seconds']:.3f}s cpu")
         if bits:
             lines.append("run: " + ", ".join(bits))
+        if "bdd_kernel" in meta:
+            lines.append(f"bdd kernel: {meta['bdd_kernel']}")
     lines.append(
         f"top {len(ranked)} event sites by {by} "
         f"(of {len(sites)} sites):"

@@ -933,6 +933,7 @@ class Kernel:
             "events_processed": self.stats.events_processed,
             "events_merged": self.stats.events_merged,
             "cpu_seconds": self._cpu_accum,
+            "bdd_kernel": self.mgr.bdd_kernel,
         }
         return self._profiler.to_dict(meta=meta, bdd=self.mgr.cache_stats(),
                                       compile_stats=self.compile_tier_stats())

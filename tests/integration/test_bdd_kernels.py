@@ -8,7 +8,11 @@ Two invariants of ``repro.bdd``:
   a reduction shows up here as a changed hash or counter.
 * **Refcount release.**  A finished simulation holds its manager in no
   reference cycle: with the cyclic collector off, dropping the
-  simulation and its result frees the whole BDD arena at once.
+  simulation and its result frees the whole BDD arena at once (on the
+  native store, its C memory too).
+
+The tests run on the store a manager picks; the arena identity also
+runs on the Python store.
 """
 
 import gc
@@ -20,7 +24,7 @@ import pytest
 
 import repro
 from repro import SimOptions
-from repro.bdd import BddManager
+from repro.bdd import BddManager, native
 from repro.designs import load
 from repro.obs import MetricsRegistry
 
@@ -41,15 +45,25 @@ def _gcd_sim(**options):
                           options=SimOptions(**options))
 
 
-def test_gcd_arena_is_node_for_node_identical():
+def _check_gcd_arena():
     sim = _gcd_sim()
     sim.run(until=5000)
     mgr = sim.mgr
-    nodes = mgr.arena
-    arena = json.dumps([nodes.level, nodes.low, nodes.high]).encode()
+    nodes = mgr.arena.image()
+    arena = json.dumps([nodes["level"], nodes["low"],
+                        nodes["high"]]).encode()
     assert hashlib.sha256(arena).hexdigest() == GCD_ARENA_SHA256
     stats = mgr.cache_stats()
     assert {key: stats[key] for key in GCD_CACHE_STATS} == GCD_CACHE_STATS
+    return mgr.bdd_kernel
+
+
+def test_gcd_arena_is_node_for_node_identical():
+    _check_gcd_arena()
+
+
+def test_python_store_builds_the_same_gcd_arena(python_store):
+    assert _check_gcd_arena().startswith("python")
 
 
 @pytest.fixture
@@ -82,18 +96,27 @@ def _all_dead(refs):
     return all(ref() is None for ref in refs)
 
 
+def _live_stores():
+    """Native stores alive in the process (0 without the native store)."""
+    return native.live_stores() if native.unavailable() is None else 0
+
+
 @pytest.mark.parametrize("compile_tier", [True, False],
                          ids=["compiled", "interpreter"])
 def test_finished_simulation_frees_its_manager(no_cyclic_gc, compile_tier):
+    before = _live_stores()
     sim = _gcd_sim(compile_tier=compile_tier)
     result = sim.run(until=5000)
     assert result.stats.symbols_injected > 0
+    assert _live_stores() == before + (sim.mgr.bdd_kernel == "native")
     refs = _weak(sim.kernel, sim.mgr) + _kernels(sim.mgr)
     del sim, result
     assert _all_dead(refs)
+    assert _live_stores() == before
 
 
 def test_bare_manager_is_freed_by_refcount(no_cyclic_gc):
+    before = _live_stores()
     mgr = BddManager()
     a, b, c = (mgr.new_var(name) for name in "abc")
     f = mgr.ite(a, mgr.xor(b, c), mgr.not_(mgr.or_(b, c)))
@@ -105,6 +128,7 @@ def test_bare_manager_is_freed_by_refcount(no_cyclic_gc):
     refs = _weak(mgr) + _kernels(mgr)
     del mgr
     assert _all_dead(refs)
+    assert _live_stores() == before
 
 
 #: An adder and a compare on a register that is X wherever a[0] is 0,
@@ -125,12 +149,13 @@ endmodule
 
 def test_run_through_x_arithmetic_frees_its_manager(no_cyclic_gc,
                                                     monkeypatch):
+    before = _live_stores()
     calls = []
     constrain = BddManager.constrain
 
-    def counting(mgr, f, c, memo=None):
+    def counting(mgr, f, c):
         calls.append(c)
-        return constrain(mgr, f, c, memo)
+        return constrain(mgr, f, c)
 
     monkeypatch.setattr(BddManager, "constrain", counting)
     sim = repro.open_sim(X_ARITH, top="tb")
@@ -139,9 +164,11 @@ def test_run_through_x_arithmetic_frees_its_manager(no_cyclic_gc,
     refs = _weak(sim.kernel, sim.mgr) + _kernels(sim.mgr)
     del sim, result
     assert _all_dead(refs)
+    assert _live_stores() == before
 
 
 def test_latency_instrumented_manager_is_freed_by_refcount(no_cyclic_gc):
+    before = _live_stores()
     mgr = BddManager()
     mgr.instrument_latency(MetricsRegistry(), sample_every=1)
     a, b = mgr.new_var("a"), mgr.new_var("b")
@@ -149,3 +176,4 @@ def test_latency_instrumented_manager_is_freed_by_refcount(no_cyclic_gc):
     refs = _weak(mgr) + _kernels(mgr)
     del mgr
     assert _all_dead(refs)
+    assert _live_stores() == before

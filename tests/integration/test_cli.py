@@ -57,6 +57,31 @@ class TestMain:
         out = capsys.readouterr().out
         assert "events processed" in out
 
+    @pytest.mark.parametrize("extra, expected", [
+        ([], {"native": "native", "python": "python (disabled for this test)"}),
+        (["--no-fastpath"], {"native": "python (--no-fastpath)",
+                             "python": "python (--no-fastpath)"}),
+    ], ids=["default", "no-fastpath"])
+    def test_stats_names_the_bdd_store(self, design_file, capsys, store,
+                                       extra, expected):
+        main([design_file, "--define", "TARGET=99", "--quiet", "--stats",
+              *extra])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if "bdd kernel" in line]
+        assert lines == [f"[stats] bdd kernel: {expected[store]}"]
+
+    def test_profile_report_names_the_bdd_store(self, design_file, tmp_path,
+                                                capsys):
+        from repro.bdd import native
+        from repro.obs.report import render_file
+
+        profile = str(tmp_path / "p.json")
+        main([design_file, "--define", "TARGET=99", "--quiet",
+              "--profile-out", profile])
+        kernel = ("native" if native.unavailable() is None
+                  else f"python ({native.unavailable()})")
+        assert f"bdd kernel: {kernel}" in render_file(profile).splitlines()
+
     def test_accumulation_choice(self, design_file):
         code = main([design_file, "--define", "TARGET=99", "--quiet",
                      "--accumulation", "none"])

@@ -200,7 +200,13 @@ class TestBatchTelemetry:
                      {"schema": SCHEMA, "name": "counter-0",
                       "status": "running", "ts_unix": time.time() - 300.0})
         stalls = []
-        result = run_batch(_requests(1), workers=1, out_dir=out,
+        # a run that outlasts the controller's first wait (stall_after
+        # / 2) by a wide margin: COUNTER alone takes ~15 ms
+        request = RunRequest(name="counter-0",
+                             source=COUNTER.replace("repeat (8)",
+                                                    "repeat (24)"),
+                             options=SimOptions())
+        result = run_batch([request], workers=1, out_dir=out,
                            heartbeat_every=10_000_000, trace=False,
                            stall_after=0.05, on_stall=stalls.append)
         assert result.stalled_runs == ["counter-0"]

@@ -4,7 +4,9 @@ Only ``repro.bdd`` may read or write the node store: the arena's
 fields, and the manager state its checkpoint image covers.  Everything
 else goes through methods (``mgr.image()``/``mgr.restore()``,
 ``mgr.total_nodes``, ``arena.level_counts()``...), so replacing the
-store means replacing one class.  The word fast-path counters
+store means replacing one class: the native store
+(``repro.bdd.native.NativeArena``) offers every method of the Python
+one.  The word fast-path counters
 (``_fp_*``) and the call memo (``_call_*``) are shared with the
 operator layers on purpose and are not checked here.
 """
@@ -19,7 +21,8 @@ SRC = Path(repro.__file__).parent
 #: The fields of ``repro.bdd.arena.Arena``.
 ARENA_FIELDS = frozenset({
     "level", "low", "high", "unique", "ite_cache", "not_cache",
-    "and_cache", "or_cache", "xor_cache", "call_memo", "hits",
+    "and_cache", "or_cache", "xor_cache", "constrain_cache", "call_memo",
+    "hits",
     "miss_base", "peak", "dropped",
 })
 
@@ -64,6 +67,18 @@ def test_arena_fields_are_listed():
     from repro.bdd.arena import Arena
 
     assert set(Arena.__slots__) == ARENA_FIELDS
+
+
+def test_both_stores_offer_one_interface():
+    from repro.bdd.arena import Arena
+    from repro.bdd.native import NativeArena
+
+    def public(cls):
+        return {name for name in dir(cls) if not name.startswith("_")}
+
+    # fail(): only a native kernel reports a failure by its result
+    assert public(Arena) - {"fail"} <= public(NativeArena) | ARENA_FIELDS
+    assert public(NativeArena) - {"fail"} <= public(Arena)
 
 
 def test_the_check_sees_a_reach():

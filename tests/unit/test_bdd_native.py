@@ -1,0 +1,188 @@
+"""The native node store against the Python one, and its fallback.
+
+* **Differential.**  Random operation sequences (``ite``/``not``/
+  ``and``/``or``/``xor``/``constrain``/``new_var`` with ``collect``,
+  ``sift``, ``reorder`` and ``image()``/``restore()`` between them) run
+  on a native manager and on a Python one; after every step the two
+  hold the same image, hit and miss counts, peak and dropped count.
+* **Fallback.**  Without cffi a manager runs the Python store and says
+  why; the native store is built on first use only, into a per-user
+  cache keyed by its source.
+"""
+
+import os
+import random
+import sys
+import threading
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.bdd import TRUE, BddManager, native
+from repro.errors import BddError
+
+NATIVE = native.unavailable()
+needs_native = pytest.mark.skipif(
+    NATIVE is not None, reason=f"native BDD store unavailable: {NATIVE}")
+
+
+class _Pool:
+    """The nodes a sequence holds (a root provider)."""
+
+    def __init__(self, nodes):
+        self.nodes = list(nodes)
+
+    def bdd_roots(self):
+        return self.nodes
+
+    def bdd_remap(self, lookup, level_map):
+        self.nodes = [lookup(node) for node in self.nodes]
+
+
+def _manager(fastpath):
+    # fast paths off: the Python store, as under --no-fastpath
+    mgr = BddManager()
+    mgr.fastpath = fastpath
+    pool = _Pool([mgr.new_var("v0"), mgr.new_var("v1")])
+    mgr.register_root_provider(pool)
+    return mgr, pool
+
+
+def _step(mgr, pool, op, args):
+    nodes = pool.nodes
+    pick = [nodes[arg % len(nodes)] for arg in args]
+    if op == "new_var":
+        nodes.append(mgr.new_var())
+    elif op == "ite":
+        nodes.append(mgr.ite(*pick))
+    elif op == "not":
+        nodes.append(mgr.not_(pick[0]))
+    elif op in ("and", "or", "xor"):
+        nodes.append(getattr(mgr, op + ("_" if op != "xor" else ""))(
+            pick[0], pick[1]))
+    elif op == "constrain":
+        nodes.append(mgr.constrain(pick[0], pick[1]))
+    elif op == "collect":
+        del nodes[1::3]  # drop roots, but never the last one
+        mgr.collect()
+    elif op == "sift":
+        mgr.sift()
+    elif op == "reorder":
+        order = list(range(mgr.var_count))
+        random.Random(args[0]).shuffle(order)
+        mgr.reorder(order)
+    elif op == "restore":
+        mgr.restore(mgr.image())
+
+
+def _state(mgr, pool):
+    arena = mgr.arena
+    return (mgr.image(), arena.hits, arena.misses(), arena.peak,
+            arena.dropped, pool.nodes)
+
+
+OPS = st.tuples(
+    st.sampled_from(["new_var", "ite", "not", "and", "or", "xor",
+                     "constrain", "ite", "and", "xor", "collect", "sift",
+                     "reorder", "restore"]),
+    st.lists(st.integers(0, 1000), min_size=3, max_size=3))
+
+
+@needs_native
+@settings(max_examples=60, deadline=None)
+@given(st.lists(OPS, max_size=40))
+def test_native_store_matches_python_store(ops):
+    fast, fast_pool = _manager(True)
+    slow, slow_pool = _manager(False)
+    assert fast.bdd_kernel == "native"
+    assert slow.bdd_kernel == "python (--no-fastpath)"
+    for op, args in ops:
+        _step(fast, fast_pool, op, args)
+        _step(slow, slow_pool, op, args)
+        assert _state(fast, fast_pool) == _state(slow, slow_pool), op
+
+
+@needs_native
+def test_native_errors_are_one_line():
+    mgr = BddManager()
+    a = mgr.new_var("a")
+    with pytest.raises(BddError, match="not a node of this manager: 99"):
+        mgr.and_(a, 99)
+    with pytest.raises(BddError, match="not a node"):
+        mgr.arena.node(-1)
+    assert mgr.and_(a, mgr.not_(a)) == 0  # the store still works
+
+
+@needs_native
+def test_recursion_past_the_stack_is_one_error():
+    # a 20,000-level chain walked by a thread with a 512 KiB stack: the
+    # kernels stop at the stack's floor instead of overflowing it
+    mgr = BddManager()
+    chain = TRUE
+    for var in reversed([mgr.new_var() for _ in range(20_000)]):
+        chain = mgr.and_(var, chain)
+    outcome = []
+
+    def walk():
+        try:
+            outcome.append(mgr.not_(chain))
+        except BddError as exc:
+            outcome.append(str(exc))
+
+    saved = threading.stack_size(512 * 1024)
+    try:
+        thread = threading.Thread(target=walk)
+        thread.start()
+        thread.join(timeout=60)
+    finally:
+        threading.stack_size(saved)
+    assert not thread.is_alive()
+    assert outcome == ["BDD operation recursed deeper than the C stack "
+                       "allows"]
+    a, b = mgr.var(0), mgr.var(1)
+    assert mgr.and_(a, b) == mgr.not_(mgr.or_(mgr.not_(a), mgr.not_(b)))
+
+
+def test_missing_cffi_falls_back_to_python(monkeypatch):
+    monkeypatch.setattr(native, "_loaded", None)
+    monkeypatch.setitem(sys.modules, "cffi", None)  # import raises
+    mgr = BddManager()
+    assert mgr.bdd_kernel == "python (no BDD variables)"
+    a, b = mgr.new_var("a"), mgr.new_var("b")
+    assert mgr.bdd_kernel == "python (cffi not installed)"
+    assert mgr.xor(a, b) == mgr.or_(mgr.and_(a, mgr.not_(b)),
+                                    mgr.and_(mgr.not_(a), b))
+
+
+def test_store_is_chosen_at_the_first_variable(monkeypatch):
+    loads = []
+    monkeypatch.setattr(native, "unavailable",
+                        lambda: loads.append(1) or "disabled here")
+    mgr = BddManager()
+    assert mgr.and_(1, 1) == 1 and mgr.ite(0, 0, 1) == 1
+    assert not loads  # a terminal-only manager never looks
+    mgr.new_var()
+    mgr.new_var()
+    assert loads == [1]
+    assert mgr.bdd_kernel == "python (disabled here)"
+
+
+@needs_native
+def test_build_is_cached_per_source(monkeypatch, tmp_path):
+    monkeypatch.setenv("XDG_CACHE_HOME", str(tmp_path))
+    monkeypatch.setattr(native, "_loaded", None)
+    assert native.unavailable() is None
+    cache = tmp_path / "repro"
+    assert oct(cache.stat().st_mode & 0o777) == oct(0o700)
+    built = os.listdir(cache)
+    assert len(built) == 1 and built[0].startswith("_repro_bdd_")
+    # a second process (here: a second load) reuses the same file
+    monkeypatch.setattr(native, "_loaded", None)
+    assert native.unavailable() is None
+    assert os.listdir(cache) == built
+
+
+def test_build_failure_names_a_missing_compiler(monkeypatch):
+    monkeypatch.setattr(native.shutil, "which", lambda name: None)
+    assert native._build_failure("gcc: not found\n") == "no C compiler"

@@ -180,14 +180,14 @@ def test_constrain_agrees_on_care_set(plan_f, plan_c):
 def test_constrain_distributes_over_operators(plan_f, plan_g, plan_c):
     """One care set projects every operand the same way, so an operator
     applied to constrained operands is the constrained result — with
-    one memo shared by both operands, as the four-valued layer does."""
+    the store's one memo shared by both operands, as the four-valued
+    layer has it."""
     m = _fresh()
     f, g, c = (_build(m, plan) for plan in (plan_f, plan_g, plan_c))
     if c == FALSE:
         return
-    memo = {}
-    fc = m.constrain(f, c, memo)
-    gc = m.constrain(g, c, memo)
+    fc = m.constrain(f, c)
+    gc = m.constrain(g, c)
     assert fc == m.constrain(f, c)
     assert m.and_(fc, gc) == m.constrain(m.and_(f, g), c)
     assert m.xor(fc, gc) == m.constrain(m.xor(f, g), c)

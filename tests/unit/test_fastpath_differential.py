@@ -34,9 +34,9 @@ def constrain_calls(monkeypatch):
     calls = []
     constrain = BddManager.constrain
 
-    def counting(mgr, f, c, memo=None):
+    def counting(mgr, f, c):
         calls.append(c)
-        return constrain(mgr, f, c, memo)
+        return constrain(mgr, f, c)
 
     monkeypatch.setattr(BddManager, "constrain", counting)
     return calls

@@ -44,6 +44,17 @@ OTHER_SRC = """
 """
 
 
+#: A concrete counter: no $random, so no BDD variable.
+COUNTER_SRC = """
+    module tb; reg [7:0] n; reg clk; integer i;
+      initial begin n = 0; clk = 0;
+        for (i = 0; i < 20; i = i + 1) #1 clk = ~clk; end
+      always @(posedge clk) n <= n + 1;
+      initial #30 $finish;
+    endmodule
+"""
+
+
 def compile_src(source=SRC):
     return compile_design(elaborate(parse_source(source)))
 
@@ -197,6 +208,25 @@ class TestArenaValidation:
         path = str(tmp_path / "blown.ckpt")
         save_checkpoint(sim.kernel, path)
         assert load_checkpoint(compile_src(), path).run().finished
+
+    def test_blowup_is_skipped_without_variables(self, tmp_path, store):
+        # a concrete design has no level for valid dead rows: the fault
+        # is recorded as skipped and every checkpoint stays loadable
+        faults = FaultInjector([Fault("arena-blowup", at_step=2,
+                                      magnitude=10)])
+        directory = str(tmp_path / "ckpts")
+        sim = repro.open_sim(COUNTER_SRC, options=SimOptions(
+            faults=faults, checkpoint_every=2, checkpoint_dir=directory))
+        sim.run(until=12)
+        assert sim.mgr.var_count == 0
+        assert faults.skipped == faults.fired == faults.faults
+        resumed = load_checkpoint(compile_src(COUNTER_SRC),
+                                  str(tmp_path / "ckpts" / "latest.ckpt"))
+        tail = resumed.run()
+        whole = repro.open_sim(COUNTER_SRC).run()
+        assert tail.finished and whole.finished
+        assert (tail.value("n").to_verilog_bits()
+                == whole.value("n").to_verilog_bits() == "00001010")
 
     def test_equal_children(self, ckpt):
         def redundant(image):
