@@ -7,7 +7,8 @@ children precede their parents, and the unique table maps each
 :class:`~repro.bdd.manager.BddManager` holding an arena keeps the
 policy and reaches the store only through its methods, so the native
 store (:class:`repro.bdd.native.NativeArena`, the same interface over
-C) replaces this one class.  This one is the oracle and the fallback.
+C) replaces this one class.  This one is the oracle and the fallback,
+for the kernels and for the sift's swap space (:class:`_SiftSpace`).
 """
 
 from __future__ import annotations
@@ -462,3 +463,227 @@ class Arena:
         arena.dropped = image["dropped"]
         arena.peak = image["peak"]
         return arena
+
+    def sift_order(self, roots: Iterable[int], var_count: int,
+                   converge: bool, max_swap: int, max_growth: float,
+                   max_vars: int) -> Tuple[List[int], int]:
+        """Sift a scratch copy of the arena (Rudell): ``(order, swaps)``,
+        the best order found (position -> level) and the swaps made.
+
+        ``roots`` are pinned; every node should be live (sift right
+        after a collection).  The bounds: ``max_swap`` swaps in all,
+        each variable's sweep abandoned past ``max_growth`` times the
+        size it started from, the ``max_vars`` largest levels per pass,
+        and with ``converge`` repeated passes while they gain.  The
+        arena itself is left as it was.
+        """
+        space = _SiftSpace(self, roots, var_count)
+        space.run(converge, max_swap, max_growth, max_vars)
+        return space.order, space.swaps
+
+
+class _SiftSpace:
+    """Scratch graph for dynamic sifting.
+
+    A mutable copy of an arena that supports the classic adjacent-level
+    swap in place, the shape of CUDD's ``cuddSwapInPlace``.  Scratch
+    nodes are labelled by *variable* (their level in the arena when the
+    copy was made), not by order position, and every variable keeps one
+    subtable mapping ``(low, high)`` to its node: the variable's unique
+    table and its node list at once.  Exchanging the variables at order
+    positions ``p`` and ``p+1`` therefore only re-expresses the upper
+    variable's nodes that have a child labelled with the lower one;
+    every other node keeps its label, its key and its children.  Node
+    ids never change here, so ``order`` (position → original level) is
+    the only output.
+
+    Unlike the manager, the scratch graph *is* reference counted
+    (``parents``), because swaps must know when a node of the lower
+    variable dies; roots are pinned with an extra count.  Every size it
+    steers by is a live node count, which does not depend on the ids
+    it hands out: ``native.c``'s ``bdd_sift`` is its twin and makes the
+    same swaps.
+    """
+
+    def __init__(self, arena: "Arena", roots: Iterable[int],
+                 var_count: int) -> None:
+        # Terminals keep _TERMINAL_LEVEL, which labels no variable.
+        self.var, self.low, self.high = arena.export()
+        size = len(self.var)
+        self.nvars = var_count
+        self.order = list(range(self.nvars))     # position -> orig level
+        self.pos_of = list(range(self.nvars))    # orig level -> position
+        self.tables: List[Dict[Tuple[int, int], int]] = [
+            {} for _ in range(self.nvars)]
+        self.parents = [0] * size
+        for node in range(2, size):
+            low, high = self.low[node], self.high[node]
+            self.tables[self.var[node]][(low, high)] = node
+            if low > TRUE:
+                self.parents[low] += 1
+            if high > TRUE:
+                self.parents[high] += 1
+        for root in roots:
+            if root > TRUE:
+                self.parents[root] += 1          # pin
+        self.size = size - 2
+        self.free: List[int] = []
+        self.swaps = 0
+
+    def swap(self, p: int) -> None:
+        """Exchange the variables at order positions ``p`` and ``p+1``."""
+        self.swaps += 1
+        order = self.order
+        u, w = order[p], order[p + 1]
+        var = self.var
+        low = self.low
+        high = self.high
+        parents = self.parents
+        upper = self.tables[u]
+        lower = self.tables[w]
+        # A node of u interacts with the swap iff a child is a node of
+        # w.  The others do not depend on w: they keep everything and
+        # simply end up one position lower.
+        work = []
+        for (f0, f1), node in upper.items():
+            f0w = var[f0] == w
+            f1w = var[f1] == w
+            if f0w or f1w:
+                work.append((node, f0, f1, f0w, f1w))
+        free = self.free
+        pending: List[int] = []
+        size = self.size
+        # Re-express each interacting node over the risen variable:
+        #   ite(u, f1, f0) == ite(w, ite(u, f11, f01), ite(u, f10, f00))
+        # The node keeps its id (parents above are untouched) but is
+        # now a node of w; its u-cofactors are fresh or shared nodes of
+        # u.  Its new key cannot collide with an old node of w: those
+        # have no child of u, and at least one of these children is
+        # one (else f0 and f1 would have equal cofactors).
+        for node, f0, f1, f0w, f1w in work:
+            del upper[(f0, f1)]
+            if f0w:
+                f00, f01 = low[f0], high[f0]
+            else:
+                f00 = f01 = f0
+            if f1w:
+                f10, f11 = low[f1], high[f1]
+            else:
+                f10 = f11 = f1
+            children = []
+            for lo, hi in ((f00, f10), (f01, f11)):
+                # Find-or-create (u, lo, hi).  Sharing with an existing
+                # node, even one whose count just hit zero, revives it;
+                # the sweep below re-checks counts for that reason.
+                if lo == hi:
+                    child = lo
+                else:
+                    child = upper.get((lo, hi))
+                    if child is None:
+                        if free:
+                            child = free.pop()
+                            var[child] = u
+                            low[child] = lo
+                            high[child] = hi
+                        else:
+                            child = len(var)
+                            var.append(u)
+                            low.append(lo)
+                            high.append(hi)
+                            parents.append(0)
+                        upper[(lo, hi)] = child
+                        if lo > TRUE:
+                            parents[lo] += 1
+                        if hi > TRUE:
+                            parents[hi] += 1
+                        size += 1
+                if child > TRUE:
+                    parents[child] += 1
+                children.append(child)
+            for old in (f0, f1):
+                if old > TRUE:
+                    parents[old] -= 1
+                    if parents[old] == 0:
+                        pending.append(old)
+            lo_node, hi_node = children
+            var[node] = w
+            low[node] = lo_node
+            high[node] = hi_node
+            lower[(lo_node, hi_node)] = node
+        # Sweep nodes orphaned by the re-expression (cascading to
+        # their children), skipping any that sharing revived.
+        tables = self.tables
+        while pending:
+            node = pending.pop()
+            if parents[node] != 0 or var[node] < 0:
+                continue
+            lo, hi = low[node], high[node]
+            del tables[var[node]][(lo, hi)]
+            for child in (lo, hi):
+                if child > TRUE:
+                    parents[child] -= 1
+                    if parents[child] == 0:
+                        pending.append(child)
+            var[node] = -1
+            free.append(node)
+            size -= 1
+        self.size = size
+        order[p], order[p + 1] = w, u
+        self.pos_of[w] = p
+        self.pos_of[u] = p + 1
+
+    def _sift_one(self, pos: int, budget: List[int],
+                  max_growth: float) -> None:
+        """Move one variable through the order, settle at its best spot."""
+        limit = int(self.size * max_growth) + 2
+        best_size = self.size
+        best_pos = pos
+        cur = pos
+        top = self.nvars - 1
+        # Head for the nearer end first (fewer swaps wasted if the
+        # sweep aborts on the growth limit).
+        phases = ("up", "down") if pos <= top - pos else ("down", "up")
+        for phase in phases:
+            if phase == "up":
+                while cur > 0 and budget[0] > 0 and self.size <= limit:
+                    self.swap(cur - 1)
+                    budget[0] -= 1
+                    cur -= 1
+                    if self.size < best_size:
+                        best_size = self.size
+                        best_pos = cur
+            else:
+                while cur < top and budget[0] > 0 and self.size <= limit:
+                    self.swap(cur)
+                    budget[0] -= 1
+                    cur += 1
+                    if self.size < best_size:
+                        best_size = self.size
+                        best_pos = cur
+        # Return to the best position seen — off budget, since stopping
+        # anywhere else would leave a worse order than we started with.
+        while cur > best_pos:
+            self.swap(cur - 1)
+            cur -= 1
+        while cur < best_pos:
+            self.swap(cur)
+            cur += 1
+
+    def run(self, converge: bool, max_swap: int, max_growth: float,
+            max_vars: int) -> None:
+        """Sift the largest levels first; optionally repeat to converge."""
+        budget = [max_swap]
+        while True:
+            start_size = self.size
+            # Largest first; equal sizes in order position.  Candidates
+            # are variables, not positions: earlier sifts shift the
+            # positions of later candidates.
+            tables = self.tables
+            candidates = sorted(self.order, key=lambda var: len(tables[var]),
+                                reverse=True)[:max_vars]
+            for var in candidates:
+                if budget[0] <= 0:
+                    break
+                self._sift_one(self.pos_of[var], budget, max_growth)
+            if not converge or budget[0] <= 0 or self.size >= start_size:
+                break

@@ -8,6 +8,7 @@
  * rebuilds the one and drops the others.  Every kernel is a line-by-line
  * twin of its Python closure: low cofactor first, the same terminal
  * shortcuts and the same keys, so node ids and hit/miss counts agree.
+ * The sift at the end is the twin of repro.bdd.arena._SiftSpace.
  *
  * A failure (allocation, id space, stack depth, a bad node id) sets
  * `err` and makes the operation return -1; the nodes and table entries
@@ -661,4 +662,408 @@ int32_t bdd_load(bdd_store *s, const int32_t *level, const int32_t *low,
         append(s, lv, lo, hi);
     }
     return 0;
+}
+
+/* ------------------------------------------------------------------ */
+/* dynamic sifting                                                     */
+/* ------------------------------------------------------------------ */
+
+/* The twin of repro.bdd.arena._SiftSpace: a scratch copy of the rows,
+ * labelled by variable (the level each node had when copied), with one
+ * chained subtable per variable keyed by (low, high) and a parent count
+ * per node; roots are pinned with an extra count.  Sizes are live node
+ * counts, which do not depend on the ids the scratch graph hands out,
+ * so the swaps, the order and the swap count are _SiftSpace's. */
+
+typedef struct { int32_t *bucket; uint64_t mask; int64_t count; } subtable;
+typedef struct { int32_t *v; int64_t n, cap; } ivec;
+
+typedef struct {
+    int32_t *var, *low, *high, *next, *parents;   /* var -1: free row */
+    int64_t rows, cap;              /* rows handed out and allocated */
+    int64_t size;                   /* live internal nodes */
+    int32_t nvars;
+    subtable *tables;               /* one per variable */
+    int32_t *order, *pos_of;        /* position -> variable and back */
+    ivec free, pending, work;
+    int64_t swaps, budget;
+    double growth;
+} sift_space;
+
+static int push(ivec *v, int32_t x)
+{
+    if (v->n == v->cap) {
+        int64_t cap = v->cap ? v->cap * 2 : 64;
+        int32_t *p = realloc(v->v, cap * sizeof(int32_t));
+        if (!p)
+            return -1;
+        v->v = p;
+        v->cap = cap;
+    }
+    v->v[v->n++] = x;
+    return 0;
+}
+
+static inline uint64_t sub_hash(const subtable *t, int32_t low, int32_t high)
+{
+    return hash3(low, high, 0) & t->mask;
+}
+
+static int sub_init(subtable *t, int64_t count)
+{
+    uint64_t buckets = 4;
+    while ((int64_t)buckets < count)
+        buckets *= 2;
+    t->bucket = calloc(buckets, sizeof(int32_t));
+    t->mask = buckets - 1;
+    t->count = 0;
+    return t->bucket ? 0 : -1;
+}
+
+static int32_t sub_find(const sift_space *sp, const subtable *t, int32_t low,
+                        int32_t high)
+{
+    int32_t node = t->bucket[sub_hash(t, low, high)];
+    while (node && (sp->low[node] != low || sp->high[node] != high))
+        node = sp->next[node];
+    return node;
+}
+
+/* Add `node` (not yet in the table); doubles the buckets past load 1. */
+static int sub_insert(sift_space *sp, subtable *t, int32_t node)
+{
+    if ((uint64_t)t->count > t->mask) {
+        uint64_t buckets = (t->mask + 1) * 2;
+        int32_t *fresh = calloc(buckets, sizeof(int32_t));
+        if (!fresh)
+            return -1;
+        subtable next = { fresh, buckets - 1, t->count };
+        for (uint64_t b = 0; b <= t->mask; b++) {
+            int32_t n = t->bucket[b];
+            while (n) {
+                int32_t after = sp->next[n];
+                uint64_t h = sub_hash(&next, sp->low[n], sp->high[n]);
+                sp->next[n] = fresh[h];
+                fresh[h] = n;
+                n = after;
+            }
+        }
+        free(t->bucket);
+        *t = next;
+    }
+    uint64_t h = sub_hash(t, sp->low[node], sp->high[node]);
+    sp->next[node] = t->bucket[h];
+    t->bucket[h] = node;
+    t->count++;
+    return 0;
+}
+
+static void sub_remove(sift_space *sp, subtable *t, int32_t node)
+{
+    int32_t *link = &t->bucket[sub_hash(t, sp->low[node], sp->high[node])];
+    while (*link != node)
+        link = &sp->next[*link];
+    *link = sp->next[node];
+    t->count--;
+}
+
+/* Room for `more` rows beyond those in use. */
+static int sift_reserve(sift_space *sp, int64_t more)
+{
+    int64_t need = sp->rows + more;
+    if (need <= sp->cap)
+        return 0;
+    if (need > INT32_MAX)
+        return ERR_FULL;
+    int64_t cap = sp->cap ? sp->cap : need;
+    while (cap < need)
+        cap = cap * 2 > INT32_MAX ? INT32_MAX : cap * 2;
+    int32_t **arrays[] = { &sp->var, &sp->low, &sp->high, &sp->next,
+                           &sp->parents };
+    for (int i = 0; i < 5; i++) {
+        int32_t *p = realloc(*arrays[i], cap * sizeof(int32_t));
+        if (!p)
+            return ERR_NOMEM;
+        *arrays[i] = p;
+    }
+    sp->cap = cap;
+    return 0;
+}
+
+static void sift_free(sift_space *sp)
+{
+    free(sp->var);
+    free(sp->low);
+    free(sp->high);
+    free(sp->next);
+    free(sp->parents);
+    if (sp->tables)
+        for (int32_t v = 0; v < sp->nvars; v++)
+            free(sp->tables[v].bucket);
+    free(sp->tables);
+    free(sp->order);
+    free(sp->pos_of);
+    free(sp->free.v);
+    free(sp->pending.v);
+    free(sp->work.v);
+}
+
+/* The node (u, low, high), found or made, with one more parent. */
+static int32_t sift_child(sift_space *sp, int32_t u, int32_t low, int32_t high)
+{
+    int32_t child = low;
+    if (low != high) {
+        subtable *t = &sp->tables[u];
+        child = sub_find(sp, t, low, high);
+        if (!child) {
+            child = sp->free.n ? sp->free.v[--sp->free.n]
+                               : (int32_t)sp->rows++;
+            sp->var[child] = u;
+            sp->low[child] = low;
+            sp->high[child] = high;
+            sp->parents[child] = 0;
+            if (sub_insert(sp, t, child) < 0)
+                return -1;
+            if (low > 1)
+                sp->parents[low]++;
+            if (high > 1)
+                sp->parents[high]++;
+            sp->size++;
+        }
+    }
+    if (child > 1)
+        sp->parents[child]++;
+    return child;
+}
+
+/* Exchange the variables at order positions p and p+1 (cuddSwapInPlace):
+ * only the upper variable's nodes with a child of the lower one are
+ * re-expressed, in place, as nodes of the lower one. */
+static int sift_swap(sift_space *sp, int32_t p)
+{
+    sp->swaps++;
+    int32_t u = sp->order[p], w = sp->order[p + 1];
+    subtable *upper = &sp->tables[u];
+    /* Take the interacting nodes out first: the nodes of u made below
+     * have no child labelled w, so no lookup there can want one. */
+    sp->work.n = 0;
+    for (uint64_t b = 0; b <= upper->mask; b++) {
+        int32_t *link = &upper->bucket[b];
+        while (*link) {
+            int32_t node = *link;
+            if (sp->var[sp->low[node]] == w || sp->var[sp->high[node]] == w) {
+                *link = sp->next[node];
+                upper->count--;
+                if (push(&sp->work, node) < 0)
+                    return ERR_NOMEM;
+            } else {
+                link = &sp->next[node];
+            }
+        }
+    }
+    /* each interacting node makes at most two nodes of u */
+    int code = sift_reserve(sp, 2 * sp->work.n);
+    if (code)
+        return code;
+    int32_t *var = sp->var, *low = sp->low, *high = sp->high;
+    int32_t *parents = sp->parents;
+    for (int64_t i = 0; i < sp->work.n; i++) {
+        int32_t node = sp->work.v[i];
+        int32_t f0 = low[node], f1 = high[node];
+        int32_t f00 = f0, f01 = f0, f10 = f1, f11 = f1;
+        if (var[f0] == w) {
+            f00 = low[f0];
+            f01 = high[f0];
+        }
+        if (var[f1] == w) {
+            f10 = low[f1];
+            f11 = high[f1];
+        }
+        /* ite(u, f1, f0) == ite(w, ite(u, f11, f01), ite(u, f10, f00)) */
+        int32_t c0 = sift_child(sp, u, f00, f10);
+        if (c0 < 0)
+            return ERR_NOMEM;
+        int32_t c1 = sift_child(sp, u, f01, f11);
+        if (c1 < 0)
+            return ERR_NOMEM;
+        int32_t old[2] = { f0, f1 };
+        for (int k = 0; k < 2; k++)
+            if (old[k] > 1 && --parents[old[k]] == 0
+                    && push(&sp->pending, old[k]) < 0)
+                return ERR_NOMEM;
+        var[node] = w;
+        low[node] = c0;
+        high[node] = c1;
+        if (sub_insert(sp, &sp->tables[w], node) < 0)
+            return ERR_NOMEM;
+    }
+    /* Sweep the orphans, cascading, skipping any that sharing revived
+     * (or an earlier entry already freed). */
+    while (sp->pending.n) {
+        int32_t node = sp->pending.v[--sp->pending.n];
+        if (parents[node] != 0 || var[node] < 0)
+            continue;
+        sub_remove(sp, &sp->tables[var[node]], node);
+        int32_t kids[2] = { low[node], high[node] };
+        for (int k = 0; k < 2; k++)
+            if (kids[k] > 1 && --parents[kids[k]] == 0
+                    && push(&sp->pending, kids[k]) < 0)
+                return ERR_NOMEM;
+        var[node] = -1;
+        if (push(&sp->free, node) < 0)
+            return ERR_NOMEM;
+        sp->size--;
+    }
+    sp->order[p] = w;
+    sp->order[p + 1] = u;
+    sp->pos_of[w] = p;
+    sp->pos_of[u] = p + 1;
+    return 0;
+}
+
+/* Move one variable through the order, nearer end first, and settle it
+ * at the best position seen (that return is off budget). */
+static int sift_one(sift_space *sp, int32_t pos)
+{
+    int64_t limit = (int64_t)((double)sp->size * sp->growth) + 2;
+    int64_t best_size = sp->size;
+    int32_t best_pos = pos, cur = pos, top = sp->nvars - 1;
+    int code;
+    int up_first = pos <= top - pos;
+    for (int phase = 0; phase < 2; phase++) {
+        if ((phase == 0) == up_first) {
+            while (cur > 0 && sp->budget > 0 && sp->size <= limit) {
+                if ((code = sift_swap(sp, cur - 1)))
+                    return code;
+                sp->budget--;
+                cur--;
+                if (sp->size < best_size) {
+                    best_size = sp->size;
+                    best_pos = cur;
+                }
+            }
+        } else {
+            while (cur < top && sp->budget > 0 && sp->size <= limit) {
+                if ((code = sift_swap(sp, cur)))
+                    return code;
+                sp->budget--;
+                cur++;
+                if (sp->size < best_size) {
+                    best_size = sp->size;
+                    best_pos = cur;
+                }
+            }
+        }
+    }
+    for (; cur > best_pos; cur--)
+        if ((code = sift_swap(sp, cur - 1)))
+            return code;
+    for (; cur < best_pos; cur++)
+        if ((code = sift_swap(sp, cur)))
+            return code;
+    return 0;
+}
+
+typedef struct { int64_t count; int32_t pos, var; } candidate;
+
+/* Larger subtables first; equal ones in order position (a stable sort). */
+static int by_size(const void *a, const void *b)
+{
+    const candidate *x = a, *y = b;
+    if (x->count != y->count)
+        return x->count > y->count ? -1 : 1;
+    return x->pos < y->pos ? -1 : x->pos > y->pos;
+}
+
+static int sift_run(sift_space *sp, int converge, int64_t max_vars)
+{
+    candidate *cands = malloc((sp->nvars + 1) * sizeof(candidate));
+    if (!cands)
+        return ERR_NOMEM;
+    int code = 0;
+    for (;;) {
+        int64_t start_size = sp->size;
+        for (int32_t p = 0; p < sp->nvars; p++) {
+            int32_t v = sp->order[p];
+            cands[p] = (candidate){ sp->tables[v].count, p, v };
+        }
+        qsort(cands, sp->nvars, sizeof(candidate), by_size);
+        for (int64_t i = 0; i < max_vars && i < sp->nvars; i++) {
+            if (sp->budget <= 0)
+                break;
+            if ((code = sift_one(sp, sp->pos_of[cands[i].var])))
+                goto done;
+        }
+        if (!converge || sp->budget <= 0 || sp->size >= start_size)
+            break;
+    }
+done:
+    free(cands);
+    return code;
+}
+
+/* Sift the rows as _SiftSpace.run does: `roots` are pinned, levels are
+ * below `nvars`, `max_vars` is the candidate count per pass (already
+ * cut to nvars).  Writes the best order (position -> level) and the
+ * swaps made; the store itself is left as it was. */
+int32_t bdd_sift(bdd_store *s, const int32_t *roots, int64_t nroots,
+                 int32_t nvars, int32_t converge, int64_t max_swap,
+                 double max_growth, int64_t max_vars, int32_t *order_out,
+                 int64_t *swaps_out)
+{
+    for (int64_t i = 0; i < nroots; i++)
+        if (bad_node(s, roots[i]))
+            return -1;
+    for (int32_t node = 2; node < s->size; node++)
+        if (s->level[node] < 0 || s->level[node] >= nvars) {
+            s->bad = node;
+            return fail(s, ERR_NODE);
+        }
+    sift_space sp;
+    memset(&sp, 0, sizeof sp);
+    sp.nvars = nvars;
+    sp.budget = max_swap;
+    sp.growth = max_growth;
+    int code = ERR_NOMEM;
+    sp.tables = calloc(nvars + 1, sizeof(subtable));
+    sp.order = malloc((nvars + 1) * sizeof(int32_t));
+    sp.pos_of = malloc((nvars + 1) * sizeof(int32_t));
+    int64_t *counts = calloc(nvars + 1, sizeof(int64_t));
+    if (!sp.tables || !sp.order || !sp.pos_of || !counts)
+        goto out;
+    if ((code = sift_reserve(&sp, s->size)))
+        goto out;
+    code = ERR_NOMEM;
+    for (int32_t v = 0; v < nvars; v++)
+        sp.order[v] = sp.pos_of[v] = v;
+    for (int32_t node = 2; node < s->size; node++)
+        counts[s->level[node]]++;
+    for (int32_t v = 0; v < nvars; v++)
+        if (sub_init(&sp.tables[v], counts[v]) < 0)
+            goto out;
+    sp.rows = s->size;
+    memcpy(sp.var, s->level, s->size * sizeof(int32_t));
+    memcpy(sp.low, s->low, s->size * sizeof(int32_t));
+    memcpy(sp.high, s->high, s->size * sizeof(int32_t));
+    memset(sp.parents, 0, s->size * sizeof(int32_t));
+    for (int32_t node = 2; node < s->size; node++) {
+        if (sub_insert(&sp, &sp.tables[sp.var[node]], node) < 0)
+            goto out;
+        if (sp.low[node] > 1)
+            sp.parents[sp.low[node]]++;
+        if (sp.high[node] > 1)
+            sp.parents[sp.high[node]]++;
+    }
+    for (int64_t i = 0; i < nroots; i++)
+        if (roots[i] > 1)
+            sp.parents[roots[i]]++;
+    sp.size = s->size - 2;
+    if ((code = sift_run(&sp, converge, max_vars)))
+        goto out;
+    memcpy(order_out, sp.order, nvars * sizeof(int32_t));
+    *swaps_out = sp.swaps;
+out:
+    free(counts);
+    sift_free(&sp);
+    return code ? fail(s, code) : 0;
 }

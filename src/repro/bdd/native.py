@@ -65,6 +65,8 @@ int32_t bdd_level_counts(bdd_store *, int64_t *, int32_t);
 int32_t bdd_pad(bdd_store *, int32_t, int64_t);
 int32_t bdd_load(bdd_store *, const int32_t *, const int32_t *,
                  const int32_t *, int64_t, int32_t, int64_t *);
+int32_t bdd_sift(bdd_store *, const int32_t *, int64_t, int32_t, int32_t,
+                 int64_t, double, int64_t, int32_t *, int64_t *);
 """
 
 _SOURCE = os.path.join(os.path.dirname(os.path.abspath(__file__)), "native.c")
@@ -315,6 +317,22 @@ class NativeArena:
     def pad(self, level: int, count: int) -> None:
         """Append ``count`` dead rows no table holds (see ``Arena.pad``)."""
         self._checked(self._lib.bdd_pad(self._s, level, count))
+
+    def sift_order(self, roots: Iterable[int], var_count: int,
+                   converge: bool, max_swap: int, max_growth: float,
+                   max_vars: int) -> Tuple[List[int], int]:
+        """``(order, swaps)`` of ``Arena.sift_order``, sifted in C on a
+        scratch copy of the rows."""
+        ffi = self._ffi
+        roots = list(roots)
+        order = ffi.new("int32_t[]", var_count)
+        swaps = ffi.new("int64_t *")
+        # the candidates per pass, as a slice [:max_vars] counts them
+        candidates = len(range(var_count)[:max_vars])
+        self._checked(self._lib.bdd_sift(
+            self._s, ffi.new("int32_t[]", roots), len(roots), var_count,
+            bool(converge), max_swap, max_growth, candidates, order, swaps))
+        return ffi.unpack(order, var_count), swaps[0]
 
     # -- images --------------------------------------------------------
 

@@ -888,16 +888,22 @@ def main(argv: Optional[List[str]] = None) -> int:
     print(f"[{mode}] simulation ended at time {result.time} ({ended})")
     if args.stats:
         print(f"[stats] {result.stats.summary()}")
+        cache = sim.mgr.cache_stats()
+        managed = args.gc_threshold is not None or args.dyn_reorder
+        # where a managed run's time went: timings stay on the cpu=
+        # line, which every output comparison filters out
+        spent = (f" gc={cache['gc_seconds']:.3f}s "
+                 f"reorder={cache['reorder_seconds']:.3f}s"
+                 if managed else "")
         print(f"[stats] cpu={sim.kernel.cpu_seconds:.3f}s "
               f"bdd-nodes={sim.mgr.total_nodes} "
-              f"bdd-peak={sim.mgr.peak_nodes}")
+              f"bdd-peak={sim.mgr.peak_nodes}{spent}")
         print(f"[stats] bdd kernel: {sim.mgr.bdd_kernel}")
         heartbeat = getattr(sim.kernel, "_heartbeat", None)
         if heartbeat is not None:
             sink = heartbeat.path or "(in-process only)"
             print(f"[stats] heartbeats={heartbeat.beats} "
                   f"every={heartbeat.every} safe-points sink={sink}")
-        cache = sim.mgr.cache_stats()
         print(f"[stats] fastpath-word={cache['fastpath_word_ops']} "
               f"fastpath-bits={cache['fastpath_bit_shortcuts']} "
               f"fastpath-sym={cache['fastpath_symbolic_ops']} "
@@ -913,7 +919,7 @@ def main(argv: Optional[List[str]] = None) -> int:
                   f"compile-hits={ctier['tier_hits']} "
                   f"compile-misses={ctier['tier_misses']} "
                   f"compile-build={ctier['build_seconds']:.3f}s")
-        if args.gc_threshold is not None or args.dyn_reorder:
+        if managed:
             print(f"[stats] gc-runs={cache['gc_runs']} "
                   f"gc-reclaimed={cache['gc_reclaimed']} "
                   f"reorder-runs={cache['reorder_runs']} "

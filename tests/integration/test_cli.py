@@ -1,5 +1,7 @@
 """Tests for the ``symsim`` command-line front end."""
 
+import re
+
 import pytest
 
 from repro.cli import build_arg_parser, main
@@ -69,6 +71,23 @@ class TestMain:
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if "bdd kernel" in line]
         assert lines == [f"[stats] bdd kernel: {expected[store]}"]
+
+    @pytest.mark.parametrize("knobs, fields", [
+        ([], ""),
+        (["--gc-threshold", "1"], r" gc=\d+\.\d{3}s reorder=\d+\.\d{3}s"),
+        (["--dyn-reorder", "--reorder-threshold", "1"],
+         r" gc=\d+\.\d{3}s reorder=\d+\.\d{3}s"),
+    ], ids=["plain", "gc", "sift"])
+    def test_stats_split_a_managed_runs_time(self, design_file, capsys,
+                                             knobs, fields):
+        main([design_file, "--define", "TARGET=99", "--quiet", "--stats",
+              *knobs])
+        lines = [line for line in capsys.readouterr().out.splitlines()
+                 if line.startswith("[stats] cpu=")]
+        assert len(lines) == 1
+        assert re.fullmatch(
+            r"\[stats\] cpu=\d+\.\d{3}s bdd-nodes=\d+ bdd-peak=\d+"
+            + fields, lines[0]), lines[0]
 
     def test_profile_report_names_the_bdd_store(self, design_file, tmp_path,
                                                 capsys):

@@ -79,6 +79,8 @@ def test_both_stores_offer_one_interface():
     # fail(): only a native kernel reports a failure by its result
     assert public(Arena) - {"fail"} <= public(NativeArena) | ARENA_FIELDS
     assert public(NativeArena) - {"fail"} <= public(Arena)
+    # the sift's swap space is the store's too
+    assert "sift_order" in public(Arena) & public(NativeArena)
 
 
 def test_the_check_sees_a_reach():

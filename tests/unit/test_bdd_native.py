@@ -5,6 +5,10 @@
   ``sift``, ``reorder`` and ``image()``/``restore()`` between them) run
   on a native manager and on a Python one; after every step the two
   hold the same image, hit and miss counts, peak and dropped count.
+* **Sift.**  On random multi-root graphs, with the sift's bounds cut
+  small enough that the swap budget runs out mid-variable, the growth
+  limit ends sweeps and candidates are dropped, the C sift makes the
+  Python one's swaps and finds its order, with and without converging.
 * **Fallback.**  Without cffi a manager runs the Python store and says
   why; the native store is built on first use only, into a per-user
   cache keyed by its source.
@@ -20,6 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.bdd import TRUE, BddManager, native
+from repro.bdd.arena import Arena
 from repro.errors import BddError
 
 NATIVE = native.unavailable()
@@ -101,6 +106,74 @@ def test_native_store_matches_python_store(ops):
         _step(fast, fast_pool, op, args)
         _step(slow, slow_pool, op, args)
         assert _state(fast, fast_pool) == _state(slow, slow_pool), op
+
+
+SIFT_BOUNDS = st.tuples(
+    st.one_of(st.integers(0, 40), st.just(1_000_000)),       # swaps
+    st.sampled_from([1.0, 1.05, 1.2, 2.0]),                  # growth
+    st.one_of(st.integers(0, 6), st.just(1000)))             # variables
+
+
+def _sift_graph(fastpath, seed, nvars, nops):
+    """A manager holding a random graph's roots through two providers
+    that share some of them and two handles on one of those; returns it
+    and its holders.  (Handles enumerate in hash order, and ``reorder``
+    numbers nodes in root order, so handles on distinct nodes would
+    make the image after the sift differ from run to run.)"""
+    rng = random.Random(seed)
+    mgr = BddManager()
+    mgr.fastpath = fastpath
+    nodes = [mgr.new_var(f"v{i}") for i in range(nvars)]
+    for _ in range(nops):
+        f, g, h = (rng.choice(nodes) for _ in range(3))
+        nodes.append((mgr.and_(f, g), mgr.or_(f, mgr.not_(g)),
+                      mgr.xor(f, g), mgr.ite(f, g, h))[rng.randrange(4)])
+    picked = rng.sample(nodes[nvars:], min(nops, 6))
+    holders = [_Pool(picked[:4]), _Pool(picked[2:]),
+               [mgr.ref(picked[-1]), mgr.ref(picked[-1])]]
+    for pool in holders[:2]:
+        mgr.register_root_provider(pool)
+    return mgr, holders
+
+
+@needs_native
+@settings(max_examples=80, deadline=None)
+@given(st.integers(0, 2 ** 32), st.integers(2, 10), st.integers(1, 90),
+       st.booleans(), SIFT_BOUNDS)
+def test_native_sift_matches_python_sift(seed, nvars, nops, converge,
+                                         bounds):
+    from repro.bdd import manager
+
+    seen = []
+    with pytest.MonkeyPatch.context() as patch:
+        for name, value in zip(("SIFT_MAX_SWAP", "SIFT_MAX_GROWTH",
+                                "SIFT_MAX_VARS"), bounds):
+            patch.setattr(manager, name, value)
+        for fastpath in (True, False):
+            mgr, holders = _sift_graph(fastpath, seed, nvars, nops)
+            assert (mgr.bdd_kernel == "native") is fastpath
+            mgr.sift_converge = converge
+            mgr.sift()
+            seen.append((mgr._var_names, mgr.cache_stats()["reorder_swaps"],
+                         mgr.image(), holders[0].nodes, holders[1].nodes,
+                         [handle.node for handle in holders[2]]))
+    assert seen[0] == seen[1]
+
+
+@needs_native
+def test_native_sift_errors_are_one_line():
+    mgr = BddManager()
+    a, b = mgr.new_var(), mgr.new_var()
+    mgr.and_(a, b)
+    with pytest.raises(BddError, match="not a node of this manager: 99"):
+        mgr.arena.sift_order([a, 99], 2, False, 10, 1.2, 2)
+    # a node whose level names no variable
+    with pytest.raises(BddError, match="not a node of this manager: 3"):
+        mgr.arena.sift_order([a], 1, False, 10, 1.2, 2)
+    # the store still sifts, as the Python one does
+    python = Arena.from_image(mgr.arena.image(), 2)
+    assert (mgr.arena.sift_order([a, b], 2, False, 10, 1.2, 2)
+            == python.sift_order([a, b], 2, False, 10, 1.2, 2) == ([0, 1], 4))
 
 
 @needs_native
