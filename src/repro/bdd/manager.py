@@ -155,7 +155,12 @@ class BddManager:
         self.reorder_growth = 2.0         # re-sift after this live growth
         self.sift_threshold = 4096        # nodes built before the first sift
         self.sift_converge = False        # repeat passes until no gain
-        self._handles: "weakref.WeakSet[BddRef]" = weakref.WeakSet()
+        # Weak, keyed by a creation serial: roots are visited in the
+        # order the handles were made, so reorder/rebuild number their
+        # nodes the same way on every run.
+        self._handles: "weakref.WeakValueDictionary[int, BddRef]" = (
+            weakref.WeakValueDictionary())
+        self._handle_serial = 0
         # Weak, in registration order: a provider (the kernel) holds
         # its manager, so a strong list here would be a cycle that
         # keeps a finished simulation's arena alive until the cyclic
@@ -966,7 +971,8 @@ class BddManager:
     def ref(self, node: int) -> BddRef:
         """Pin ``node`` with a GC-stable handle (see :class:`BddRef`)."""
         handle = BddRef(self, node)
-        self._handles.add(handle)
+        self._handle_serial += 1
+        self._handles[self._handle_serial] = handle
         return handle
 
     def register_root_provider(self, provider) -> None:
@@ -1001,7 +1007,7 @@ class BddManager:
     def _iter_roots(self) -> Iterator[int]:
         """Every externally live node: variables, handles, providers."""
         yield from self._var_bdds
-        for handle in list(self._handles):
+        for handle in list(self._handles.values()):
             yield handle.node
         for provider in self._providers():
             yield from provider.bdd_roots()
@@ -1018,7 +1024,7 @@ class BddManager:
         started = _time.perf_counter()
         arena = self.arena
         size = arena.size()
-        handles = list(self._handles)
+        handles = list(self._handles.values())
         # Compaction rebuilds the unique table and drops the computed
         # tables (they are keyed by old ids), so the kernels rebind.
         node_map = arena.compact(arena.mark(self._iter_roots()))
@@ -1065,7 +1071,7 @@ class BddManager:
         """
         started = _time.perf_counter()
         order = list(order)
-        handles = list(self._handles)
+        handles = list(self._handles.values())
         roots = list(self._iter_roots())
         scratch, memo = self._translated(order, roots)
         level_map = [0] * self.var_count
@@ -1222,7 +1228,7 @@ class BddManager:
         if not 0 <= level < self.var_count:
             raise BddError(f"unknown variable level {level}")
         started = _time.perf_counter()
-        handles = list(self._handles)
+        handles = list(self._handles.values())
         providers = self._providers()
         roots: List[int] = [handle.node for handle in handles]
         for provider in providers:

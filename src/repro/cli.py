@@ -915,6 +915,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         ctier = sim.kernel.compile_tier_stats()
         if ctier is not None:
             print(f"[stats] compile-blocks={ctier['blocks']} "
+                  f"compile-reused={ctier['reused']} "
                   f"compile-fused={ctier['fused_instructions']} "
                   f"compile-hits={ctier['tier_hits']} "
                   f"compile-misses={ctier['tier_misses']} "

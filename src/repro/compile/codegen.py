@@ -35,10 +35,19 @@ Bit-identity contract (differential-tested against the interpreter):
   exactly the ``fastpath_word_ops`` the skipped generic evaluation
   would have counted — so ``SimResult.to_dict()`` payloads compare
   equal byte for byte across tiers;
-* blocks are keyed by ``(accumulation_mode, specialize)`` and cached
-  on the Program (a plain attribute, never pickled: a shipped Program
-  recompiles from its design image and rebuilds blocks lazily in each
-  batch worker).
+* block tables are keyed by ``(accumulation_mode, specialize)`` and
+  cached on the Program (a plain attribute, never pickled: a shipped
+  Program recompiles from its design image and rebuilds blocks lazily
+  in each batch worker).
+
+What is cached where: each block's *code object* is cached per
+process, keyed by its generated source and its ``<codegen:proc@pc>``
+filename (:func:`_compiled`), so programs that share a process's text
+(a campaign's mutants, a rebuilt Program, the replicas of one design)
+compile it once.  Every block still gets its own function, ``exec``-ed
+into a fresh namespace per Program: its instructions, word closures
+and ``g{k}`` miss-streak cells are never shared.  A forked worker
+starts with whatever code objects its parent had cached.
 
 Block protocol: ``block(kern, frame) -> Optional[int]`` — the next
 label, or ``None`` for ``returnToSimulator()``.  Each block carries
@@ -52,6 +61,7 @@ tests).
 
 from __future__ import annotations
 
+import functools
 import time as _time
 from typing import Dict, List, Optional
 
@@ -71,7 +81,9 @@ def compiled_tables(program, mode: AccumulationMode,
     The cache lives in a plain instance attribute so it survives for
     the Program's lifetime (batch workers reuse one Program across
     runs) but never crosses a pickle boundary —
-    ``Program.__reduce__`` ships only the design image.
+    ``Program.__reduce__`` ships only the design image.  The code
+    objects behind the blocks are cached per process instead
+    (:func:`_compiled`).
     """
     cache = getattr(program, "_codegen_cache", None)
     if cache is None:
@@ -92,6 +104,7 @@ class CompiledTables:
         self.mode = mode
         self.specialize = bool(specialize)
         self.blocks_built = 0
+        self.blocks_reused = 0  # blocks whose code object was cached
         self.fused_instructions = 0
         self.build_seconds = 0.0
         #: tables[process.index][pc] -> block or None (built on demand)
@@ -113,18 +126,21 @@ class CompiledTables:
         block = table[pc]
         if block is None:
             started = _time.perf_counter()
+            hits = _compiled.cache_info().hits
             block = table[pc] = _build_block(
                 self.program.processes[proc_index], pc, self.mode,
                 self.specialize,
             )
             self.build_seconds += _time.perf_counter() - started
             self.blocks_built += 1
+            self.blocks_reused += _compiled.cache_info().hits - hits
             self.fused_instructions += block.fused
         return block
 
     def stats(self) -> Dict[str, object]:
         return {
             "blocks": self.blocks_built,
+            "reused": self.blocks_reused,
             "fused_instructions": self.fused_instructions,
             "build_seconds": self.build_seconds,
             "specialize": self.specialize,
@@ -167,6 +183,23 @@ _MISS_STREAK = 12
 #: ...and retried only when the streak count masks to zero (every 64th
 #: execution), so a site that turns concrete later is picked back up.
 _RETRY_MASK = 63
+
+
+#: Code objects :func:`_compiled` keeps per process: a few times the
+#: blocks of the largest builtin design, with room for a campaign's
+#: mutated variants.
+_CODE_CACHE_SIZE = 4096
+
+
+@functools.lru_cache(maxsize=_CODE_CACHE_SIZE)
+def _compiled(source: str, filename: str):
+    """The code object of one block's generated ``source``.
+
+    Code objects are immutable, so one serves every Program that
+    generates the same text; ``filename`` stays in the key so each
+    keeps its ``<codegen:proc@pc>`` name in tracebacks.
+    """
+    return compile(source, filename, "exec")
 
 
 class _Emitter:
@@ -313,8 +346,9 @@ def _build_block(proc: CompiledProcess, start: int, mode: AccumulationMode,
             em.emit(f"return i{k}.execute(kern, frame)")
         break
     source = "def _b(kern, frame):\n" + "\n".join(em.lines) + "\n"
-    code = compile(source, f"<codegen:{proc.name}@{start}>", "exec")
-    exec(code, em.ns)
+    # The code object may be shared; the function exec() makes is this
+    # Program's own, bound to this block's namespace.
+    exec(_compiled(source, f"<codegen:{proc.name}@{start}>"), em.ns)
     block = em.ns["_b"]
     block.sites = tuple(sites.items())
     block.site_seq = tuple(site_seq)

@@ -26,7 +26,9 @@ from typing import Callable, Dict, FrozenSet, List, Optional, Tuple
 from repro.bdd import FALSE, TRUE
 from repro.errors import CompileError
 from repro.frontend import ast_nodes as ast
-from repro.frontend.elaborate import Design, NetInfo, Scope, ScopedProcess
+from repro.frontend.elaborate import (
+    Design, NetInfo, Scope, ScopedProcess, declared_range, declared_width,
+)
 from repro.fourval import FourVec, ops
 from repro.compile.expr import (
     CExpr, CompileContext, ConstFolder, ExprCompiler, LhsPlan,
@@ -112,6 +114,13 @@ class Program:
         self._design_image: Optional[bytes] = None
 
     def __reduce__(self):
+        """Pickle as the design image: the receiving process recompiles
+        the Program, and builds its codegen blocks again on first run.
+
+        Only code objects outlive a Program (cached per process by
+        :func:`repro.compile.codegen._compiled`); instructions,
+        closures and block namespaces are rebuilt for each Program.
+        """
         if self._design_image is None:
             raise CompileError(
                 "this Program was not built by compile_design and "
@@ -917,18 +926,12 @@ class _ProcessCompiler:
                 f"task {stmt.name!r} expects {len(task.ports)} arguments, "
                 f"got {len(stmt.args)}"
             )
-        from repro.frontend.elaborate import const_eval
-
         compiler = self._expr(ctx)
         support = frozenset()
         local_map = dict(ctx.local_map)
         shadows: List[Tuple[ast.Decl, str, int]] = []
         for port in task.ports:
-            if port.range is not None:
-                pw = abs(const_eval(port.range.msb, ctx.scope)
-                         - const_eval(port.range.lsb, ctx.scope)) + 1
-            else:
-                pw = 1
+            pw = declared_width(port.range, ctx.scope, port.name)
             shadow = self.program.new_shadow(pw, port.signed,
                                              hint=f"{stmt.name}.{port.name}")
             local_map[port.name] = shadow
@@ -936,11 +939,8 @@ class _ProcessCompiler:
         for decl in task.decls:
             if decl.kind == "integer":
                 lw = 32
-            elif decl.range is not None:
-                lw = abs(const_eval(decl.range.msb, ctx.scope)
-                         - const_eval(decl.range.lsb, ctx.scope)) + 1
             else:
-                lw = 1
+                lw = declared_width(decl.range, ctx.scope, decl.name)
             shadow = self.program.new_shadow(
                 lw, decl.signed or decl.kind == "integer",
                 hint=f"{stmt.name}.{decl.name}"
@@ -1003,8 +1003,7 @@ def _block_decl_to_net(design: Design, scope: Scope, decl: ast.Decl,
     elif decl.kind == "time":
         msb = 63
     elif decl.range is not None:
-        msb = const_eval(decl.range.msb, scope)
-        lsb = const_eval(decl.range.lsb, scope)
+        msb, lsb = declared_range(decl.range, scope, decl.name)
     array = None
     if decl.array is not None:
         first = const_eval(decl.array.msb, scope)

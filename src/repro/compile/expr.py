@@ -593,11 +593,13 @@ class ExprCompiler:
                      word=word, word_cost=sum(p.word_cost for p in parts))
 
     def _compile_repl(self, expr: ast.Repl) -> CExpr:
-        from repro.frontend.elaborate import const_eval
+        from repro.frontend.elaborate import checked_width, const_eval
 
         count = const_eval(expr.count, self.ctx.scope)
         value = self.compile(expr.value)
-        width = count * value.width
+        width = checked_width(
+            count * value.width,
+            f"line {expr.line}: replication {{{count}{{...}}}}")
 
         def ev(kern, env, ctrl, ctx_width):
             inner = value.eval(kern, env, ctrl, value.width)

@@ -36,7 +36,7 @@ from typing import Callable, Dict, FrozenSet, List, Tuple
 from repro.bdd import FALSE, TRUE
 from repro.errors import CompileError, SimulationHang, SymbolicRepeatError
 from repro.frontend import ast_nodes as ast
-from repro.frontend.elaborate import const_eval
+from repro.frontend.elaborate import declared_width
 from repro.fourval import FourVec, ops
 
 #: Iteration watchdog for loops with symbolic exit conditions.
@@ -65,23 +65,14 @@ class FunctionEvaluator:
 
         self.name = func.name
         scope = parent_ctx.scope
-        if func.range is not None:
-            msb = const_eval(func.range.msb, scope)
-            lsb = const_eval(func.range.lsb, scope)
-            self.width = abs(msb - lsb) + 1
-        else:
-            self.width = 1
+        self.width = declared_width(func.range, scope, func.name)
         self.signed = func.signed
 
         ctx = parent_ctx.module_context()
         self.port_names: List[str] = []
         self.port_widths: List[int] = []
         for port in func.ports:
-            if port.range is not None:
-                pw = abs(const_eval(port.range.msb, scope)
-                         - const_eval(port.range.lsb, scope)) + 1
-            else:
-                pw = 1
+            pw = declared_width(port.range, scope, port.name)
             ctx.func_locals[port.name] = (pw, port.signed)
             self.port_names.append(port.name)
             self.port_widths.append(pw)
@@ -89,12 +80,9 @@ class FunctionEvaluator:
         for decl in func.decls:
             if decl.kind == "integer":
                 lw, lsigned = 32, True
-            elif decl.range is not None:
-                lw = abs(const_eval(decl.range.msb, scope)
-                         - const_eval(decl.range.lsb, scope)) + 1
-                lsigned = decl.signed
             else:
-                lw, lsigned = 1, decl.signed
+                lw = declared_width(decl.range, scope, decl.name)
+                lsigned = decl.signed
             ctx.func_locals[decl.name] = (lw, lsigned)
             self._local_widths[decl.name] = lw
         ctx.func_locals[func.name] = (self.width, self.signed)

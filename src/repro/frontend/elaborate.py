@@ -296,8 +296,7 @@ def _decl_to_net(design: Design, scope: Scope, decl: ast.Decl) -> NetInfo:
     elif decl.kind == "time":
         msb = 63
     elif decl.range is not None:
-        msb = const_eval(decl.range.msb, scope)
-        lsb = const_eval(decl.range.lsb, scope)
+        msb, lsb = declared_range(decl.range, scope, decl.name)
     array = None
     if decl.array is not None:
         first = const_eval(decl.array.msb, scope)
@@ -532,13 +531,42 @@ def _raise_div() -> int:
     raise ElaborationError("division by zero in constant expression")
 
 
-#: Widest result of a constant ``<<`` or ``**`` elaboration computes.
+#: Widest result of a constant ``<<`` or ``**`` elaboration computes,
+#: and the widest vector a declaration or replication may make (IEEE
+#: 1364-2005 4.3.1 lets a tool cap vector width at no less than 2**16).
 _MAX_CONST_BITS = 65_536
 
 
 def _too_wide() -> ElaborationError:
     return ElaborationError(
         f"constant expression result wider than {_MAX_CONST_BITS} bits")
+
+
+def checked_width(width: int, what: str) -> int:
+    """``width``; a vector wider than ``_MAX_CONST_BITS`` is an
+    :class:`ElaborationError` naming ``what``."""
+    if width > _MAX_CONST_BITS:
+        raise ElaborationError(
+            f"{what} is {width} bits wide; vectors are limited to "
+            f"{_MAX_CONST_BITS} bits")
+    return width
+
+
+def declared_range(rng: ast.Range, scope: Scope, name: str) -> Tuple[int, int]:
+    """``(msb, lsb)`` of ``name``'s declared range, within
+    :func:`checked_width`."""
+    msb = const_eval(rng.msb, scope)
+    lsb = const_eval(rng.lsb, scope)
+    checked_width(abs(msb - lsb) + 1, f"{name}: range [{msb}:{lsb}]")
+    return msb, lsb
+
+
+def declared_width(rng: Optional[ast.Range], scope: Scope, name: str) -> int:
+    """The width of ``name``'s declared range, 1 with no range."""
+    if rng is None:
+        return 1
+    msb, lsb = declared_range(rng, scope, name)
+    return abs(msb - lsb) + 1
 
 
 def _shift_count(count: int) -> int:

@@ -34,6 +34,9 @@ _OPERATORS = [
     "(", ")", "[", "]", "{", "}", ";", ":", ",", ".", "#", "@", "?",
     "=", "+", "-", "*", "/", "%", "<", ">", "!", "~", "&", "|", "^", "$",
 ]
+#: One alternation in ``_OPERATORS`` order: a regex alternation takes
+#: the first alternative that matches, so the longest still wins.
+_OPERATOR_RE = re.compile("|".join(re.escape(op) for op in _OPERATORS))
 
 _NUMBER_RE = re.compile(
     r"(?:(\d[\d_]*)?\s*'\s*(s?)([bodhBODH])\s*([0-9a-fA-FxXzZ_\?]+))|(\d[\d_]*\.\d[\d_]*)|(\d[\d_]*)"
@@ -122,24 +125,21 @@ class Lexer:
                 tokens.append(Token("string", "".join(chunks), line, col))
                 pos = end + 1
                 continue
-            match = _NUMBER_RE.match(text, pos)
-            if match and (char.isdigit() or char == "'"):
-                if match.group(5) is not None:
-                    tokens.append(Token("real", match.group(5), line, col))
-                else:
-                    tokens.append(Token("number", match.group(0), line, col))
-                pos = match.end()
-                # A based literal may follow an unsized decimal (e.g.
-                # ``8 'hff`` with space) — the regex already consumed it.
-                continue
-            if char == "'":
-                # based literal without preceding size, e.g. 'bx
+            if char.isdigit() or char == "'":
+                # 'bx is a based literal without a size
                 match = _NUMBER_RE.match(text, pos)
                 if match:
-                    tokens.append(Token("number", match.group(0), line, col))
+                    if match.group(5) is not None:
+                        tokens.append(Token("real", match.group(5), line, col))
+                    else:
+                        tokens.append(Token("number", match.group(0), line, col))
                     pos = match.end()
+                    # A based literal may follow an unsized decimal (e.g.
+                    # ``8 'hff`` with space) — the regex already consumed it.
                     continue
-                raise VerilogSyntaxError(f"bad numeric literal at {char!r}", line, col)
+                if char == "'":
+                    raise VerilogSyntaxError(
+                        f"bad numeric literal at {char!r}", line, col)
             if char == "\\":
                 match = _ESCAPED_RE.match(text, pos)
                 if match:
@@ -165,13 +165,11 @@ class Lexer:
                     line,
                     col,
                 )
-            for op in _OPERATORS:
-                if text.startswith(op, pos):
-                    tokens.append(Token("op", op, line, col))
-                    pos += len(op)
-                    break
-            else:
+            match = _OPERATOR_RE.match(text, pos)
+            if match is None:
                 raise VerilogSyntaxError(f"unexpected character {char!r}", line, col)
+            tokens.append(Token("op", match.group(0), line, col))
+            pos = match.end()
         tokens.append(Token("eof", "", line, 0))
         return tokens
 

@@ -65,8 +65,9 @@ class MutationPlan:
     total_sites: int
     mutants: List[PlannedMutant]
     baseline_source: str = dataclasses.field(repr=False)
-    #: Parsed baseline AST; regenerated per-mutant by deepcopy.  Not
-    #: serialized — a deserialized plan rebuilds it from the source.
+    #: Parsed baseline AST; each mutant copies only the module it
+    #: mutates (:func:`_mutated`).  Not serialized — a deserialized
+    #: plan rebuilds it from the source.
     _modules_ast: Dict[str, ast_mod.Module] = dataclasses.field(
         repr=False, compare=False, default=None)
 
@@ -96,10 +97,23 @@ class MutationPlan:
 
     def mutant_source(self, mutant: PlannedMutant) -> str:
         """Render the Verilog source of one planned mutant."""
-        modules = copy.deepcopy(self._modules_ast)
-        ops.apply_site(modules, mutant.operator, mutant.module,
-                       mutant.ordinal)
+        modules, _ = _mutated(self._modules_ast, mutant.operator,
+                              mutant.module, mutant.ordinal)
         return print_modules(modules)
+
+
+def _mutated(modules: Dict[str, ast_mod.Module], operator: str,
+             module_name: str, ordinal: int):
+    """``(modules with one site mutated, the site's description)``.
+
+    ``apply_site`` edits only ``module_name``, so only that module is
+    deep-copied; the others are shared with ``modules``, in its order.
+    """
+    mutated = dict(modules)
+    if module_name in mutated:
+        mutated[module_name] = copy.deepcopy(mutated[module_name])
+    description = ops.apply_site(mutated, operator, module_name, ordinal)
+    return mutated, description
 
 
 def _sha(text: str) -> str:
@@ -161,8 +175,7 @@ def build_plan(
     for index, (operator, module_name, ordinal, line) in enumerate(sites):
         # Describe by applying to a scratch copy — descriptions are
         # part of the plan's byte-identity contract.
-        scratch = copy.deepcopy(parsed)
-        description = ops.apply_site(scratch, operator, module_name, ordinal)
+        _, description = _mutated(parsed, operator, module_name, ordinal)
         mutants.append(PlannedMutant(
             id=f"m{index:04d}_{operator}_{module_name}_o{ordinal}",
             operator=operator,

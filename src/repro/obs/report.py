@@ -201,7 +201,8 @@ def _format_compile_line(ctier: dict) -> str:
     total = hits + misses
     rate = f"{100.0 * hits / total:.1f}%" if total else "n/a"
     return (
-        f"compile: {ctier.get('blocks', 0)} blocks covering "
+        f"compile: {ctier.get('blocks', 0)} blocks "
+        f"({ctier.get('reused', 0)} reused) covering "
         f"{ctier.get('fused_instructions', 0)} instructions, "
         f"fast-path hit-rate {rate} ({hits}/{total}), "
         f"build {ctier.get('build_seconds', 0.0):.3f}s"

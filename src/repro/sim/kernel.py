@@ -768,8 +768,10 @@ class Kernel:
 
     def compile_tier_stats(self) -> Optional[dict]:
         """Compiled-tier counters, or ``None`` when interpreting:
-        blocks built, instructions they cover, runtime fast-path
-        hits/misses, and codegen wall time."""
+        blocks built, how many reused a cached code object, instructions
+        they cover, runtime fast-path hits/misses, and codegen wall
+        time.  ``reused`` and ``build_seconds`` depend on what this
+        process compiled before, so no result payload carries them."""
         if self._ctables is None:
             return None
         payload = self._ctables.stats()

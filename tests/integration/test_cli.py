@@ -130,6 +130,31 @@ class TestMain:
         assert "negative shift count" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("body, match", [
+        ("wire [99999999999999999999:0] w;", "w: range"),
+        ("reg a; initial a = {99999999999{1'b1}};", "replication"),
+        ("reg a; function [70000:0] f; input x; f = x; endfunction\n"
+         "initial a = f(1'b0);", "f: range"),
+        ("task t; input [0:70000] x; begin end endtask\n"
+         "initial t(1'b0);", "x: range"),
+    ])
+    def test_absurd_width_is_one_error_line(self, tmp_path, capsys, body,
+                                            match):
+        path = tmp_path / "wide.v"
+        path.write_text(f"module tb; {body} endmodule\n")
+        assert main([str(path)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1
+        assert match in err and "limited to 65536 bits" in err
+
+    def test_widest_vector_runs(self, tmp_path, capsys):
+        path = tmp_path / "wide.v"
+        path.write_text("module tb; reg [65535:0] r; initial begin\n"
+                        "r = 1; r = r << 65535; $display(\"%d\", r[65535]);"
+                        "\nend endmodule\n")
+        assert main([str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[0].strip() == "1"
+
     def test_until_bound(self, tmp_path, capsys):
         path = tmp_path / "t.v"
         path.write_text("""

@@ -12,6 +12,7 @@ import random
 import pytest
 
 from repro.bdd import FALSE, TRUE, BddManager
+from repro.bdd.manager import BddRef
 from repro.errors import BddError
 from repro.obs.metrics import MetricsRegistry
 
@@ -370,3 +371,34 @@ class TestSifting:
         mgr.sift()
         assert mgr.total_nodes <= before
         assert truth_table(mgr, ref.deref(), 4)[0b1111] is True
+
+
+class TestHandleOrder:
+    """Handles are roots in creation order, so the node numbering that
+    reorder/sift give does not depend on where the handles live."""
+
+    @staticmethod
+    def _build(shuffle_seed, step):
+        mgr = BddManager()
+        a = [mgr.new_var(f"a{i}") for i in range(4)]
+        b = [mgr.new_var(f"b{i}") for i in range(4)]
+        rng = random.Random(shuffle_seed)
+        handles, spare = [], []
+        for out in ripple_adder(mgr, a, b)[:-1] + [mgr.and_all(a)]:
+            # free same-sized objects in a seeded order, so each handle
+            # lands at an address that differs from build to build
+            junk = [BddRef(None, i) for i in range(rng.randrange(8, 64))]
+            rng.shuffle(junk)
+            spare.append(junk[: len(junk) // 2])
+            del junk
+            handles.append(mgr.ref(out))
+        step(mgr)
+        return repr(mgr.image())
+
+    @pytest.mark.parametrize("step", [
+        lambda mgr: mgr.reorder(list(range(mgr.var_count))[::-1]),
+        lambda mgr: mgr.sift(),
+    ], ids=["reorder", "sift"])
+    def test_same_build_gives_one_image(self, step):
+        builds = {self._build(seed, step) for seed in range(6)}
+        assert len(builds) == 1

@@ -7,10 +7,12 @@ import pickle
 import pytest
 
 import repro
-from repro import SimOptions, compile_design, elaborate, parse_source
-from repro.compile.codegen import CompiledTables, compiled_tables
+from repro import SimOptions, compile_design, designs, elaborate, parse_source
+from repro.compile.codegen import CompiledTables, _compiled, compiled_tables
 from repro.compile.instructions import AccumulationMode
 from repro.fourval import FourVec
+from repro.mutate import CampaignConfig, run_campaign
+from repro.mutate.plan import build_plan
 
 
 def compile_src(src, top=None):
@@ -89,7 +91,7 @@ class TestBlockFusion:
         program = compile_src(STRAIGHT_LINE)
         tables = CompiledTables(program, AccumulationMode.FULL, False)
         stats = tables.stats()
-        assert set(stats) == {"blocks", "fused_instructions",
+        assert set(stats) == {"blocks", "reused", "fused_instructions",
                               "build_seconds", "specialize"}
         assert stats["specialize"] is False
 
@@ -190,3 +192,70 @@ class TestKernelWiring:
         sim.run()
         assert sim.kernel._ctables is None
         assert sim.kernel.compile_tier_stats() is None
+
+
+class TestSharedCodeObjects:
+    """Blocks with the same generated text share one code object per
+    process; each Program still gets its own functions and cells."""
+
+    @staticmethod
+    def _tables(source, top):
+        sim = repro.open_sim(source, top=top,
+                             options=SimOptions(echo_output=False))
+        return sim, compiled_tables(sim.kernel.program,
+                                    AccumulationMode.FULL, True)
+
+    @staticmethod
+    def _pairs(left, right):
+        for row_a, row_b in zip(left.tables, right.tables):
+            for block_a, block_b in zip(row_a, row_b):
+                if block_a is not None and block_b is not None:
+                    yield block_a, block_b
+
+    def test_two_mutants_share_code_not_state(self):
+        source, top, defines = designs.load("arbiter", runtime=20)
+        plan = build_plan(source, top=top, defines=defines,
+                          operators=["stuck0", "nbaswap"])
+        stuck = next(m for m in plan.mutants if m.operator == "stuck0")
+        swap = next(m for m in plan.mutants if m.operator == "nbaswap")
+        sim, first = self._tables(plan.mutant_source(stuck), top)
+        sim.run()   # symbolic requests: some word probes miss
+        _, second = self._tables(plan.mutant_source(swap), top)
+        assert second.blocks_reused > 0
+        shared = differ = advanced = 0
+        for block_a, block_b in self._pairs(first, second):
+            if block_a.source != block_b.source:
+                differ += 1
+                assert block_a.__code__ is not block_b.__code__
+                continue
+            shared += 1
+            assert block_a.__code__ is block_b.__code__
+            assert block_a is not block_b
+            assert block_a.__globals__ is not block_b.__globals__
+            for name, cell in block_a.__globals__.items():
+                if name[0] == "g" and name[1:].isdigit() and cell[0]:
+                    advanced += 1
+                    assert block_b.__globals__[name] == [0]
+        assert shared and differ and advanced
+
+    def test_code_cache_keeps_block_filenames(self):
+        program = compile_src(STRAIGHT_LINE)
+        tables = compiled_tables(program, AccumulationMode.FULL, True)
+        block = tables.tables[0][0]
+        name = program.processes[0].name
+        assert block.__code__.co_filename == f"<codegen:{name}@0>"
+
+    def test_campaign_report_same_with_cold_and_warm_cache(self, tmp_path):
+        source, top, defines = designs.load("arbiter", runtime=20)
+        config = CampaignConfig(source=source, top=top, defines=defines,
+                                operators=["stuck0", "stuck1"],
+                                max_mutants=6, seed=3, until=30,
+                                verify_witnesses=True)
+        _compiled.cache_clear()
+        cold = run_campaign(config, workers=1, out_dir=str(tmp_path / "a"))
+        # the controller's witness replays compiled the detected mutants
+        assert "detected" in {m.classification for m in cold.mutants}
+        hits = _compiled.cache_info().hits
+        warm = run_campaign(config, workers=1, out_dir=str(tmp_path / "b"))
+        assert _compiled.cache_info().hits > hits
+        assert cold.to_json() == warm.to_json()

@@ -57,6 +57,28 @@ class TestNets:
         assert design.net("t").width == 64
         assert design.net("mem").array == (0, 7)
 
+    def test_widest_vector_is_65536_bits(self):
+        design = elab("module tb; reg [65535:0] r; wire [0:65535] w; endmodule")
+        assert design.net("r").width == design.net("w").width == 65536
+
+    @pytest.mark.parametrize("decl", [
+        "wire [99999999999999999999:0] w;",
+        "reg [65536:0] w;",
+        "reg [0:65536] w;",
+        "parameter N = 1 << 20; wire [N:1] w;",
+    ])
+    def test_wider_vectors_are_refused(self, decl):
+        with pytest.raises(ElaborationError,
+                           match=r"^w: range .* vectors are limited to 65536"):
+            elab(f"module tb; {decl} endmodule")
+
+    def test_wide_port_is_refused(self):
+        with pytest.raises(ElaborationError, match="limited to 65536 bits"):
+            elab("""
+                module leaf(input [70000:0] p); endmodule
+                module tb; leaf u(1'b0); endmodule
+            """)
+
     def test_descending_and_ascending_ranges(self):
         design = elab("module tb; reg [0:7] a; reg [7:0] b; endmodule")
         assert design.net("a").width == 8

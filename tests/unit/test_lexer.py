@@ -1,9 +1,15 @@
 """Unit tests for the lexer and preprocessor."""
 
+import hashlib
+import json
+
 import pytest
 
+from repro import designs
 from repro.errors import VerilogSyntaxError
 from repro.frontend.lexer import Lexer, preprocess
+from repro.frontend.parser import parse_source
+from repro.frontend.printer import print_modules
 
 
 def toks(text):
@@ -152,3 +158,42 @@ class TestPreprocessor:
     def test_unknown_directive(self):
         with pytest.raises(VerilogSyntaxError):
             preprocess("`frobnicate")
+
+
+#: sha256 of the JSON token stream ``[[kind, value, line, col], ...]``
+#: of each builtin design: (preprocessed source, printed modules).
+TOKEN_STREAM_SHA = {
+    "gcd": ("b3aaa604da23504c8fde5a210da21ece50aa222d9b0ef436544d236b54168e36",
+            "c410f7a025f6753654e055d2145674c8a8383a453012694d650974c4780082b6"),
+    "dram": ("65d5c40c70ad0fdae33f584e5914cd47770e7e6dcf28e67e1c42be90a0e30e7f",
+             "3e684776291a54124b07464ad796abe8daee1a1733e352592b69997473c963ff"),
+    "risc8": ("54ca0f31ba5fc12ade2e2622db9ad054b9c243c76093fb062d14c678564138d1",
+              "76121ced18b88d34d7ba97e3873026dd5de6f80c567ca072f12a55c9ee9c86bc"),
+    "mcu8": ("8c4ffb2354ddb9b23c8de6b851561f496ccf5667bb07c905187c73a65974465d",
+             "3a3927978fb017b5add7432ad38c5597b21e1bd3250d281f0de74fa51c4ba8b5"),
+    "alu4": ("171e6d7c98711f800b05804071bfc12ad2257ce76d458bd87605ab7d050fbe55",
+             "e44ce4f2624c24798807c92bc62e630aad9a3cb7e7911f2011f182702ca02a4b"),
+    "arbiter": ("0da2b1f978b86569fe8ea753e5991704e2e288e29c578d2fee6b1eb158bcdc8c",
+                "a80b8d20badac6cf9aaca0a1bf13553ea12e10bc3b66ab5f594ee3576cb9bb74"),
+}
+
+
+def _stream_sha(text):
+    tokens = [list(token) for token in Lexer(text).tokenize()]
+    return hashlib.sha256(json.dumps(tokens).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name", sorted(TOKEN_STREAM_SHA))
+def test_builtin_token_streams_pinned(name):
+    """Every token's kind, text and position, for each builtin design
+    as written and as the printer renders it."""
+    source, _, defines = designs.load(name)
+    printed = print_modules(parse_source(source, defines=defines))
+    assert (_stream_sha(preprocess(source, defines)),
+            _stream_sha(printed)) == TOKEN_STREAM_SHA[name]
+
+
+def test_non_ascii_digit_is_not_a_number():
+    # str.isdigit() accepts superscripts that the number regex does not
+    with pytest.raises(VerilogSyntaxError, match="unexpected character"):
+        toks("\u00b2")
