@@ -30,8 +30,9 @@ from repro.frontend.elaborate import (
     Design, NetInfo, Scope, ScopedProcess, declared_range, declared_width,
 )
 from repro.fourval import FourVec, ops
+from repro.fourval import word as words
 from repro.compile.expr import (
-    CExpr, CompileContext, ConstFolder, ExprCompiler, LhsPlan,
+    CExpr, CompileContext, ConstFolder, ExprCompiler, LhsPlan, _rt_signed,
 )
 from repro.compile.instructions import (
     BackEdge, BranchDone, CompiledProcess, Delay, End, Exec, ForkSpawn,
@@ -80,12 +81,39 @@ class CompiledContAssign:
         return self.rhs.support
 
 
-@dataclass
+@dataclass(slots=True)
 class Trigger:
-    """One sensitivity term of an event control."""
+    """One sensitivity term of an event control.
+
+    The derived fields serve the kernel's word path
+    (``Kernel._trigger_fire``): a trigger whose ``cexpr`` has a word
+    twin is tested on raw ints, and its ``last`` value may stay a raw
+    word until :meth:`materialize` turns it back into the vector the
+    generic ``eval`` returns.
+    """
 
     cexpr: CExpr
     edge: Optional[str]  # None | 'posedge' | 'negedge'
+    #: the cexpr's word twin, or None
+    word: Optional[Callable] = field(init=False)
+    width: int = field(init=False)
+    #: ``fastpath_word_ops`` one generic wake-up counts on fully-known
+    #: values: the evaluation, plus one for an edge test on bit 0
+    #: (``change_condition`` counts nothing)
+    cost: int = field(init=False)
+    #: signedness of the vector ``eval`` returns
+    signed: bool = field(init=False)
+
+    def __post_init__(self) -> None:
+        cexpr = self.cexpr
+        self.word = cexpr.word
+        self.width = cexpr.width
+        self.cost = cexpr.word_cost + (self.edge is not None)
+        self.signed = _rt_signed(cexpr)
+
+    def materialize(self, mgr, raw: int) -> FourVec:
+        """The vector ``eval`` returns when its word twin gives ``raw``."""
+        return FourVec.from_int(mgr, raw, self.width, self.signed)
 
 
 class Program:
@@ -758,14 +786,24 @@ class _ProcessCompiler:
             for net in sorted(support):
                 info = self.program.design.net(net)
                 width = info.width
+                # the value store keeps this signedness (SimState.register)
+                stored = info.signed or info.kind in ("integer", "time")
 
                 def read_net(kern, env, ctrl, ctx_width, _net=net):
                     return kern.state.value(_net).resize(ctx_width)
 
+                def read_word(kern, ctx_width, _net=net, _width=width,
+                              _signed=stored):
+                    raw = kern.state.known_word(_net)
+                    if raw is None:
+                        return None
+                    return words.resize(raw, _width, _signed, ctx_width)
+
                 triggers.append(
                     Trigger(
                         cexpr=CExpr(width=width, signed=False, eval=read_net,
-                                    support=frozenset([net])),
+                                    support=frozenset([net]), word=read_word,
+                                    rt_signed=stored),
                         edge=None,
                     )
                 )

@@ -420,8 +420,8 @@ class ExprCompiler:
 
         def word(kern, ctx_width):
             raw = kern.state.known_word(full)
-            if raw is None:
-                return None
+            if raw is None or ctx_width == width:
+                return raw  # known_word is masked to the declared width
             return words.resize(raw, width, signed, ctx_width)
 
         return CExpr(width=width, signed=signed, eval=ev,

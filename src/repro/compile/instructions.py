@@ -47,7 +47,7 @@ class AccumulationMode(enum.Enum):
     NONE = "none"
 
 
-@dataclass
+@dataclass(slots=True)
 class Frame:
     """One live execution path of a process."""
 
@@ -399,16 +399,25 @@ class JoinCheck(Instruction):
 
 
 class Delay(Instruction):
-    """``#d`` — suspend the path, resume at ``pc + 1`` after ``d``."""
+    """``#d`` — suspend the path, resume at ``pc + 1`` after ``d``.
 
-    __slots__ = ("delay_expr", "line")
+    A constant delay expression (a literal, a parameter, a folded
+    constant) is evaluated once, on first execution, and its int kept.
+    """
+
+    __slots__ = ("delay_expr", "constant", "line")
 
     def __init__(self, delay_expr, line: int = 0) -> None:
         self.delay_expr = delay_expr
+        self.constant: Optional[int] = None
         self.line = line
 
     def execute(self, kern, frame: Frame) -> Optional[int]:
-        delay = kern.eval_delay(self.delay_expr, frame)
+        delay = self.constant
+        if delay is None:
+            delay = kern.eval_delay(self.delay_expr, frame)
+            if self.delay_expr.const:
+                self.constant = delay
         region = kern.REGION_INACTIVE if delay == 0 else kern.REGION_ACTIVE
         kern.schedule(frame.process, frame.pc + 1, delay, frame.control,
                       frame.prio, region=region)
@@ -416,16 +425,30 @@ class Delay(Instruction):
 
 
 class WaitEvent(Instruction):
-    """``@(...)`` — register a waiter, resume at ``pc + 1`` on trigger."""
+    """``@(...)`` — register a waiter, resume at ``pc + 1`` on trigger.
 
-    __slots__ = ("triggers", "line")
+    ``nets`` are the nets the triggers read, computed once whenever
+    ``triggers`` is set.
+    """
+
+    __slots__ = ("_triggers", "nets", "line")
 
     def __init__(self, triggers, line: int = 0) -> None:
-        self.triggers = triggers  # list of (support, edge, cexpr)
+        self.triggers = triggers  # list of compiler.Trigger
         self.line = line
 
+    @property
+    def triggers(self):
+        return self._triggers
+
+    @triggers.setter
+    def triggers(self, triggers) -> None:
+        self._triggers = triggers
+        self.nets = tuple(frozenset().union(
+            *[t.cexpr.support for t in triggers]))
+
     def execute(self, kern, frame: Frame) -> Optional[int]:
-        kern.register_waiter(frame, frame.pc + 1, self.triggers)
+        kern.register_waiter(frame, frame.pc + 1, self)
         return None
 
 

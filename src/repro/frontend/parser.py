@@ -953,10 +953,13 @@ class Parser:
     def _make_number(self, token: Token) -> ast.Number:
         text = token.value.replace("_", "").replace(" ", "").replace("\t", "")
         if "'" not in text:
+            # An unsized decimal is a signed integer of at least 32
+            # bits; wider values keep every bit, plus a 0 sign bit.
             value = int(text)
-            bits = format(value & 0xFFFFFFFF, "032b")
-            return ast.Number(bits=bits, width=32, signed=True, sized=False,
-                              base="d", line=token.line)
+            width = max(32, value.bit_length() + 1)
+            return ast.Number(bits=format(value, f"0{width}b"), width=width,
+                              signed=True, sized=False, base="d",
+                              line=token.line)
         size_text, rest = text.split("'", 1)
         signed = False
         if rest and rest[0] in "sS":

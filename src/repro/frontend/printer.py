@@ -238,8 +238,11 @@ def _expr(expr: ast.Expr) -> str:
         sign = "s" if expr.signed else ""
         if not expr.sized:
             if expr.base == "d" and expr.signed and "x" not in expr.bits \
-                    and "z" not in expr.bits and expr.width == 32:
-                return str(int(expr.bits, 2))
+                    and "z" not in expr.bits:
+                value = int(expr.bits, 2)
+                # a plain decimal parses back to this width
+                if expr.width == max(32, value.bit_length() + 1):
+                    return str(value)
             return f"'{sign}b{expr.bits}"
         return f"{expr.width}'{sign}b{expr.bits}"
     if isinstance(expr, ast.RealNumber):

@@ -32,6 +32,9 @@ What round-trips (proven bit-identical by the crash-recovery tests):
   and the concrete-random RNG state;
 * an open VCD stream: the byte offset is saved and the file is
   truncated back to it on resume, so the waveform continues seamlessly.
+  Its path is stored relative to the checkpoint's directory, so a
+  checkpoint moved together with its VCD resumes, and the file's size
+  does not depend on where the run happened.
 
 Closures never enter the file: everything callable is re-derived from
 the compiled :class:`~repro.compile.compiler.Program`, which is why
@@ -178,7 +181,18 @@ def _nba_fn(kern, spec):
 # ----------------------------------------------------------------------
 
 
-def _collect_payload(kern) -> Dict[str, Any]:
+def _relative(path: str, directory: str) -> str:
+    """``path`` relative to ``directory`` (absolute where there is no
+    relative path, as across Windows drives)."""
+    try:
+        return os.path.relpath(path, directory)
+    except ValueError:
+        return os.path.abspath(path)
+
+
+def _collect_payload(kern, directory: str = os.curdir) -> Dict[str, Any]:
+    """The checkpoint payload of ``kern``; the VCD path is stored
+    relative to ``directory``, the checkpoint file's."""
     if kern._busy and kern._strobes:
         raise CheckpointError(
             "cannot checkpoint mid-step state (pending $strobe events)"
@@ -212,7 +226,8 @@ def _collect_payload(kern) -> Dict[str, Any]:
             "pc": waiter.pc,
             "control": waiter.control,
             "prio": waiter.prio,
-            "lasts": [_vec_image(ts.last) for ts in waiter.triggers],
+            "lasts": [_vec_image(last)
+                      for last in waiter.last_vectors(kern.mgr)],
         })
     waiters_by_net = {
         net: [waiter_index[id(w)] for w in waiters if not w.dead]
@@ -298,7 +313,7 @@ def _collect_payload(kern) -> Dict[str, Any]:
         kern._vcd_stream.flush()
         vcd = kern._vcd
         payload["vcd"] = {
-            "path": kern._vcd_path or "dump.vcd",
+            "path": _relative(kern._vcd_path or "dump.vcd", directory),
             "offset": kern._vcd_stream.tell(),
             "ids": dict(vcd._ids),
             "widths": dict(vcd._widths),
@@ -331,7 +346,9 @@ def save_checkpoint(kern, path: str) -> str:
             "concrete_random": options.concrete_random,
         },
     }
-    payload = pickle.dumps(_collect_payload(kern), protocol=4)
+    payload = pickle.dumps(
+        _collect_payload(kern, os.path.dirname(path) or os.curdir),
+        protocol=4)
     header["payload_bytes"] = len(payload)
     header["payload_sha256"] = hashlib.sha256(payload).hexdigest()
     tmp = f"{path}.tmp.{os.getpid()}"
@@ -415,7 +432,7 @@ def load_checkpoint(program: Program, path: str, options=None):
     differ.  The resumed kernel continues exactly where the original
     would have: same event order, same symbolic state, same output.
     """
-    from repro.sim.kernel import Kernel, SimOptions, _Assertion, _TriggerState, _Waiter
+    from repro.sim.kernel import Kernel, SimOptions, _Assertion, _Waiter
     from repro.sim.scheduler import Event
     from repro.sim.stats import TimePoint
     from repro.sim.trace import ErrorTrace, RandomInvocation, TraceEntry, Violation
@@ -457,10 +474,9 @@ def load_checkpoint(program: Program, path: str, options=None):
     except Exception as exc:  # pickle raises a zoo of types on corruption
         raise CheckpointError(f"{path}: corrupt payload: {exc}")
     try:
-        return _rebuild(Kernel, program, options, payload,
-                        _Assertion, _TriggerState, _Waiter, Event,
-                        TimePoint, ErrorTrace, RandomInvocation, TraceEntry,
-                        Violation)
+        return _rebuild(Kernel, program, path, options, payload, _Assertion,
+                        _Waiter, Event, TimePoint, ErrorTrace,
+                        RandomInvocation, TraceEntry, Violation)
     except CheckpointError:
         raise
     except BddError as exc:
@@ -469,9 +485,9 @@ def load_checkpoint(program: Program, path: str, options=None):
         raise CheckpointError(f"{path}: malformed payload: {exc!r}")
 
 
-def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
-             _Waiter, Event, TimePoint, ErrorTrace, RandomInvocation,
-             TraceEntry, Violation):
+def _rebuild(Kernel, program, path, options, payload, _Assertion, _Waiter,
+             Event, TimePoint, ErrorTrace, RandomInvocation, TraceEntry,
+             Violation):
     kern = Kernel(program, options=options)
     mgr = kern.mgr
 
@@ -490,16 +506,12 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
     kern._line_open = payload["line_open"]
     kern._cpu_accum = payload["cpu_accum"]
 
-    # -- value store / drivers / static subscriber table --
+    # -- value store / drivers --
     kern.state.restore(payload["state"])
     kern._drivers = {
         net: {key: _vec_from(mgr, vec) for key, vec in drivers.items()}
         for net, drivers in payload["drivers"].items()
     }
-    kern._assign_subs = {}
-    for assign in program.assigns:
-        for net in assign.support:
-            kern._assign_subs.setdefault(net, []).append(assign.index)
 
     # -- scheduler --
     events = []
@@ -537,10 +549,8 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
                 raise CheckpointError(
                     f"waiter trigger arity mismatch in {process.name}"
                 )
-            waiter.triggers = [
-                _TriggerState(trigger=t, last=_vec_from(mgr, last))
-                for t, last in zip(instruction.triggers, record["lasts"])
-            ]
+            waiter.triggers = instruction.triggers
+            waiter.lasts = [_vec_from(mgr, last) for last in record["lasts"]]
         else:
             if not isinstance(instruction, WaitCond):
                 raise CheckpointError(
@@ -553,6 +563,7 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
         net: [waiters[i] for i in indices]
         for net, indices in payload["waiters_by_net"].items()
     }
+    kern._index_fanout()
 
     # -- assertions / monitor (via compile-time site registries) --
     kern._assertions = {}
@@ -627,7 +638,9 @@ def _rebuild(Kernel, program, options, payload, _Assertion, _TriggerState,
     if vcd_image is not None:
         from repro.sim.vcd import VcdWriter
 
-        vcd_path = vcd_image["path"]
+        # relative to the checkpoint's directory; an absolute path (as
+        # earlier checkpoints stored) is used as it is
+        vcd_path = os.path.join(os.path.dirname(path), vcd_image["path"])
         try:
             stream = open(vcd_path, "r+", encoding="ascii")
             stream.seek(vcd_image["offset"])

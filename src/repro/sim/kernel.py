@@ -27,7 +27,7 @@ import weakref
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Callable, Dict, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence, Union
 
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.compile.compiler import CompiledContAssign, Program, Trigger
@@ -290,22 +290,40 @@ class _Assertion:
     where: str
 
 
-@dataclass
-class _TriggerState:
-    trigger: Trigger
-    last: FourVec
-
-
-@dataclass
+@dataclass(slots=True)
 class _Waiter:
     kind: str  # 'event' | 'level'
     process: CompiledProcess
     pc: int
     control: int
     prio: int
-    triggers: List[_TriggerState] = field(default_factory=list)
+    #: an event waiter's triggers (its WaitEvent's, shared) and, per
+    #: trigger, the value seen last: a FourVec, or the raw word the
+    #: word path keeps (see :meth:`last_vectors`)
+    triggers: Sequence[Trigger] = ()
+    lasts: List[Union[FourVec, int]] = field(default_factory=list)
     cond: Optional[CExpr] = None
     dead: bool = False
+
+    def last_vectors(self, mgr: BddManager) -> List[FourVec]:
+        """``lasts`` as the vectors the generic path would hold."""
+        return [
+            trigger.materialize(mgr, last) if type(last) is int else last
+            for trigger, last in zip(self.triggers, self.lasts)
+        ]
+
+
+class _Fanout:
+    """What a change of one net reaches: the net's waiter list (the
+    same list object as ``Kernel._waiters[net]``, or None before its
+    first waiter) and the continuous assigns that read it."""
+
+    __slots__ = ("waiters", "assigns")
+
+    def __init__(self, waiters: Optional[List[_Waiter]],
+                 assigns: tuple) -> None:
+        self.waiters = waiters
+        self.assigns = assigns
 
 
 class Kernel:
@@ -403,8 +421,10 @@ class Kernel:
         self._monitor: Optional[tuple] = None
         self._monitor_last: Optional[str] = None
         self._strobes: List[tuple] = []
+        #: net -> its waiters, in registration order (checkpointed)
         self._waiters: Dict[str, List[_Waiter]] = {}
-        self._assign_subs: Dict[str, List[int]] = {}
+        #: net -> waiters and assign subscribers (:meth:`_index_fanout`)
+        self._fanout: Dict[str, _Fanout] = {}
         self._drivers: Dict[str, Dict[tuple, FourVec]] = {}
         self._step_activity = 0
         self._started = False
@@ -599,9 +619,8 @@ class Kernel:
                     FourVec.from_int(self.mgr, value, info.width)
                 )
                 self._resolve_net(name)
+        self._index_fanout()
         for assign in self.program.assigns:
-            for net in assign.support:
-                self._assign_subs.setdefault(net, []).append(assign.index)
             self.schedule_assign(assign.index)
         for proc in self.program.processes:
             self.schedule(proc, 0, 0, TRUE, 0)
@@ -668,28 +687,31 @@ class Kernel:
                 return
 
     def _dispatch(self, event: Event) -> None:
-        self.stats.events_processed += 1
-        self.note_activity()
+        stats = self.stats
+        stats.events_processed += 1
+        self._step_activity += 1
+        if self._step_activity > self.options.max_step_activity:
+            self._watchdog()
         if self._hang_sites is not None:
             self._note_hang_site(event_label(event), event.control)
-        if event.kind == "proc":
-            self.stats.process_events += 1
+        kind = event.kind
+        if kind == "proc":
+            stats.process_events += 1
             if event.control == FALSE:
                 return
-            frame = Frame(process=event.process, pc=event.pc,
-                          control=event.control, prio=event.prio)
-            self._frame_runner(self, frame)
-        elif event.kind == "nba":
-            self.stats.nba_events += 1
+            self._frame_runner(self, Frame(event.process, event.pc,
+                                           event.control, event.prio))
+        elif kind == "nba":
+            stats.nba_events += 1
             event.apply(self)
-        elif event.kind == "assign":
-            self.stats.assign_events += 1
+        elif kind == "assign":
+            stats.assign_events += 1
             self._eval_assign(self.program.assigns[event.index])
-        elif event.kind == "drive":
-            self.stats.assign_events += 1
+        elif kind == "drive":
+            stats.assign_events += 1
             self._commit_drive(self.program.assigns[event.index], event.payload)
         else:  # pragma: no cover - defensive
-            raise SimulationError(f"unknown event kind {event.kind!r}")
+            raise SimulationError(f"unknown event kind {kind!r}")
 
     def _run_frame(self, frame: Frame) -> None:
         instructions = frame.process.instructions
@@ -1041,9 +1063,12 @@ class Kernel:
 
     def note_activity(self) -> None:
         self._step_activity += 1
+        if self._step_activity > self.options.max_step_activity:
+            self._watchdog()
+
+    def _watchdog(self) -> None:
+        """Past the step's activity limit: sample, then raise."""
         limit = self.options.max_step_activity
-        if self._step_activity <= limit:
-            return
         if self._hang_sites is None:
             # Watchdog tripped: open a short diagnostic window instead
             # of raising blind — the extra events identify the loop.
@@ -1101,7 +1126,10 @@ class Kernel:
         self.state.set_value(name, new)
         if self._vcd is not None:
             self._vcd.record(self.now, name, new)
-        self._notify(name, old, new)
+        # ``new.bits != old.bits``: BDDs are canonical, so some rail pair
+        # differs as *functions* and the change condition cannot be
+        # FALSE — no need to build it.
+        self._fan_out(name)
 
     def write_net_raw(self, name: str, raw: int) -> None:
         """Compiled-tier write of a fully-known word under TRUE control.
@@ -1122,17 +1150,15 @@ class Kernel:
             return
         state.store_raw(name, raw)
         if self._vcd is not None:
-            self._vcd.record(self.now, name, state.value(name))
-        self._wake_waiters(name)
-        self._schedule_subscribers(name)
+            self._vcd.record_raw(self.now, name, raw)
+        self._fan_out(name)
 
     def write_array(
         self, name: str, index: FourVec, value: FourVec, control: int,
         low: int, high: int,
     ) -> None:
         if self.state.write_array(name, index, value, control, low, high):
-            self._wake_waiters(name)
-            self._schedule_subscribers(name)
+            self._fan_out(name)
 
     # ------------------------------------------------------------------
     # BDD memory management: the kernel is its manager's root provider.
@@ -1231,8 +1257,10 @@ class Kernel:
                     yield b
         for waiter in self._iter_waiters():
             yield waiter.control
-            for ts in waiter.triggers:
-                for a, b in ts.last.bits:
+            for last in waiter.lasts:
+                if type(last) is int:
+                    continue  # raw word: terminal rails only
+                for a, b in last.bits:
                     yield a
                     yield b
         for assertion in self._assertions.values():
@@ -1259,8 +1287,10 @@ class Kernel:
                 drivers[key] = vec.remap(lookup)
         for waiter in self._iter_waiters():
             waiter.control = lookup(waiter.control)
-            for ts in waiter.triggers:
-                ts.last = ts.last.remap(lookup)
+            waiter.lasts = [
+                last if type(last) is int else last.remap(lookup)
+                for last in waiter.lasts
+            ]
         for assertion in self._assertions.values():
             assertion.armed = lookup(assertion.armed)
         for invocation in self.random_log:
@@ -1326,57 +1356,93 @@ class Kernel:
         current = self.state.value(name).bits[0][0]
         self.set_mask(name, self.mgr.or_(current, control))
 
-    def _notify(self, name: str, old: FourVec, new: FourVec) -> None:
-        # write_net already established ``new.bits != old.bits``; BDDs
-        # are canonical, so some rail pair differs as *functions* and
-        # the change condition cannot be FALSE — no need to build it.
-        self._wake_waiters(name)
-        self._schedule_subscribers(name)
+    def _fan_out(self, name: str) -> None:
+        """A change of ``name``: wake its waiters, then schedule the
+        continuous assigns that read it."""
+        fanout = self._fanout.get(name)
+        if fanout is not None:
+            if fanout.waiters:
+                self._wake_waiters(fanout.waiters)
+            for index in fanout.assigns:
+                self.schedule_assign(index)
 
-    def _schedule_subscribers(self, name: str) -> None:
-        for index in self._assign_subs.get(name, ()):
-            self.schedule_assign(index)
+    def _index_fanout(self) -> None:
+        """Build the fan-out table from the program's assigns and the
+        waiter registry (at startup, and after a checkpoint restore)."""
+        subs: Dict[str, List[int]] = {}
+        for assign in self.program.assigns:
+            for net in assign.support:
+                subs.setdefault(net, []).append(assign.index)
+        self._fanout = {net: _Fanout(None, tuple(indices))
+                        for net, indices in subs.items()}
+        for net, waiters in self._waiters.items():
+            self._fanout_of(net).waiters = waiters
+
+    def _fanout_of(self, net: str) -> _Fanout:
+        fanout = self._fanout.get(net)
+        if fanout is None:
+            fanout = self._fanout[net] = _Fanout(None, ())
+        return fanout
 
     # ------------------------------------------------------------------
     # event-control waiters
     # ------------------------------------------------------------------
 
-    def register_waiter(self, frame: Frame, pc: int, triggers) -> None:
-        states = [
-            _TriggerState(
-                trigger=t,
-                last=t.cexpr.eval(self, None, TRUE, t.cexpr.width),
-            )
-            for t in triggers
-        ]
-        nets = frozenset().union(*[t.cexpr.support for t in triggers]) \
-            if triggers else frozenset()
-        waiter = _Waiter(kind="event", process=frame.process, pc=pc,
-                         control=frame.control, prio=frame.prio,
-                         triggers=states)
-        for net in nets:
-            self._waiters.setdefault(net, []).append(waiter)
+    def register_waiter(self, frame: Frame, pc: int, wait) -> None:
+        """Arm the event control of WaitEvent ``wait`` for ``frame``.
+
+        On the word path (compiled tier, fast paths on, TRUE control)
+        a trigger whose word twin answers keeps its raw word as
+        ``last``, counting the ``word_cost`` its generic evaluation
+        would have counted.
+        """
+        triggers = wait.triggers
+        if self._cspec and frame.control == TRUE:
+            mgr = self.mgr
+            lasts = []
+            for trigger in triggers:
+                raw = (None if trigger.word is None
+                       else trigger.word(self, trigger.width))
+                if raw is None:
+                    lasts.append(trigger.cexpr.eval(self, None, TRUE,
+                                                    trigger.width))
+                else:
+                    mgr._fp_word += trigger.cexpr.word_cost
+                    lasts.append(raw)
+        else:
+            lasts = [t.cexpr.eval(self, None, TRUE, t.width)
+                     for t in triggers]
+        self._add_waiter(
+            _Waiter("event", frame.process, pc, frame.control, frame.prio,
+                    triggers, lasts),
+            wait.nets)
 
     def register_level_waiter(self, frame: Frame, pc: int, cond,
                               control: int) -> None:
         waiter = _Waiter(kind="level", process=frame.process, pc=pc,
                          control=control, prio=frame.prio, cond=cond)
-        for net in cond.support:
-            self._waiters.setdefault(net, []).append(waiter)
+        self._add_waiter(waiter, cond.support)
 
-    def _wake_waiters(self, name: str) -> None:
-        waiters = self._waiters.get(name)
-        if not waiters:
-            return
+    def _add_waiter(self, waiter: _Waiter, nets) -> None:
+        registry = self._waiters
+        for net in nets:
+            waiters = registry.get(net)
+            if waiters is None:
+                waiters = registry[net] = []
+                self._fanout_of(net).waiters = waiters
+            waiters.append(waiter)
+
+    def _wake_waiters(self, waiters: List[_Waiter]) -> None:
+        """Check every live waiter of one net; drop the dead ones."""
         any_dead = False
-        for waiter in list(waiters):
+        for waiter in waiters:
             if waiter.dead:
                 any_dead = True
                 continue
             self._check_waiter(waiter)
             any_dead = any_dead or waiter.dead
         if any_dead:
-            self._waiters[name] = [w for w in waiters if not w.dead]
+            waiters[:] = [w for w in waiters if not w.dead]
 
     def _check_waiter(self, waiter: _Waiter) -> None:
         mgr = self.mgr
@@ -1384,18 +1450,17 @@ class Kernel:
             value = waiter.cond.eval(self, None, TRUE, waiter.cond.width)
             fire = value.truthy()
         else:
-            fire = FALSE
-            for ts in waiter.triggers:
-                new = ts.trigger.cexpr.eval(self, None, TRUE,
-                                            ts.trigger.cexpr.width)
-                if ts.trigger.edge == "posedge":
-                    cond = ops.posedge_condition(ts.last, new)
-                elif ts.trigger.edge == "negedge":
-                    cond = ops.negedge_condition(ts.last, new)
-                else:
-                    cond = ts.last.change_condition(new)
-                ts.last = new
-                fire = mgr.or_(fire, cond)
+            words = self._cspec and waiter.control == TRUE
+            fire = self._trigger_fire(waiter, words)
+            if words and fire <= TRUE:
+                # Terminal condition under a TRUE control: exactly what
+                # the and_/not_ below reduce to, without calling them.
+                if fire == TRUE:
+                    self.schedule(waiter.process, waiter.pc, 0, TRUE,
+                                  waiter.prio)
+                    waiter.control = FALSE
+                    waiter.dead = True
+                return
         wake = mgr.and_(waiter.control, fire)
         if wake == FALSE:
             return
@@ -1403,6 +1468,55 @@ class Kernel:
         waiter.control = mgr.and_(waiter.control, mgr.not_(fire))
         if waiter.control == FALSE:
             waiter.dead = True
+
+    def _trigger_fire(self, waiter: _Waiter, words: bool) -> int:
+        """OR of an event waiter's trigger conditions; advances each
+        trigger's ``last`` to the value it reads now.
+
+        Word path (``words``: compiled tier, fast paths on, TRUE
+        control): a trigger whose word twin answers, and whose
+        ``last`` is fully known, is tested on ints — posedge ``0 -> 1``
+        and negedge ``1 -> 0`` on bit 0, any change on the whole word.
+        That is all the generic conditions can produce on known
+        values; the fast-path counters get what the generic evaluation
+        and edge test count (``Trigger.cost``).  Any other trigger
+        takes the generic path, with a raw ``last`` materialized first.
+        """
+        mgr = self.mgr
+        lasts = waiter.lasts
+        fire = FALSE
+        for i, trigger in enumerate(waiter.triggers):
+            last = lasts[i]
+            if words and trigger.word is not None:
+                new = trigger.word(self, trigger.width)
+                old = last if type(last) is int else last.known_int()
+                if new is not None and old is not None:
+                    mgr._fp_word += trigger.cost
+                    lasts[i] = new
+                    edge = trigger.edge
+                    if edge is None:
+                        hit = old != new
+                    elif edge == "posedge":
+                        hit = not old & 1 and new & 1
+                    else:
+                        hit = old & 1 and not new & 1
+                    if hit:
+                        fire = TRUE if fire <= TRUE else mgr.or_(fire, TRUE)
+                    elif fire > TRUE:
+                        fire = mgr.or_(fire, FALSE)
+                    continue
+            if type(last) is int:
+                last = trigger.materialize(mgr, last)
+            new = trigger.cexpr.eval(self, None, TRUE, trigger.width)
+            if trigger.edge == "posedge":
+                cond = ops.posedge_condition(last, new)
+            elif trigger.edge == "negedge":
+                cond = ops.negedge_condition(last, new)
+            else:
+                cond = last.change_condition(new)
+            lasts[i] = new
+            fire = mgr.or_(fire, cond)
+        return fire
 
     # ------------------------------------------------------------------
     # continuous assigns / net resolution

@@ -34,14 +34,15 @@ REGION_NBA = 2
 REGION_MONITOR = 3
 
 
-@dataclass
+@dataclass(slots=True)
 class Event:
     """One scheduled event.
 
     ``kind`` is ``'proc'`` (resume a process frame at label ``pc`` with
     ``control``/``prio``), ``'nba'`` (apply a captured non-blocking
     update), ``'assign'`` (re-evaluate continuous assign ``index``) or
-    ``'drive'`` (commit a delayed continuous-assign value).
+    ``'drive'`` (commit a delayed continuous-assign value).  ``key`` is
+    the event's merge-table key while it is queued (:func:`merge_key`).
     """
 
     time: int
@@ -54,6 +55,22 @@ class Event:
     apply: Optional[Callable] = None
     index: int = -1
     payload: Any = None
+    key: Optional[tuple] = None
+
+
+def merge_key(event: Event) -> Optional[tuple]:
+    """The key under which ``event`` merges with a pending event (Fig. 8).
+
+    Process resumes merge per (time, region, priority, process, label);
+    continuous-assign re-evaluations per (time, assign); NBA and drive
+    events never merge.
+    """
+    if event.kind == "proc":
+        return ("proc", event.time, event.region, event.prio,
+                event.process.index, event.pc)
+    if event.kind == "assign":
+        return ("assign", event.time, event.index)
+    return None
 
 
 class Scheduler:
@@ -82,14 +99,6 @@ class Scheduler:
     def __len__(self) -> int:
         return len(self._heap)
 
-    def _key(self, event: Event) -> Optional[tuple]:
-        if event.kind == "proc":
-            return ("proc", event.time, event.region, event.prio,
-                    event.process.index, event.pc)
-        if event.kind == "assign":
-            return ("assign", event.time, event.index)
-        return None  # nba/drive events never merge
-
     def push(self, event: Event) -> bool:
         """Enqueue ``event``; returns True if it merged into a pending one.
 
@@ -97,7 +106,7 @@ class Scheduler:
         events are control-free, so merging is pure deduplication.
         """
         if self.mode is not AccumulationMode.NONE:
-            key = self._key(event)
+            key = merge_key(event)
             if key is not None:
                 existing = self._pending.get(key)
                 if existing is not None:
@@ -109,6 +118,7 @@ class Scheduler:
                     if self.obs is not None:
                         self.obs.on_merge(event)
                     return True
+                event.key = key
                 self._pending[key] = event
         self._seq += 1
         self.scheduled += 1
@@ -121,10 +131,9 @@ class Scheduler:
 
     def pop(self) -> Event:
         """Remove and return the next event in (time, region, -prio) order."""
-        _, _, _, _, event = heapq.heappop(self._heap)
-        key = self._key(event)
-        if key is not None:
-            self._pending.pop(key, None)
+        event = heapq.heappop(self._heap)[4]
+        if event.key is not None:
+            self._pending.pop(event.key, None)
         return event
 
     def peek_time(self) -> Optional[int]:
@@ -204,6 +213,6 @@ class Scheduler:
                 (event.time, event.region, rank, self._seq, event),
             )
             if merging:
-                key = self._key(event)
+                key = event.key = merge_key(event)
                 if key is not None:
                     self._pending[key] = event

@@ -99,7 +99,18 @@ class VcdWriter:
         ident = self._ids.get(full_name)
         if ident is None:
             return
-        chars = _value_chars(value)
+        self._emit(sim_time, full_name, ident, _value_chars(value))
+
+    def record_raw(self, sim_time: int, full_name: str, raw: int) -> None:
+        """:meth:`record` of a fully-known word, without its vector."""
+        ident = self._ids.get(full_name)
+        if ident is None:
+            return
+        self._emit(sim_time, full_name, ident,
+                   format(raw, f"0{self._widths[full_name]}b"))
+
+    def _emit(self, sim_time: int, full_name: str, ident: str,
+              chars: str) -> None:
         if self._last.get(full_name) == chars:
             return
         self._last[full_name] = chars

@@ -132,6 +132,8 @@ class TestMain:
 
     @pytest.mark.parametrize("body, match", [
         ("wire [99999999999999999999:0] w;", "w: range"),
+        ("reg [4294967296:0] w; initial begin w = 3; "
+         "$display(\"%d\", w); end", "w: range [4294967296:0]"),
         ("reg a; initial a = {99999999999{1'b1}};", "replication"),
         ("reg a; function [70000:0] f; input x; f = x; endfunction\n"
          "initial a = f(1'b0);", "f: range"),
@@ -146,6 +148,16 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1
         assert match in err and "limited to 65536 bits" in err
+
+    def test_wide_decimal_literal_keeps_its_value(self, tmp_path, capsys):
+        path = tmp_path / "wide.v"
+        path.write_text("module tb; initial begin\n"
+                        "$display(\"%0d\", 4294967296);\n"
+                        "$display(\"%0d\", 4294967295);\n"
+                        "end endmodule\n")
+        assert main([str(path)]) == 0
+        assert capsys.readouterr().out.splitlines()[:2] == \
+            ["4294967296", "4294967295"]
 
     def test_widest_vector_runs(self, tmp_path, capsys):
         path = tmp_path / "wide.v"

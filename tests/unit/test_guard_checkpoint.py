@@ -260,6 +260,60 @@ class TestSiftTrigger:
             assert getattr(resumed, attr) == getattr(mgr, attr), attr
 
 
+class TestVcdPath:
+    """The VCD path is stored relative to the checkpoint's directory."""
+
+    @staticmethod
+    def _checkpoint(directory):
+        directory.mkdir(parents=True)
+        options = SimOptions(vcd_path=str(directory / "run.vcd"))
+        sim = repro.open_sim(SRC, options=options)
+        sim.run(until=20)
+        path = directory / "mid.ckpt"
+        save_checkpoint(sim.kernel, str(path))
+        return path
+
+    @staticmethod
+    def _whole_run(tmp_path):
+        vcd = tmp_path / "whole.vcd"
+        result = repro.open_sim(SRC, options=SimOptions(vcd_path=str(vcd))
+                                ).run()
+        return result.output, vcd.read_bytes()
+
+    def test_size_does_not_depend_on_the_directory(self, tmp_path):
+        short = self._checkpoint(tmp_path / "a")
+        long = self._checkpoint(tmp_path / ("a" * 40) / "nested")
+        assert short.stat().st_size == long.stat().st_size
+        assert pickle.loads(_read_parts(short)[2])["vcd"]["path"] == \
+            "run.vcd"
+
+    def test_moved_directory_resumes(self, tmp_path):
+        output, vcd = self._whole_run(tmp_path)
+        path = self._checkpoint(tmp_path / "before")
+        moved = tmp_path / "after" / "deeper"
+        moved.parent.mkdir()
+        (tmp_path / "before").rename(moved)
+        resumed = load_checkpoint(compile_src(), str(moved / "mid.ckpt"))
+        result = resumed.run()
+        resumed._close_vcd()
+        assert result.finished and result.output == output
+        assert (moved / "run.vcd").read_bytes() == vcd
+        assert not path.exists()
+
+    def test_stored_absolute_path_loads(self, tmp_path):
+        output, vcd = self._whole_run(tmp_path)
+        path = self._checkpoint(tmp_path / "ckpt")
+        elsewhere = tmp_path / "elsewhere.vcd"
+        (tmp_path / "ckpt" / "run.vcd").rename(elsewhere)
+        data = pickle.loads(_read_parts(path)[2])
+        data["vcd"]["path"] = str(elsewhere)
+        _rewrite_payload(str(path), pickle.dumps(data, protocol=4))
+        resumed = load_checkpoint(compile_src(), str(path))
+        assert resumed.run().output == output
+        resumed._close_vcd()
+        assert elsewhere.read_bytes() == vcd
+
+
 def _read_parts(path):
     with open(path, "rb") as handle:
         magic = handle.readline()

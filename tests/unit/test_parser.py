@@ -312,3 +312,18 @@ class TestNumbers:
     def test_based_unsized(self):
         n = self.number("'hF")
         assert n.width == 32
+
+    @pytest.mark.parametrize("value", [0, 1, 42, 2 ** 31 - 1])
+    def test_plain_decimal_below_2_31_is_32_bits(self, value):
+        assert self.number(str(value)) == ast.Number(
+            bits=format(value, "032b"), width=32, signed=True, sized=False,
+            base="d", line=1)
+
+    @pytest.mark.parametrize("value, width", [
+        (2 ** 31, 33), (2 ** 32 - 1, 33), (2 ** 32, 34),
+        (99999999999999999999, 68),
+    ])
+    def test_wide_plain_decimal_keeps_its_value(self, value, width):
+        n = self.number(str(value))
+        assert (n.width, n.signed, n.sized) == (width, True, False)
+        assert n.bits[0] == "0" and int(n.bits, 2) == value

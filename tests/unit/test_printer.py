@@ -114,6 +114,15 @@ SAMPLES = [
       end
     endmodule
     """,
+    # unsized decimals past 32 bits, and a 32-bit 'sd one past 2**31
+    """
+    module m; reg [63:0] y;
+      initial begin
+        y = 4294967296 + 2147483648 + 42;
+        y = 'sd4294967295 + 'd7;
+      end
+    endmodule
+    """,
     # hierarchy + functions + tasks + gates
     """
     module child(input [3:0] i, output [3:0] o);
