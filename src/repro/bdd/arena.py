@@ -256,6 +256,12 @@ class Arena:
     on the hot path: it inserts one entry (a pair for ``not``), and
     :meth:`drop_caches` folds table lengths into ``miss_base``.
     ``peak``/``dropped``: node high-water mark, nodes removed.
+
+    The computed tables here are exact dicts that keep every entry to
+    the next safe point.  The native store's are bounded, lossy caches:
+    it builds the same nodes, but computes an evicted key again and
+    counts it again, so its hits and misses equal these only while it
+    has overwritten no live entry, and its misses are never fewer.
     """
 
     __slots__ = ("level", "low", "high", "unique", "ite_cache", "not_cache",
@@ -308,6 +314,10 @@ class Arena:
                 base[_AND] + len(self.and_cache),
                 base[_OR] + len(self.or_cache),
                 base[_XOR] + len(self.xor_cache)]
+
+    def table_bytes(self) -> None:
+        """The native store's table footprint; dicts report none."""
+        return None
 
     def kernels(self):
         """``ite``/``not``/``and``/``or``/``xor``/``constrain``, bound to

@@ -2,19 +2,28 @@
  *
  * The same format as the Python Arena (repro/bdd/arena.py): parallel
  * int32 level/low/high arrays, terminals 0 and 1 at TERMINAL_LEVEL,
- * children before parents.  The unique table and the computed tables
- * (ite, not, and, or, xor and the constrain memo) are open-addressing
- * tables with linear probing that grow and never evict; a compaction
- * rebuilds the one and drops the others.  Every kernel is a line-by-line
- * twin of its Python closure: low cofactor first, the same terminal
- * shortcuts and the same keys, so node ids and hit/miss counts agree.
- * The sift at the end is the twin of repro.bdd.arena._SiftSpace.
+ * children before parents.  The unique table is exact: open addressing
+ * with linear probing, at most half full.  The computed tables (ite,
+ * not, and, or, xor and the constrain memo) are lossy caches: direct-
+ * mapped, sized from the unique table, and a put overwrites whatever
+ * held its slot.  A compaction rebuilds the one and drops the others.
+ * Every kernel is a line-by-line twin of its Python closure: low
+ * cofactor first, the same terminal shortcuts and the same keys, so
+ * node ids agree.  Between compactions no node dies, so recomputing an
+ * evicted key finds every node it builds in the unique table: eviction
+ * changes no node, only the counters.  A miss counts each computation,
+ * recomputations included, so the misses equal the Python store's
+ * (exact tables) only while no live entry has been overwritten, and
+ * are never fewer.  The sift at the end is the twin of
+ * repro.bdd.arena._SiftSpace.
  *
  * A failure (allocation, id space, stack depth, a bad node id) sets
  * `err` and makes the operation return -1; the nodes and table entries
- * built so far stay valid.  Recursion is guarded by the stack itself:
- * a kernel frame below `floor` (the calling thread's stack bottom plus
- * a margin) fails instead of overflowing.
+ * built so far stay valid.  Cache memory never fails a kernel: a
+ * computed table that cannot grow keeps its size.  Recursion is
+ * guarded by the stack itself: a kernel frame below `floor` (the
+ * calling thread's stack bottom plus a margin) fails instead of
+ * overflowing.
  */
 
 #include <stdint.h>
@@ -33,6 +42,8 @@
 
 #define TERMINAL_LEVEL (1 << 30)
 #define MIN_TABLE 256
+#define MIN_CACHE 4096              /* computed-table slots, at least */
+#define CACHE_SHIFT 3               /* computed table: unique capacity / 8 */
 #define STACK_MARGIN (256 * 1024)
 
 enum { T_ITE, T_NOT, T_AND, T_OR, T_XOR, T_CON, N_TABLES };
@@ -40,13 +51,15 @@ enum { OP_AND, OP_OR, OP_XOR };
 enum { ERR_NONE, ERR_NOMEM, ERR_DEPTH, ERR_FULL, ERR_NODE };
 
 typedef struct { int32_t a, b, c, r; } slot;   /* key (a, b, c) -> r */
+/* count: entries, kept for the unique table only */
 typedef struct { slot *s; uint64_t mask; int64_t count; } table;
 
 typedef struct {
     int32_t *level, *low, *high;
     int64_t size, cap;              /* rows, terminals included */
-    int64_t hits[5], miss_base[5];
+    int64_t hits[5], misses[5];     /* per table: hits, computations */
     int64_t peak, dropped;
+    int64_t table_peak;             /* bytes of all tables, high-water mark */
     int32_t err, bad;
     char *floor;                    /* lowest frame address a kernel may use */
     table unique;                   /* (level, low, high) -> id; empty: r == 0 */
@@ -54,7 +67,6 @@ typedef struct {
 } bdd_store;
 
 static int64_t live_stores;
-static const slot no_slot;          /* what a lookup in an empty table sees */
 static __thread char *thread_floor;
 
 /* The calling thread's stack bottom plus a margin (cached per thread);
@@ -98,24 +110,29 @@ static inline uint64_t hash3(int32_t a, int32_t b, int32_t c)
     return h ^ (h >> 32);
 }
 
-/* The slot holding key (a, b, c), or the empty slot where it would go. */
-static inline slot *probe(const table *t, int32_t a, int32_t b, int32_t c,
-                          int unique)
+static inline uint64_t slots_of(const table *t)
+{
+    return t->s ? t->mask + 1 : 0;
+}
+
+/* The unique-table slot holding key (a, b, c), or the empty slot
+ * (r == 0) where it would go. */
+static inline slot *probe(const table *t, int32_t a, int32_t b, int32_t c)
 {
     uint64_t i = hash3(a, b, c) & t->mask;
     for (;;) {
         slot *e = &t->s[i];
-        if ((unique ? e->r == 0 : e->a == 0)
-                || (e->a == a && e->b == b && e->c == c))
+        if (e->r == 0 || (e->a == a && e->b == b && e->c == c))
             return e;
         i = (i + 1) & t->mask;
     }
 }
 
-/* Make room for one more entry (load factor at most 1/2). */
-static int reserve(table *t, int64_t more, int unique)
+/* Make room in the unique table for `more` entries (load factor at
+ * most 1/2). */
+static int reserve(table *t, int64_t more)
 {
-    uint64_t cap = t->s ? t->mask + 1 : 0;
+    uint64_t cap = slots_of(t);
     if ((uint64_t)(t->count + more) * 2 <= cap)
         return 0;
     uint64_t grown = cap ? cap : MIN_TABLE;
@@ -125,11 +142,9 @@ static int reserve(table *t, int64_t more, int unique)
     if (!fresh)
         return -1;
     table next = { fresh, grown - 1, t->count };
-    for (uint64_t i = 0; i < cap; i++) {
-        slot *e = &t->s[i];
-        if (unique ? e->r != 0 : e->a != 0)
-            *probe(&next, e->a, e->b, e->c, unique) = *e;
-    }
+    for (uint64_t i = 0; i < cap; i++)
+        if (t->s[i].r != 0)
+            *probe(&next, t->s[i].a, t->s[i].b, t->s[i].c) = t->s[i];
     free(t->s);
     *t = next;
     return 0;
@@ -143,25 +158,55 @@ static void clear(table *t)
     t->count = 0;
 }
 
+/* Raise table_peak to the bytes the tables hold now. */
+static void note_tables(bdd_store *s)
+{
+    uint64_t slots = slots_of(&s->unique);
+    for (int i = 0; i < N_TABLES; i++)
+        slots += slots_of(&s->cache[i]);
+    if ((int64_t)(slots * sizeof(slot)) > s->table_peak)
+        s->table_peak = (int64_t)(slots * sizeof(slot));
+}
+
+/* The entry for key (a, b, c), or NULL.  Keys start with a node id
+ * above the terminals, so an empty slot (a == 0) never matches. */
 static inline const slot *cache_get(const table *t, int32_t a, int32_t b,
                                     int32_t c)
 {
-    return t->s ? probe(t, a, b, c, 0) : &no_slot;
+    if (!t->s)
+        return NULL;
+    const slot *e = &t->s[hash3(a, b, c) & t->mask];
+    return e->a == a && e->b == b && e->c == c ? e : NULL;
 }
 
-static int cache_put(bdd_store *s, table *t, int32_t a, int32_t b, int32_t c,
-                     int32_t r)
+/* Store (a, b, c) -> r in its slot, over whatever the slot held.  A
+ * table smaller than the unique table asks for grows first and keeps
+ * every entry: the wider mask extends the narrower one, so entries in
+ * distinct slots stay in distinct slots.  A table that cannot grow
+ * keeps its size; one that has no slots yet keeps nothing. */
+static void cache_put(bdd_store *s, table *t, int32_t a, int32_t b, int32_t c,
+                      int32_t r)
 {
-    if (reserve(t, 1, 0) < 0)
-        return fail(s, ERR_NOMEM);
-    slot *e = probe(t, a, b, c, 0);
-    if (e->a == 0)
-        t->count++;
-    e->a = a;
-    e->b = b;
-    e->c = c;
-    e->r = r;
-    return 0;
+    uint64_t want = slots_of(&s->unique) >> CACHE_SHIFT;
+    if (want < MIN_CACHE)
+        want = MIN_CACHE;
+    uint64_t had = slots_of(t);
+    if (had < want) {
+        slot *fresh = calloc(want, sizeof(slot));
+        if (fresh) {
+            for (uint64_t i = 0; i < had; i++)
+                if (t->s[i].a)
+                    fresh[hash3(t->s[i].a, t->s[i].b, t->s[i].c)
+                          & (want - 1)] = t->s[i];
+            free(t->s);
+            t->s = fresh;
+            t->mask = want - 1;
+            note_tables(s);
+        } else if (!t->s) {
+            return;
+        }
+    }
+    t->s[hash3(a, b, c) & t->mask] = (slot){ a, b, c, r };
 }
 
 static int grow_rows(bdd_store *s, int64_t need)
@@ -204,9 +249,12 @@ static int32_t unique_add(bdd_store *s, int32_t level, int32_t low,
                           int32_t high)
 {
     table *t = &s->unique;
-    if (reserve(t, 1, 1) < 0)
+    uint64_t before = t->mask;
+    if (reserve(t, 1) < 0)
         return fail(s, ERR_NOMEM);
-    slot *e = probe(t, level, low, high, 1);
+    if (t->mask != before)
+        note_tables(s);
+    slot *e = probe(t, level, low, high);
     if (e->r)
         return e->r;
     int32_t id = append(s, level, low, high);
@@ -230,7 +278,7 @@ static int32_t not_k(bdd_store *s, int32_t f)
         return f ^ 1;
     table *t = &s->cache[T_NOT];
     const slot *e = cache_get(t, f, 0, 0);
-    if (e->a) {
+    if (e) {
         s->hits[T_NOT]++;
         return e->r;
     }
@@ -247,8 +295,9 @@ static int32_t not_k(bdd_store *s, int32_t f)
     int32_t r = unique_add(s, level, r0, r1);
     if (r < 0)
         return r;
-    if (cache_put(s, t, f, 0, 0, r) < 0 || cache_put(s, t, r, 0, 0, f) < 0)
-        return -1;
+    cache_put(s, t, f, 0, 0, r);
+    cache_put(s, t, r, 0, 0, f);
+    s->misses[T_NOT]++;
     return r;
 }
 
@@ -272,7 +321,7 @@ static int32_t apply_k(bdd_store *s, int op, int32_t f, int32_t g)
         return op == OP_XOR ? 0 : g;
     table *t = &s->cache[T_AND + op];
     const slot *e = cache_get(t, f, g, 0);
-    if (e->a) {
+    if (e) {
         s->hits[T_AND + op]++;
         return e->r;
     }
@@ -301,8 +350,10 @@ static int32_t apply_k(bdd_store *s, int op, int32_t f, int32_t g)
     if (r1 < 0)
         return r1;
     int32_t r = r0 == r1 ? r0 : unique_add(s, top, r0, r1);
-    if (r < 0 || cache_put(s, t, f, g, 0, r) < 0)
-        return -1;
+    if (r < 0)
+        return r;
+    cache_put(s, t, f, g, 0, r);
+    s->misses[T_AND + op]++;
     return r;
 }
 
@@ -327,7 +378,7 @@ static int32_t ite_k(bdd_store *s, int32_t f, int32_t g, int32_t h)
         return apply_k(s, OP_AND, f, g);
     table *t = &s->cache[T_ITE];
     const slot *e = cache_get(t, f, g, h);
-    if (e->a) {
+    if (e) {
         s->hits[T_ITE]++;
         return e->r;
     }
@@ -357,8 +408,10 @@ static int32_t ite_k(bdd_store *s, int32_t f, int32_t g, int32_t h)
     if (r1 < 0)
         return r1;
     int32_t r = r0 == r1 ? r0 : unique_add(s, top, r0, r1);
-    if (r < 0 || cache_put(s, t, f, g, h, r) < 0)
-        return -1;
+    if (r < 0)
+        return r;
+    cache_put(s, t, f, g, h, r);
+    s->misses[T_ITE]++;
     return r;
 }
 
@@ -375,7 +428,7 @@ static int32_t constrain_k(bdd_store *s, int32_t f, int32_t c)
         return 1;
     table *t = &s->cache[T_CON];
     const slot *e = cache_get(t, f, c, 0);
-    if (e->a)
+    if (e)
         return e->r;
     if (too_deep(s))
         return fail(s, ERR_DEPTH);
@@ -403,8 +456,9 @@ static int32_t constrain_k(bdd_store *s, int32_t f, int32_t c)
             return r1;
         r = r0 == r1 ? r0 : unique_add(s, top, r0, r1);
     }
-    if (r < 0 || cache_put(s, t, f, c, 0, r) < 0)
-        return -1;
+    if (r < 0)
+        return r;
+    cache_put(s, t, f, c, 0, r);
     return r;
 }
 
@@ -509,13 +563,17 @@ int32_t bdd_constrain(bdd_store *s, int32_t f, int32_t c)
 
 void bdd_misses(bdd_store *s, int64_t *out)
 {
-    for (int i = 0; i < 5; i++)
-        out[i] = s->miss_base[i] + s->cache[i].count / (i == T_NOT ? 2 : 1);
+    memcpy(out, s->misses, sizeof s->misses);
+}
+
+/* Bytes the unique and computed tables held at their peak. */
+int64_t bdd_table_bytes(bdd_store *s)
+{
+    return s->table_peak;
 }
 
 void bdd_drop_caches(bdd_store *s)
 {
-    bdd_misses(s, s->miss_base);
     for (int i = 0; i < N_TABLES; i++)
         clear(&s->cache[i]);
 }
@@ -566,7 +624,7 @@ int32_t bdd_compact(bdd_store *s, const uint8_t *marked, int32_t *node_map)
     for (int64_t node = 2; node < size; node++)
         live += marked[node] != 0;
     table fresh = { NULL, 0, 0 };
-    if (reserve(&fresh, live, 1) < 0)
+    if (reserve(&fresh, live) < 0)
         return fail(s, ERR_NOMEM);
     if (size - 2 > s->peak)
         s->peak = size - 2;
@@ -584,7 +642,7 @@ int32_t bdd_compact(bdd_store *s, const uint8_t *marked, int32_t *node_map)
         s->level[write] = level;
         s->low[write] = low;
         s->high[write] = high;
-        slot *e = probe(&fresh, level, low, high, 1);
+        slot *e = probe(&fresh, level, low, high);
         e->a = level;
         e->b = low;
         e->c = high;
@@ -597,6 +655,7 @@ int32_t bdd_compact(bdd_store *s, const uint8_t *marked, int32_t *node_map)
     s->size = write;
     s->dropped += size - write;
     bdd_drop_caches(s);
+    note_tables(s);
     return 0;
 }
 
@@ -633,8 +692,9 @@ int32_t bdd_load(bdd_store *s, const int32_t *level, const int32_t *low,
                  const int32_t *high, int64_t size, int32_t nvars,
                  int64_t *where)
 {
-    if (grow_rows(s, size) < 0 || reserve(&s->unique, size, 1) < 0)
+    if (grow_rows(s, size) < 0 || reserve(&s->unique, size) < 0)
         return fail(s, ERR_NOMEM);
+    note_tables(s);
     for (int64_t i = 0; i < 2; i++) {
         s->level[i] = level[i];
         s->low[i] = low[i];
@@ -649,7 +709,7 @@ int32_t bdd_load(bdd_store *s, const int32_t *level, const int32_t *low,
             return 2;
         if (lv < 0 || lv >= nvars)
             return 3;
-        slot *e = probe(&s->unique, lv, lo, hi, 1);
+        slot *e = probe(&s->unique, lv, lo, hi);
         if (e->r) {
             where[1] = e->r;
             return 4;

@@ -2,8 +2,12 @@
 with its arrays, tables and kernels in C (``native.c``).
 
 Both stores hold the same format and build the same nodes in the same
-order, so node ids, hit and miss counts, images and everything derived
-from them do not depend on which one ran.  The manager picks this one
+order, so node ids, images and everything derived from them do not
+depend on which one ran.  The counters may: this store's computed
+tables are lossy, bounded caches where the Python store's are exact
+dicts, so a key evicted here is computed again (building no new node)
+and counted as a second miss.  Hit and miss counts agree only while no
+live entry has been overwritten; the native misses are never fewer.  The manager picks this one
 when it can (:func:`unavailable` says why not) and keeps every policy
 in Python.
 
@@ -40,9 +44,10 @@ typedef struct {
     int32_t *high;
     int64_t size;
     int64_t hits[5];
-    int64_t miss_base[5];
+    int64_t misses[5];
     int64_t peak;
     int64_t dropped;
+    int64_t table_peak;
     int32_t err;
     int32_t bad;
     ...;
@@ -58,6 +63,7 @@ int32_t bdd_or(bdd_store *, int32_t, int32_t);
 int32_t bdd_xor(bdd_store *, int32_t, int32_t);
 int32_t bdd_constrain(bdd_store *, int32_t, int32_t);
 void bdd_misses(bdd_store *, int64_t *);
+int64_t bdd_table_bytes(bdd_store *);
 void bdd_drop_caches(bdd_store *);
 int32_t bdd_mark(bdd_store *, const int32_t *, int64_t, uint8_t *);
 int32_t bdd_compact(bdd_store *, const uint8_t *, int32_t *);
@@ -255,10 +261,15 @@ class NativeArena:
         return self._s.dropped
 
     def misses(self) -> List[int]:
-        """Computed-table misses per table, indexed like ``hits``."""
+        """Computations per computed table, indexed like ``hits``: one
+        per miss, a recomputation after an eviction included."""
         out = self._ffi.new("int64_t[5]")
         self._lib.bdd_misses(self._s, out)
         return list(out)
+
+    def table_bytes(self) -> int:
+        """Bytes the unique and computed tables held at their peak."""
+        return self._lib.bdd_table_bytes(self._s)
 
     # -- kernels and tables ----------------------------------------------
 
@@ -271,8 +282,8 @@ class NativeArena:
             lib.bdd_constrain))
 
     def drop_caches(self) -> None:
-        """Empty the computed tables and the call memo, folding their
-        sizes into the miss counts."""
+        """Empty the computed tables and the call memo.  The miss
+        counts are counted per computation, so they keep their values."""
         self._lib.bdd_drop_caches(self._s)
         self.call_memo = {}
 
@@ -303,7 +314,8 @@ class NativeArena:
         s = self._s
         for slot, (hits, misses) in enumerate(zip(old.hits, old.misses())):
             s.hits[slot] = hits
-            s.miss_base[slot] = misses
+            s.misses[slot] = misses
+        s.table_peak = max(s.table_peak, old.table_bytes())
         before = old.size()
         s.peak = max(old.peak, before)
         s.dropped = old.dropped + max(0, before - self.size())

@@ -895,9 +895,14 @@ def main(argv: Optional[List[str]] = None) -> int:
         spent = (f" gc={cache['gc_seconds']:.3f}s "
                  f"reorder={cache['reorder_seconds']:.3f}s"
                  if managed else "")
+        # the native store's tables at their peak: a figure of the
+        # store, not of the design, so it also stays on the cpu= line
+        table_bytes = sim.mgr.arena.table_bytes()
+        tables = ("" if table_bytes is None
+                  else f" bdd-tables={table_bytes / 2**20:.2f}MiB")
         print(f"[stats] cpu={sim.kernel.cpu_seconds:.3f}s "
               f"bdd-nodes={sim.mgr.total_nodes} "
-              f"bdd-peak={sim.mgr.peak_nodes}{spent}")
+              f"bdd-peak={sim.mgr.peak_nodes}{tables}{spent}")
         print(f"[stats] bdd kernel: {sim.mgr.bdd_kernel}")
         heartbeat = getattr(sim.kernel, "_heartbeat", None)
         if heartbeat is not None:

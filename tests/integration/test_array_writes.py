@@ -29,10 +29,16 @@ GC_KNOBS = dict(gc_threshold=50_000, dyn_reorder=True,
 DRAM_STATE_SHA256 = (
     "67cec9881cebb8ab17932bb63950b12c04ded0cb1158610eb9fdb54273f8944a")
 
-#: cache/arena counters of the same run, again the same with and
-#: without the GC knobs: the run stays far below the GC threshold
-DRAM_COUNTERS = {"apply_misses": 564, "ite_misses": 3976,
-                 "peak_nodes": 2716, "gc_runs": 0, "reorder_runs": 0}
+#: arena counters of the same run, again the same with and without the
+#: GC knobs: the run stays far below the GC threshold
+DRAM_COUNTERS = {"peak_nodes": 2716, "gc_runs": 0, "reorder_runs": 0}
+
+#: computed-table misses of the same run, per node store (the native
+#: store's lossy tables compute an evicted key again)
+DRAM_MISSES = {
+    "python": {"apply_misses": 564, "ite_misses": 3976},
+    "native": {"apply_misses": 573, "ite_misses": 4052},
+}
 
 
 def _rail_key(mgr, memo, node):
@@ -88,4 +94,5 @@ def test_dram_symbolic_writes(knobs):
     result = sim.run(until=3000)
     assert not result.violations
     assert state_digest(sim) == DRAM_STATE_SHA256
-    assert _counters(sim.mgr) == DRAM_COUNTERS
+    store = "native" if sim.mgr.bdd_kernel == "native" else "python"
+    assert _counters(sim.mgr) == {**DRAM_COUNTERS, **DRAM_MISSES[store]}

@@ -5,7 +5,11 @@ Two invariants of ``repro.bdd``:
 * **Arena identity.**  A reference symbolic run builds exactly the
   arena and computed-table traffic recorded below.  Any kernel rewrite
   that changes the expansion order (low cofactor first), a cache key or
-  a reduction shows up here as a changed hash or counter.
+  a reduction shows up here as a changed hash or counter.  Both stores
+  build the same arena; the traffic is pinned per store, because the
+  native store's computed tables are lossy caches that compute an
+  evicted key again (and count it again), where the Python store's
+  are exact.
 * **Refcount release.**  A finished simulation holds its manager in no
   reference cycle: with the cyclic collector off, dropping the
   simulation and its result frees the whole BDD arena at once (on the
@@ -31,11 +35,22 @@ from repro.obs import MetricsRegistry
 #: builtin gcd (width 5, 1 round) run symbolically to t=5000
 GCD_ARENA_SHA256 = (
     "d67c768b499163f0ba09d0e807c028d35fcb9c53fb4655ad1e063333c4961992")
+GCD_PEAK_NODES = 82514
+#: the native store's tables at their peak in the same run: 262,144
+#: unique slots and five computed tables of 262,144 / 8 slots, 16 B each
+GCD_TABLE_BYTES = (262_144 + 5 * 32_768) * 16
+#: computed-table traffic of the same run, per node store
 GCD_CACHE_STATS = {
-    "ite_hits": 22258, "ite_misses": 57459,
-    "not_hits": 30119, "not_misses": 22183,
-    "apply_hits": 102751, "apply_misses": 151295,
-    "peak_nodes": 82514,
+    "python": {
+        "ite_hits": 22258, "ite_misses": 57459,
+        "not_hits": 30119, "not_misses": 22183,
+        "apply_hits": 102751, "apply_misses": 151295,
+    },
+    "native": {
+        "ite_hits": 29041, "ite_misses": 84587,
+        "not_hits": 44970, "not_misses": 36035,
+        "apply_hits": 130696, "apply_misses": 200119,
+    },
 }
 
 
@@ -45,16 +60,23 @@ def _gcd_sim(**options):
                           options=SimOptions(**options))
 
 
+def _gcd_arena_sha256(mgr):
+    nodes = mgr.arena.image()
+    arena = json.dumps([nodes["level"], nodes["low"],
+                        nodes["high"]]).encode()
+    return hashlib.sha256(arena).hexdigest()
+
+
 def _check_gcd_arena():
     sim = _gcd_sim()
     sim.run(until=5000)
     mgr = sim.mgr
-    nodes = mgr.arena.image()
-    arena = json.dumps([nodes["level"], nodes["low"],
-                        nodes["high"]]).encode()
-    assert hashlib.sha256(arena).hexdigest() == GCD_ARENA_SHA256
+    assert _gcd_arena_sha256(mgr) == GCD_ARENA_SHA256
     stats = mgr.cache_stats()
-    assert {key: stats[key] for key in GCD_CACHE_STATS} == GCD_CACHE_STATS
+    assert stats["peak_nodes"] == GCD_PEAK_NODES
+    pins = GCD_CACHE_STATS["native" if mgr.bdd_kernel == "native"
+                           else "python"]
+    assert {key: stats[key] for key in pins} == pins
     return mgr.bdd_kernel
 
 
@@ -64,6 +86,32 @@ def test_gcd_arena_is_node_for_node_identical():
 
 def test_python_store_builds_the_same_gcd_arena(python_store):
     assert _check_gcd_arena().startswith("python")
+
+
+def test_lossy_native_tables_evict_without_changing_the_arena(monkeypatch):
+    """The first occurrence of a key is a miss on both stores, so the
+    native store computes every key the exact tables compute, at least
+    once: its misses are never fewer, and on gcd some entries are
+    evicted and computed again, building the same arena.  The native
+    tables peak at the size their rule gives (unique capacity / 8)."""
+    if native.unavailable() is not None:
+        pytest.skip(f"native BDD store unavailable: {native.unavailable()}")
+    runs = {}
+    for store in ("native", "python"):
+        if store == "python":
+            monkeypatch.setattr(native, "unavailable",
+                                lambda: "disabled for this test")
+        sim = _gcd_sim()
+        sim.run(until=5000)
+        assert sim.mgr.bdd_kernel.startswith(store)
+        runs[store] = (_gcd_arena_sha256(sim.mgr), sim.mgr.arena.misses(),
+                       sim.mgr.arena.table_bytes())
+    assert runs["native"][0] == runs["python"][0] == GCD_ARENA_SHA256
+    assert runs["native"][2] == GCD_TABLE_BYTES
+    assert runs["python"][2] is None
+    pairs = list(zip(runs["native"][1], runs["python"][1]))
+    assert all(lossy >= exact for lossy, exact in pairs), pairs
+    assert any(lossy > exact for lossy, exact in pairs), pairs
 
 
 @pytest.fixture

@@ -80,14 +80,35 @@ class TestMain:
     ], ids=["plain", "gc", "sift"])
     def test_stats_split_a_managed_runs_time(self, design_file, capsys,
                                              knobs, fields):
+        from repro.bdd import native
+
         main([design_file, "--define", "TARGET=99", "--quiet", "--stats",
               *knobs])
         lines = [line for line in capsys.readouterr().out.splitlines()
                  if line.startswith("[stats] cpu=")]
+        tables = (r" bdd-tables=\d+\.\d{2}MiB" if native.unavailable() is None
+                  else "")
         assert len(lines) == 1
         assert re.fullmatch(
             r"\[stats\] cpu=\d+\.\d{3}s bdd-nodes=\d+ bdd-peak=\d+"
-            + fields, lines[0]), lines[0]
+            + tables + fields, lines[0]), lines[0]
+
+    @pytest.mark.parametrize("extra", [[], ["--no-fastpath"]],
+                             ids=["default", "no-fastpath"])
+    def test_stats_report_the_native_tables(self, design_file, capsys, store,
+                                            extra):
+        main([design_file, "--define", "TARGET=99", "--quiet", "--stats",
+              *extra])
+        out = capsys.readouterr().out.splitlines()
+        tables = [re.search(r" bdd-tables=(\d+\.\d{2})MiB", line)
+                  for line in out if line.startswith("[stats] cpu=")]
+        if store == "native" and not extra:
+            # the unique table and at least one computed table
+            assert tables[0] and float(tables[0].group(1)) > 0.0
+        else:
+            assert tables == [None]
+        assert not any("bdd-tables" in line for line in out
+                       if not line.startswith("[stats] cpu="))
 
     def test_profile_report_names_the_bdd_store(self, design_file, tmp_path,
                                                 capsys):

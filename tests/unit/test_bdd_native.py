@@ -4,7 +4,10 @@
   ``and``/``or``/``xor``/``constrain``/``new_var`` with ``collect``,
   ``sift``, ``reorder`` and ``image()``/``restore()`` between them) run
   on a native manager and on a Python one; after every step the two
-  hold the same image, hit and miss counts, peak and dropped count.
+  hold the same image, peak and dropped count, and the native store
+  (lossy computed tables) has missed at least as often per table as
+  the Python one (exact tables): a key's first occurrence misses on
+  both, and only the native store can miss on it again.
 * **Sift.**  On random multi-root graphs, with the sift's bounds cut
   small enough that the swap budget runs out mid-variable, the growth
   limit ends sweeps and candidates are dropped, the C sift makes the
@@ -83,8 +86,7 @@ def _step(mgr, pool, op, args):
 
 def _state(mgr, pool):
     arena = mgr.arena
-    return (mgr.image(), arena.hits, arena.misses(), arena.peak,
-            arena.dropped, pool.nodes)
+    return (mgr.image(), arena.peak, arena.dropped, pool.nodes)
 
 
 OPS = st.tuples(
@@ -106,6 +108,8 @@ def test_native_store_matches_python_store(ops):
         _step(fast, fast_pool, op, args)
         _step(slow, slow_pool, op, args)
         assert _state(fast, fast_pool) == _state(slow, slow_pool), op
+        pairs = list(zip(fast.arena.misses(), slow.arena.misses()))
+        assert all(lossy >= exact for lossy, exact in pairs), (op, pairs)
 
 
 SIFT_BOUNDS = st.tuples(
