@@ -1,9 +1,9 @@
 """Fast-path micro/smoke benchmarks: concrete vs mixed vs symbolic.
 
 The hybrid evaluation engine (docs/PERFORMANCE.md) dispatches fully
-concrete operands to pure-int word-level code, applies per-bit
-constant-cofactor shortcuts to mixed operands, and only builds BDDs for
-genuinely symbolic bits.  This module pins that claim with numbers:
+concrete operands to pure-int word-level code and builds the rails of
+mixed and symbolic operands with fused per-bit chains.  This module
+pins that claim with numbers:
 
 * operator-level throughput in the three regimes, with the fast path
   force-disabled as the baseline — the paper's observation that most of
@@ -98,12 +98,12 @@ def test_micro_concrete_vs_disabled(benchmark):
 
 
 def test_micro_mixed(benchmark):
-    """Partially concrete operands: per-bit shortcuts + narrow BDD work."""
+    """Partially concrete operands: fused rails + narrow BDD work."""
     def run():
         on, on_rate, mgr = _time_regime(_mixed_pair, 150, True)
         off, off_rate, _ = _time_regime(_mixed_pair, 150, False)
-        assert mgr.fastpath_bit_shortcuts > 0, \
-            "mixed operands must trigger per-bit shortcuts"
+        assert mgr.fastpath_symbolic_ops > 0, \
+            "mixed operands must take the per-bit path"
         _RESULTS["micro/mixed"] = (on, on_rate)
         _RESULTS["micro/mixed+nofp"] = (off, off_rate)
         _RESULTS["micro/mixed_speedup"] = off / on

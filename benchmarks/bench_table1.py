@@ -293,12 +293,11 @@ def test_table1_report(benchmark):
             slow, _ = _RESULTS[slow_key]
             snapshot = _SNAPSHOTS[fast_key]
             word = int(_gauge(snapshot, "sim.fastpath.word_ops"))
-            bits = int(_gauge(snapshot, "sim.fastpath.bit_shortcuts"))
             ratio = _gauge(snapshot, "sim.fastpath.concrete_ratio")
             lines.append(
                 f"{label:10s} {slow:8.2f}s -> {fast:8.2f}s "
                 f"({slow / fast:4.1f}x)  word {word:8d}  "
-                f"bit-shortcuts {bits:8d}  concrete {100 * ratio:5.1f}%")
+                f"concrete {100 * ratio:5.1f}%")
         report("table1", lines)
         report_json("table1", dict(_SNAPSHOTS))
 

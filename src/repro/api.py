@@ -40,6 +40,7 @@ from __future__ import annotations
 import dataclasses
 import enum
 import os
+import typing
 from typing import Dict, Optional, Tuple
 
 from repro.errors import ReproError, RequestError, VerilogSyntaxError
@@ -127,6 +128,52 @@ def semantic_options(options) -> Dict[str, object]:
 # options / budget / retry parsing
 # ---------------------------------------------------------------------
 
+#: JSON values a field of each scalar type takes, and their name in an
+#: error.  ``bool`` is a subclass of ``int`` in Python but not a number
+#: in JSON, so no numeric field takes one.
+_SCALARS = {
+    bool: (lambda v: isinstance(v, bool), "a boolean"),
+    int: (lambda v: isinstance(v, int) and not isinstance(v, bool),
+          "an integer"),
+    float: (lambda v: isinstance(v, (int, float))
+            and not isinstance(v, bool), "a number"),
+}
+
+
+def _check_values(cls, values: Dict, where: str, what: str) -> None:
+    """Reject a value whose JSON type does not fit its ``cls`` field.
+
+    ``values`` maps the request's key to ``(field name, value)``.  The
+    accepted type is read from the dataclass annotation: a ``bool``,
+    ``int`` or ``float`` field, or an ``Optional`` one that also takes
+    ``null``.  Fields of any other type are parsed by their own code.
+    """
+    hints = typing.get_type_hints(cls)
+    for key, (name, value) in values.items():
+        hint = hints[name]
+        optional = typing.get_origin(hint) is typing.Union
+        if optional:
+            if value is None:
+                continue
+            hint = next(arg for arg in typing.get_args(hint)
+                        if arg is not type(None))
+        if hint not in _SCALARS:
+            continue
+        accepts, kind = _SCALARS[hint]
+        if not accepts(value):
+            raise RequestError(
+                f"{where}: {what} {key!r} must be {kind}"
+                f"{' or null' if optional else ''}, not {value!r}")
+
+
+def parse_until(value, where: str) -> Optional[int]:
+    """The ``"until"`` bound: a non-negative integer, or ``null`` to run
+    to completion."""
+    if value is not None and (not _SCALARS[int][0](value) or value < 0):
+        raise RequestError(f"{where}: \"until\" must be a non-negative "
+                           f"integer or null, not {value!r}")
+    return value
+
 
 def parse_budgets(spec: Dict, where: str):
     """The ``"budget"`` object → :class:`~repro.guard.ResourceBudgets`."""
@@ -138,6 +185,9 @@ def parse_budgets(spec: Dict, where: str):
     bad = set(spec) - known
     if bad:
         raise RequestError(f"{where}: unknown budget keys {sorted(bad)}")
+    _check_values(ResourceBudgets,
+                  {key: (key, value) for key, value in spec.items()},
+                  where, "budget")
     try:
         return ResourceBudgets(**spec)
     except TypeError as exc:
@@ -148,21 +198,26 @@ def parse_options(spec: Dict, where: str):
     """The ``"options"`` mapping → :class:`~repro.sim.SimOptions`.
 
     The one implementation behind every entry point.  Unknown keys are
-    an error (single-line, naming the known set); ``accumulation``
-    accepts the mode name; ``budget`` routes through
-    :func:`parse_budgets`.
+    an error (single-line, naming the known set), and so is a value of
+    the wrong JSON type for its field; ``accumulation`` accepts the
+    mode name; ``budget`` routes through :func:`parse_budgets`.
     """
     from repro.compile.instructions import AccumulationMode
     from repro.sim import SimOptions
 
     if not isinstance(spec, dict):
         raise RequestError(f"{where}: \"options\" must be an object")
-    fields = {}
-    for key, value in spec.items():
+    for key in spec:
         if key not in OPTION_KEYS:
             raise RequestError(
                 f"{where}: unknown option {key!r} "
                 f"(known: {sorted(OPTION_KEYS)})")
+    _check_values(SimOptions,
+                  {key: (OPTION_KEYS[key], value)
+                   for key, value in spec.items()},
+                  where, "option")
+    fields = {}
+    for key, value in spec.items():
         if key == "accumulation":
             if not isinstance(value, AccumulationMode):
                 try:
@@ -336,7 +391,7 @@ def parse_run(spec: Dict, defaults: Optional[Dict] = None,
             top=top,
             defines=defines,
             options=parse_options(option_spec, where),
-            until=merged.get("until"),
+            until=parse_until(merged.get("until"), where),
             vcd=bool(merged.get("vcd", False)),
         )
     except TypeError as exc:

@@ -139,7 +139,6 @@ class BddManager:
         # one place (the manager travels with every FourVec).
         self.fastpath = True          # SimOptions.no_fastpath clears it
         self._fp_word = 0             # whole operators done word-level
-        self._fp_bits = 0             # per-bit constant short-circuits
         self._fp_sym = 0              # operators on the per-bit BDD path
         # --- pure-function calls (repro.compile.funcs) ----------------
         # The memo is ``arena.call_memo``, aliased as ``_call_memo``.
@@ -723,11 +722,6 @@ class BddManager:
         return self._fp_word
 
     @property
-    def fastpath_bit_shortcuts(self) -> int:
-        """Per-bit constant-cofactor short-circuits on mixed operands."""
-        return self._fp_bits
-
-    @property
     def fastpath_symbolic_ops(self) -> int:
         """Operators that fell through to the per-bit BDD path."""
         return self._fp_sym
@@ -758,7 +752,6 @@ class BddManager:
             "apply_misses": apply_misses,
             "apply_hit_rate": apply_hits / apply_total if apply_total else 0.0,
             "fastpath_word_ops": self._fp_word,
-            "fastpath_bit_shortcuts": self._fp_bits,
             "fastpath_symbolic_ops": self._fp_sym,
             "fastpath_word_ratio": self._fp_word / fp_total if fp_total
             else 0.0,
@@ -1293,4 +1286,4 @@ class BddManager:
                              for level, value in image["concretized"].items()}
         self._last_gc_size = image["last_gc_size"]
         self._next_sift_at = image["next_sift_at"]
-        self._fp_word = self._fp_bits = self._fp_sym = 0
+        self._fp_word = self._fp_sym = 0

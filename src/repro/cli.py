@@ -910,7 +910,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(f"[stats] heartbeats={heartbeat.beats} "
                   f"every={heartbeat.every} safe-points sink={sink}")
         print(f"[stats] fastpath-word={cache['fastpath_word_ops']} "
-              f"fastpath-bits={cache['fastpath_bit_shortcuts']} "
               f"fastpath-sym={cache['fastpath_symbolic_ops']} "
               f"concrete-ratio={cache['fastpath_word_ratio']:.3f} "
               f"apply-hit-rate={cache['apply_hit_rate']:.3f}")

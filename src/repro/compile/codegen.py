@@ -45,9 +45,9 @@ process, keyed by its generated source and its ``<codegen:proc@pc>``
 filename (:func:`_compiled`), so programs that share a process's text
 (a campaign's mutants, a rebuilt Program, the replicas of one design)
 compile it once.  Every block still gets its own function, ``exec``-ed
-into a fresh namespace per Program: its instructions, word closures
-and ``g{k}`` miss-streak cells are never shared.  A forked worker
-starts with whatever code objects its parent had cached.
+into a fresh namespace per Program: its instructions and word closures
+are never shared.  A forked worker starts with whatever code objects
+its parent had cached.
 
 Block protocol: ``block(kern, frame) -> Optional[int]`` — the next
 label, or ``None`` for ``returnToSimulator()``.  Each block carries
@@ -177,14 +177,6 @@ def _entry_points(proc: CompiledProcess) -> set:
 # ----------------------------------------------------------------------
 
 
-#: Adaptive probe gating: after this many consecutive misses a site's
-#: word probe is skipped...
-_MISS_STREAK = 12
-#: ...and retried only when the streak count masks to zero (every 64th
-#: execution), so a site that turns concrete later is picked back up.
-_RETRY_MASK = 63
-
-
 #: Code objects :func:`_compiled` keeps per process: a few times the
 #: blocks of the largest builtin design, with room for a campaign's
 #: mutated variants.
@@ -226,36 +218,17 @@ class _Emitter:
     def guarded(self, k: int, probe: List[str], cost: int,
                 hit: List[str]) -> None:
         """The compile-tier dispatch shape: concrete-control word probe
-        with counter mirroring, generic fallback otherwise.
-
-        Probes are adaptively gated: a site that keeps missing (its
-        operands run symbolic) stops paying the probe after
-        ``_MISS_STREAK`` consecutive misses and re-probes only every
-        ``_RETRY_MASK + 1`` executions, so symbolic-dominant designs
-        do not fund fast paths they never take.  The gate is timing
-        only — on a skipped probe the generic closure runs and counts
-        its own fast-path work, so results and the mirrored counters
-        stay bit-identical.
-        """
-        self.ns[f"g{k}"] = [0]  # consecutive-miss streak (mutable cell)
+        with counter mirroring, generic fallback otherwise."""
         self.emit("if frame.control == _T:")
-        self.emit(f"    m = g{k}[0]")
-        self.emit(f"    if m < {_MISS_STREAK} or not (m & {_RETRY_MASK}):")
         for line in probe:
-            self.emit("        " + line)
-        self.emit("        if v is not None:")
-        self.emit(f"            g{k}[0] = 0")
-        self.emit("            kern._ctier[0] += 1")
+            self.emit("    " + line)
+        self.emit("    if v is not None:")
+        self.emit("        kern._ctier[0] += 1")
         if cost:
-            self.emit(f"            kern.mgr._fp_word += {cost}")
+            self.emit(f"        kern.mgr._fp_word += {cost}")
         for line in hit:
-            self.emit("            " + line)
-        self.emit("        else:")
-        self.emit(f"            g{k}[0] = m + 1")
-        self.emit("            kern._ctier[1] += 1")
-        self.emit(f"            f{k}(kern, frame)")
+            self.emit("        " + line)
         self.emit("    else:")
-        self.emit(f"        g{k}[0] = m + 1")
         self.emit("        kern._ctier[1] += 1")
         self.emit(f"        f{k}(kern, frame)")
         self.emit("else:")
@@ -362,28 +335,19 @@ def _emit_split(em: _Emitter, k: int, inst, pc: int,
                 hit: List[str]) -> None:
     """Terminator emission for ``IfSplit``/``LoopSplit`` with a word
     closure: resolve the branch as an integer test under a concrete
-    path control, with the same adaptive miss gating as
-    :meth:`_Emitter.guarded`; otherwise fall back to the
-    instruction's own ``execute``."""
+    path control; otherwise fall back to the instruction's own
+    ``execute``."""
     em.ns[f"w{k}"] = inst.cond.word
     em.ns[f"i{k}"] = inst
-    em.ns[f"g{k}"] = [0]
     em.emit("if frame.control == _T:")
-    em.emit(f"    m = g{k}[0]")
-    em.emit(f"    if m < {_MISS_STREAK} or not (m & {_RETRY_MASK}):")
-    em.emit(f"        v = w{k}(kern, {inst.cond.width})")
-    em.emit("        if v is not None:")
-    em.emit(f"            g{k}[0] = 0")
-    em.emit("            kern._ctier[0] += 1")
+    em.emit(f"    v = w{k}(kern, {inst.cond.width})")
+    em.emit("    if v is not None:")
+    em.emit("        kern._ctier[0] += 1")
     if inst.cond.word_cost:
-        em.emit(f"            kern.mgr._fp_word += {inst.cond.word_cost}")
+        em.emit(f"        kern.mgr._fp_word += {inst.cond.word_cost}")
     for line in hit:
-        em.emit("            " + line)
-    em.emit(f"        g{k}[0] = m + 1")
-    em.emit("        kern._ctier[1] += 1")
-    em.emit("    else:")
-    em.emit(f"        g{k}[0] = m + 1")
-    em.emit("        kern._ctier[1] += 1")
+        em.emit("        " + line)
+    em.emit("    kern._ctier[1] += 1")
     em.emit(f"frame.pc = {pc}")
     em.emit(f"return i{k}.execute(kern, frame)")
 

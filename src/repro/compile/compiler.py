@@ -98,8 +98,8 @@ class Trigger:
     word: Optional[Callable] = field(init=False)
     width: int = field(init=False)
     #: ``fastpath_word_ops`` one generic wake-up counts on fully-known
-    #: values: the evaluation, plus one for an edge test on bit 0
-    #: (``change_condition`` counts nothing)
+    #: values: the evaluation (the edge test and ``change_condition``
+    #: count nothing)
     cost: int = field(init=False)
     #: signedness of the vector ``eval`` returns
     signed: bool = field(init=False)
@@ -108,7 +108,7 @@ class Trigger:
         cexpr = self.cexpr
         self.word = cexpr.word
         self.width = cexpr.width
-        self.cost = cexpr.word_cost + (self.edge is not None)
+        self.cost = cexpr.word_cost
         self.signed = _rt_signed(cexpr)
 
     def materialize(self, mgr, raw: int) -> FourVec:
@@ -573,6 +573,13 @@ class _ProcessCompiler:
                 width = max(width, e.width)
                 support |= e.support
             arms.append((exprs, item.stmt))
+        # IEEE 1800 12.5: the selector and the items share one type, as
+        # the operands of ``===`` do -- unsigned when any one of them is.
+        if not (selector.signed
+                and all(e.signed for exprs, _ in arms for e in exprs)):
+            selector = compiler._unsigned(selector)
+            arms = [([compiler._unsigned(e) for e in exprs], body)
+                    for exprs, body in arms]
         # Capture the selector so arm bodies can't perturb arm matching.
         shadow = self.program.new_shadow(width, hint="case")
 

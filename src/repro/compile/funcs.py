@@ -107,18 +107,17 @@ class FunctionEvaluator:
         if hit is None:
             if ctrl != TRUE:
                 return self._evaluate(kern, ctrl, args)
-            fp_word, fp_bits, fp_sym = mgr._fp_word, mgr._fp_bits, mgr._fp_sym
+            fp_word, fp_sym = mgr._fp_word, mgr._fp_sym
             result = self._evaluate(kern, ctrl, args)
             if len(mgr._call_memo) < MEMO_LIMIT:
                 mgr._call_memo[key] = (
                     result.bits, result.known_int(), mgr._fp_word - fp_word,
-                    mgr._fp_bits - fp_bits, mgr._fp_sym - fp_sym)
+                    mgr._fp_sym - fp_sym)
             return result
-        rails, word, d_word, d_bits, d_sym = hit
+        rails, word, d_word, d_sym = hit
         if ctrl == TRUE:
             mgr._call_hits += 1
             mgr._fp_word += d_word
-            mgr._fp_bits += d_bits
             mgr._fp_sym += d_sym
             if word is not None:
                 return FourVec.from_int(mgr, word, self.width)

@@ -29,23 +29,20 @@ concrete summaries (:meth:`FourVec.concrete_summary`):
   :mod:`repro.fourval.word`, no BDD calls at all (``mgr._fp_word``).
   That module is the one home of Verilog's integer semantics: the
   compiled tier's word twins call the same functions;
-* **per-bit short-circuits**: mixed operands → constant bits collapse
-  without touching the manager (``0 & x = 0``, ``1 | x = 1``,
-  known shift amounts; ``mgr._fp_bits``);
 * **symbolic fallback**: the per-bit BDD path (``mgr._fp_sym``).  With
   fast paths on, ``& | ^``, ``===``/``!==``, two-valued ``==``/``!=``
   and the adder behind ``+ -`` build their rails with fused chains
-  (closed-form dual rails, one difference chain, a majority carry) and
+  (closed-form dual rails, one difference chain, a majority carry),
+  a shift by a known amount rearranges the rails once, and
   X-poisoned operators run on care-set operands; the generic chains
   stay as the oracle.
 
-Every fast-path result is bit-identical to the fallback path: constant
-rails short-circuit to the same terminal nodes inside the manager, so
-the shortcuts below are algebraic reductions of the generic
-constructions, not approximations, and a fused chain builds the same
-canonical function with fewer operations.  Setting
-``mgr.fastpath = False`` (``SimOptions.no_fastpath`` /
-``--no-fastpath``) disables all of them for differential testing.
+Every fast-path result is bit-identical to the fallback path: a fused
+chain builds the same canonical function with fewer operations, and
+constant operand bits reduce to the same terminal nodes inside the
+manager either way.  Setting ``mgr.fastpath = False``
+(``SimOptions.no_fastpath`` / ``--no-fastpath``) disables all of them
+for differential testing.
 """
 
 from __future__ import annotations
@@ -55,7 +52,7 @@ from typing import Callable, List, Optional, Tuple
 from repro.bdd import FALSE, TRUE, BddManager
 from repro.errors import FourValueError
 from repro.fourval import word
-from repro.fourval.vector import BIT_0, BIT_1, BIT_X, BitPair, FourVec
+from repro.fourval.vector import BIT_X, BitPair, FourVec
 
 
 def _check_same_width(x: FourVec, y: FourVec, op: str) -> None:
@@ -64,13 +61,6 @@ def _check_same_width(x: FourVec, y: FourVec, op: str) -> None:
             f"{op}: operand width mismatch {x.width} vs {y.width} "
             "(the expression compiler should have resized)"
         )
-
-
-def _fast1(x: FourVec) -> Optional[int]:
-    """``x`` as a raw unsigned int when the word-level tier may run."""
-    if not x.mgr.fastpath:
-        return None
-    return x.known_int()
 
 
 def _tier_a(fn: Callable, x: FourVec, y: Optional[FourVec], width: int,
@@ -140,17 +130,6 @@ def bitwise_not(x: FourVec) -> FourVec:
     return FourVec(mgr, bits)
 
 
-def _bitwise_binary(
-    x: FourVec,
-    y: FourVec,
-    bit_op: Callable[[BddManager, BitPair, BitPair], BitPair],
-    name: str,
-) -> FourVec:
-    _check_same_width(x, y, name)
-    mgr = x.mgr
-    return FourVec(mgr, [bit_op(mgr, bx, by) for bx, by in zip(x.bits, y.bits)])
-
-
 def _and_bit(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
     is0 = mgr.or_(_known0(mgr, bx), _known0(mgr, by))
     is1 = mgr.and_(_known1(mgr, bx), _known1(mgr, by))
@@ -176,8 +155,9 @@ def _xor_bit(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
 # complement copies (this package has no complement edges, so each
 # ``not_`` builds a BDD of its own).  A bit is "a = 0" exactly where it
 # is a known 0 and "b = 1" exactly where it is X/Z.  Two-valued
-# operands give a two-valued result.  The fast path uses these; the
-# oracle (fast paths off) keeps the generic chains above.
+# operands give a two-valued result.  The fast path uses these on
+# every bit; the oracle (fast paths off) keeps the generic chains
+# above.
 
 
 def _and_fused(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
@@ -207,92 +187,33 @@ def _xor_fused(mgr: BddManager, bx: BitPair, by: BitPair) -> BitPair:
     return mgr.or_(b, mgr.xor(ax, ay)), b
 
 
-def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
-    """``x & y``."""
-    _check_same_width(x, y, "&")
-    known = _tier_a(word.and_, x, y, x.width)
+def _bitwise_binary(x: FourVec, y: FourVec, word_fn: Callable,
+                    fused: Callable, generic: Callable,
+                    name: str) -> FourVec:
+    """``x name y``: the word level on known operands, else ``fused``
+    (fast paths on) or ``generic`` rails on every bit."""
+    _check_same_width(x, y, name)
+    known = _tier_a(word_fn, x, y, x.width)
     if known is not None:
         return known
     mgr = x.mgr
-    if not mgr.fastpath:
-        return _bitwise_binary(x, y, _and_bit, "&")
-    # Mixed operands: constant-cofactor short-circuits.  Each branch is
-    # the algebraic reduction of _and_bit for that constant input, so
-    # the rails are identical BDD nodes; the other bits take the fused
-    # rails, the same functions built with fewer operations.
-    bits: List[BitPair] = []
-    shortcuts = 0
-    for bx, by in zip(x.bits, y.bits):
-        if bx == BIT_0 or by == BIT_0:
-            bits.append(BIT_0)
-            shortcuts += 1
-        elif bx == BIT_1 and by[1] == FALSE:
-            bits.append(by)
-            shortcuts += 1
-        elif by == BIT_1 and bx[1] == FALSE:
-            bits.append(bx)
-            shortcuts += 1
-        else:
-            bits.append(_and_fused(mgr, bx, by))
-    mgr._fp_bits += shortcuts
-    return FourVec(mgr, bits)
+    bit_op = fused if mgr.fastpath else generic
+    return FourVec(mgr, [bit_op(mgr, bx, by) for bx, by in zip(x.bits, y.bits)])
+
+
+def bitwise_and(x: FourVec, y: FourVec) -> FourVec:
+    """``x & y``."""
+    return _bitwise_binary(x, y, word.and_, _and_fused, _and_bit, "&")
 
 
 def bitwise_or(x: FourVec, y: FourVec) -> FourVec:
     """``x | y``."""
-    _check_same_width(x, y, "|")
-    known = _tier_a(word.or_, x, y, x.width)
-    if known is not None:
-        return known
-    mgr = x.mgr
-    if not mgr.fastpath:
-        return _bitwise_binary(x, y, _or_bit, "|")
-    bits: List[BitPair] = []
-    shortcuts = 0
-    for bx, by in zip(x.bits, y.bits):
-        if bx == BIT_1 or by == BIT_1:
-            bits.append(BIT_1)
-            shortcuts += 1
-        elif bx == BIT_0 and by[1] == FALSE:
-            bits.append(by)
-            shortcuts += 1
-        elif by == BIT_0 and bx[1] == FALSE:
-            bits.append(bx)
-            shortcuts += 1
-        else:
-            bits.append(_or_fused(mgr, bx, by))
-    mgr._fp_bits += shortcuts
-    return FourVec(mgr, bits)
+    return _bitwise_binary(x, y, word.or_, _or_fused, _or_bit, "|")
 
 
 def bitwise_xor(x: FourVec, y: FourVec) -> FourVec:
     """``x ^ y``."""
-    _check_same_width(x, y, "^")
-    known = _tier_a(word.xor, x, y, x.width)
-    if known is not None:
-        return known
-    mgr = x.mgr
-    if not mgr.fastpath:
-        return _bitwise_binary(x, y, _xor_bit, "^")
-    bits: List[BitPair] = []
-    shortcuts = 0
-    for bx, by in zip(x.bits, y.bits):
-        if bx == BIT_0 and by[1] == FALSE:
-            bits.append(by)
-            shortcuts += 1
-        elif by == BIT_0 and bx[1] == FALSE:
-            bits.append(bx)
-            shortcuts += 1
-        elif bx == BIT_1 and by[1] == FALSE:
-            bits.append((mgr.not_(by[0]), FALSE))
-            shortcuts += 1
-        elif by == BIT_1 and bx[1] == FALSE:
-            bits.append((mgr.not_(bx[0]), FALSE))
-            shortcuts += 1
-        else:
-            bits.append(_xor_fused(mgr, bx, by))
-    mgr._fp_bits += shortcuts
-    return FourVec(mgr, bits)
+    return _bitwise_binary(x, y, word.xor, _xor_fused, _xor_bit, "^")
 
 
 def bitwise_xnor(x: FourVec, y: FourVec) -> FourVec:
@@ -864,7 +785,6 @@ def _shift(x: FourVec, y: FourVec, fn: Callable, left: bool,
         # rearrange the rails once instead of per-power-of-2 merges
         # (the generic loop's ite(TRUE, s, r) selections compose to
         # exactly this single shift, so the rails are identical).
-        mgr._fp_bits += width
         return _poisoned(
             mgr, x.has_xz(), (x,),
             lambda x: _shifted_rails([a for a, _ in x.bits], amount,
@@ -936,7 +856,7 @@ def conditional(cond: FourVec, then_v: FourVec, else_v: FourVec) -> FourVec:
     """
     _check_same_width(then_v, else_v, "?:")
     mgr = cond.mgr
-    selector = _fast1(cond)
+    selector = cond.known_int() if mgr.fastpath else None
     if selector is not None:
         # A fully-known selector is definitely true or definitely
         # false; the branches may stay symbolic.
@@ -973,21 +893,6 @@ def resolve_wire(x: FourVec, y: FourVec) -> FourVec:
     """
     _check_same_width(x, y, "wire-resolve")
     mgr = x.mgr
-    vx = _fast1(x)
-    vy = None if vx is None else y.known_int()
-    if vy is not None:
-        mgr._fp_word += 1
-        if vx == vy:
-            return FourVec.from_int(mgr, vx, x.width)
-        bits = []
-        for i in range(x.width):
-            if (vx ^ vy) >> i & 1:
-                bits.append(BIT_X)
-            else:
-                bits.append(BIT_1 if vx >> i & 1 else BIT_0)
-        return FourVec(mgr, bits)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
     bits: List[BitPair] = []
     for bx, by in zip(x.bits, y.bits):
         x_is_z = mgr.and_(mgr.not_(bx[0]), bx[1])
@@ -1070,14 +975,6 @@ def resolve_wor(x: FourVec, y: FourVec) -> FourVec:
 def pull_z(x: FourVec, pull_to_one: bool) -> FourVec:
     """``tri0``/``tri1`` pull: undriven (Z) bits read 0 or 1."""
     mgr = x.mgr
-    value = _fast1(x)
-    if value is not None:
-        # Fully-known: no Z bit to pull, the value passes through
-        # (stripped of any signedness, matching the generic result).
-        mgr._fp_word += 1
-        return x.as_signed(False)
-    if mgr.fastpath:
-        mgr._fp_sym += 1
     bits: List[BitPair] = []
     for a, b in x.bits:
         isz = mgr.and_(mgr.not_(a), b)
@@ -1099,15 +996,6 @@ def posedge_condition(old: FourVec, new: FourVec) -> int:
     Per 1364, posedge is any transition 0→1, 0→X/Z, X/Z→1.
     """
     mgr = old.mgr
-    if mgr.fastpath:
-        omask, oval = old.concrete_summary()
-        nmask, nval = new.concrete_summary()
-        if omask & 1 and nmask & 1:
-            # both bit-0s concrete-known: the only posedge transition
-            # left in the 1364 table is a plain 0 -> 1
-            mgr._fp_word += 1
-            return TRUE if not oval & 1 and nval & 1 else FALSE
-        mgr._fp_sym += 1
     o, n = old.bits[0], new.bits[0]
     o0 = _known0(mgr, o)
     o1 = _known1(mgr, o)
@@ -1126,13 +1014,6 @@ def posedge_condition(old: FourVec, new: FourVec) -> int:
 def negedge_condition(old: FourVec, new: FourVec) -> int:
     """BDD: a negative edge occurred on bit 0 (1→0, 1→X/Z, X/Z→0)."""
     mgr = old.mgr
-    if mgr.fastpath:
-        omask, oval = old.concrete_summary()
-        nmask, nval = new.concrete_summary()
-        if omask & 1 and nmask & 1:
-            mgr._fp_word += 1
-            return TRUE if oval & 1 and not nval & 1 else FALSE
-        mgr._fp_sym += 1
     o, n = old.bits[0], new.bits[0]
     o1 = _known1(mgr, o)
     oxz = o[1]

@@ -387,17 +387,6 @@ class FourVec:
                 f"change width mismatch: {self.width} vs {other.width}"
             )
         mgr = self.mgr
-        if mgr.fastpath:
-            # Identical rails can never differ; two all-constant-rail
-            # vectors differ iff any pair mismatches.  Both cases are
-            # exactly what the generic xor/or chain reduces to.
-            if self.bits == other.bits:
-                return FALSE
-            for (a1, b1), (a2, b2) in zip(self.bits, other.bits):
-                if a1 > TRUE or b1 > TRUE or a2 > TRUE or b2 > TRUE:
-                    break  # a symbolic rail: fall through to the BDDs
-            else:
-                return TRUE  # bits differ and all rails are terminals
         diffs = []
         for (a1, b1), (a2, b2) in zip(self.bits, other.bits):
             diffs.append(mgr.or_(mgr.xor(a1, a2), mgr.xor(b1, b2)))
@@ -423,10 +412,4 @@ class FourVec:
         An all-X value is not true (the else branch runs).
         """
         mgr = self.mgr
-        if mgr.fastpath:
-            mask, value = self.concrete_summary()
-            if value:           # a concrete-known 1 bit: always true
-                return TRUE
-            if mask == (1 << len(self.bits)) - 1:
-                return FALSE    # fully known, all zero: never true
         return mgr.or_all(mgr.and_(a, mgr.not_(b)) for a, b in self.bits)

@@ -105,12 +105,12 @@ def load_campaign(path: str) -> Tuple[CampaignConfig, int]:
             not isinstance(max_mutants, int) or max_mutants < 0):
         raise MutationError("manifest: \"max_mutants\" must be a "
                             "non-negative integer")
-    until = document.get("until")
     workers = document.get("workers", 1)
     if not isinstance(workers, int) or workers < 1:
         raise MutationError("manifest: \"workers\" must be >= 1")
 
     try:
+        until = api.parse_until(document.get("until"), "manifest")
         options = api.parse_options(document.get("options", {}), "campaign")
     except RequestError as exc:
         raise MutationError(str(exc)) from exc

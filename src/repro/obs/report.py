@@ -227,14 +227,13 @@ def _format_bdd_line(bdd: dict) -> str:
         f"vars={bdd.get('var_count', 0)}"
     )
     fp_word = bdd.get("fastpath_word_ops", 0)
-    fp_bits = bdd.get("fastpath_bit_shortcuts", 0)
     fp_sym = bdd.get("fastpath_symbolic_ops", 0)
-    if fp_word or fp_bits or fp_sym:
+    if fp_word or fp_sym:
         total = fp_word + fp_sym
         ratio = f"{100.0 * fp_word / total:.1f}%" if total else "n/a"
         line += (
             f"\nfastpath: {fp_word} word-level ops ({ratio} concrete), "
-            f"{fp_bits} per-bit shortcuts, {fp_sym} symbolic fallbacks"
+            f"{fp_sym} symbolic fallbacks"
         )
     return line
 

@@ -903,9 +903,6 @@ class Kernel:
             ("sim.fastpath.word_ops",
              "operators evaluated word-level on concrete operands",
              mgr.fastpath_word_ops),
-            ("sim.fastpath.bit_shortcuts",
-             "per-bit constant-cofactor short-circuits on mixed operands",
-             mgr.fastpath_bit_shortcuts),
             ("sim.fastpath.symbolic_ops",
              "operators that fell back to the generic BDD construction",
              mgr.fastpath_symbolic_ops),
@@ -1479,7 +1476,7 @@ class Kernel:
         and negedge ``1 -> 0`` on bit 0, any change on the whole word.
         That is all the generic conditions can produce on known
         values; the fast-path counters get what the generic evaluation
-        and edge test count (``Trigger.cost``).  Any other trigger
+        counts (``Trigger.cost``).  Any other trigger
         takes the generic path, with a raw ``last`` materialized first.
         """
         mgr = self.mgr

@@ -197,6 +197,30 @@ class TestSignedness:
             assert run_value(self.MIXED % "r = u | 4'sbx000;", "r",
                              **opts) == "00001111", opts
 
+    def test_case_operands_are_typed_like_case_equality(self):
+        # IEEE 1800 12.5: selector and items are unsigned when any one
+        # of them is, so the signed selector zero-extends as in ===
+        for opts, r in self.mixed(
+                "r = (s === 8'hFF) ? 9 : 0;"
+                " case (s) 8'hFF: r = r + 1; 8'h0F: r = r + 2;"
+                " default: r = r + 3; endcase", "r"):
+            assert r == 2, opts
+        for opts, r in self.mixed(
+                "case (8'hFF) s: r = 1; default: r = 2; endcase", "r"):
+            assert r == 2, opts
+        for opts, r in self.mixed(
+                "casez (s) 8'b1111_111?: r = 1; default: r = 2; endcase",
+                "r"):
+            assert r == 2, opts
+        for opts, r in self.mixed(
+                "casex (s) 8'b1xxx_xxxx: r = 1; default: r = 2; endcase",
+                "r"):
+            assert r == 2, opts
+        # all signed: the selector still sign-extends
+        for opts, r in self.mixed(
+                "case (s) -8'sd1: r = 1; default: r = 2; endcase", "r"):
+            assert r == 1, opts
+
     def test_signed_branch_zero_extends_in_unsigned_ternary(self):
         for opts, r in self.mixed("r = c ? s : u;", "r"):
             assert r == 0x0F, opts

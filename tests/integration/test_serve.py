@@ -222,6 +222,9 @@ def test_quota_rejection_is_429_with_retry_after(app):
     ({"source": OK_SOURCE, "options": {"bogus": 1}}, "unknown option"),
     ({"source": OK_SOURCE, "tenant": ""}, "non-empty"),
     ({"source": "module t; syntax error"}, ""),  # compile error -> 400
+    ({"source": OK_SOURCE, "options": {"gc_threshold": "abc"}},
+     "'gc_threshold' must be an integer"),
+    ({"source": OK_SOURCE, "until": "abc"}, '"until" must be'),
 ])
 def test_malformed_requests_are_400(app, doc, fragment):
     code, _, body = _submit(app, doc)

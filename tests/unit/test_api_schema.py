@@ -252,3 +252,70 @@ def test_adapters_preserve_single_line_errors(tmp_path):
         {"source": TRIVIAL, "options": {"bogus": 1}}))
     with pytest.raises(MutationError, match="unknown option 'bogus'"):
         load_campaign(str(campaign))
+
+
+# ---------------------------------------------------------------------
+# value types at the request boundary
+# ---------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("spec, key", [
+    ({"gc_threshold": "abc"}, "gc_threshold"),
+    ({"seed": 1.5}, "seed"),
+    ({"compile_tier": "yes"}, "compile_tier"),
+    ({"no_fastpath": 1}, "no_fastpath"),
+    ({"reorder_threshold": None}, "reorder_threshold"),
+    ({"reorder_growth": True}, "reorder_growth"),
+    ({"max_step_activity": [1]}, "max_step_activity"),
+    ({"budget": {"max_live_nodes": "x"}}, "max_live_nodes"),
+    ({"budget": {"wall_seconds": False}}, "wall_seconds"),
+    ({"budget": {"max_concretizations": None}}, "max_concretizations"),
+])
+def test_option_values_are_type_checked(spec, key):
+    with pytest.raises(RequestError) as info:
+        api.parse_options(spec, "run 'r'")
+    message = str(info.value)
+    assert message.startswith("run 'r':")
+    assert repr(key) in message and "\n" not in message
+
+
+def test_option_values_of_the_right_type_pass():
+    options = api.parse_options(
+        {"seed": None, "gc_threshold": None, "reorder_growth": 3,
+         "compile_tier": False,
+         "budget": {"wall_seconds": 2, "max_rss_mb": 1.5}}, "t")
+    assert options.concrete_random is None
+    assert options.reorder_growth == 3 and options.compile_tier is False
+    assert options.budgets == ResourceBudgets(wall_seconds=2,
+                                              max_rss_mb=1.5)
+
+
+@pytest.mark.parametrize("until", ["abc", True, -1, 2.5])
+def test_until_must_be_a_non_negative_integer_or_null(until):
+    with pytest.raises(RequestError, match='"until" must be') as info:
+        api.parse_run({"name": "a", "source": TRIVIAL, "until": until})
+    assert "\n" not in str(info.value)
+    assert api.parse_run({"name": "a", "source": TRIVIAL,
+                          "until": None}).until is None
+
+
+@pytest.mark.parametrize("command, document", [
+    ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
+                         "options": {"gc_threshold": "abc"}}]}),
+    ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
+                         "until": "abc"}]}),
+    ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
+                         "options": {"budget": {"max_live_nodes": "x"}}}]}),
+    ("mutate", {"source": TRIVIAL, "options": {"seed": 1.5}}),
+    ("mutate", {"source": TRIVIAL, "until": True}),
+])
+def test_bad_values_exit_2_with_one_line(tmp_path, capsys, command,
+                                         document):
+    from repro.cli import main
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(document))
+    code = main([command, str(manifest), "--out-dir", str(tmp_path / "o")])
+    err = capsys.readouterr().err
+    assert code == 2, err
+    assert len(err.splitlines()) == 1, err

@@ -259,8 +259,8 @@ class TestApplyCaches:
         m.and_(m.xor(a, b), m.or_(a, b))
         stats = m.cache_stats()
         for key in ("apply_hits", "apply_misses", "apply_hit_rate",
-                    "fastpath_word_ops", "fastpath_bit_shortcuts",
-                    "fastpath_symbolic_ops", "fastpath_word_ratio"):
+                    "fastpath_word_ops", "fastpath_symbolic_ops",
+                    "fastpath_word_ratio"):
             assert key in stats
         assert stats["apply_misses"] > 0
 

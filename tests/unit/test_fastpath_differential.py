@@ -453,13 +453,6 @@ class TestCounters:
         assert result.to_int() == 8
         assert m.fastpath_symbolic_ops == 0
 
-    def test_bit_shortcut_counter(self, m):
-        sym = FourVec.fresh_symbol(m, 4, "s")
-        mask = FourVec.from_verilog_bits(m, "0011")
-        base_bits = m.fastpath_bit_shortcuts
-        ops.bitwise_and(sym, mask)
-        assert m.fastpath_bit_shortcuts > base_bits
-
     def test_symbolic_counter(self, m):
         sym = FourVec.fresh_symbol(m, 4, "s")
         one = FourVec.from_int(m, 1, 4)
@@ -474,7 +467,6 @@ class TestCounters:
         result = ops.add(x, y)
         assert result.to_int() == 8
         assert m.fastpath_word_ops == 0
-        assert m.fastpath_bit_shortcuts == 0
         assert m.fastpath_symbolic_ops == 0
 
 

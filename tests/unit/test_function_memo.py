@@ -34,8 +34,7 @@ from repro.guard import load_checkpoint, save_checkpoint
 from repro.mutate import build_plan
 from tests.integration.test_array_writes import state_digest
 
-FASTPATH_KEYS = ("fastpath_word_ops", "fastpath_bit_shortcuts",
-                 "fastpath_symbolic_ops")
+FASTPATH_KEYS = ("fastpath_word_ops", "fastpath_symbolic_ops")
 
 #: the operators, runtime and bound of the ``campaign`` benchmark
 CAMPAIGN_OPERATORS = ["stuck0", "stuck1", "cmpswap", "const", "nbaswap"]
@@ -81,11 +80,11 @@ def calls(monkeypatch):
             return result
         mgr = kern.mgr
         saved = (log.bodies, log.hits, dict(log.derived),
-                 mgr._fp_word, mgr._fp_bits, mgr._fp_sym,
+                 mgr._fp_word, mgr._fp_sym,
                  mgr._calls, mgr._call_hits, mgr._call_derived)
         expected = evaluate(self, kern, ctrl, args)
         (log.bodies, log.hits, log.derived,
-         mgr._fp_word, mgr._fp_bits, mgr._fp_sym,
+         mgr._fp_word, mgr._fp_sym,
          mgr._calls, mgr._call_hits, mgr._call_derived) = saved
         assert result.bits == expected.bits, self.name
         if ctrl == TRUE:
