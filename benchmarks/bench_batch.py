@@ -12,17 +12,15 @@ Two claims, two tests:
   ``SCALE_FLOOR``; on narrower boxes (CI containers are often pinned
   to one core, where parallel speedup is physically impossible) the
   gate degrades to an overhead bound — the pool may not cost more than
-  ``OVERHEAD_CEIL`` over serial.  Either way the measured trajectory
-  lands in ``BENCH_batch.json`` with the core count recorded, so
-  numbers from different boxes are never compared blind.
+  ``OVERHEAD_CEIL`` over serial.  Either way the report under
+  ``benchmarks/results/`` records the core count, so numbers from
+  different boxes are never compared blind.
 """
 
 from __future__ import annotations
 
-import json
 import os
 import time
-from datetime import datetime, timezone
 
 import pytest
 
@@ -31,9 +29,6 @@ from repro.designs import load
 from repro.sim import SimOptions
 
 from benchmarks.conftest import report, report_json
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_batch.json")
 
 #: required 4-worker speedup over 1 worker — asserted only with >= 4
 #: effective cores (otherwise physically unattainable).
@@ -189,27 +184,5 @@ def test_batch_report(benchmark):
                 f" 2-worker pool {_RESULTS['smoke/pool2']:.2f}s")
         report("batch", lines)
         report_json("batch", dict(_RESULTS))
-
-        entry = {
-            "recorded": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "bench": "batch",
-            "effective_cores": cores,
-            "wall_seconds": {
-                str(workers): round(_RESULTS[f"scaling/w{workers}"], 3)
-                for workers in POOL_WIDTHS
-            },
-            "speedup_4workers": round(_RESULTS["scaling/speedup4"], 3),
-            "gate": ("scale_floor" if cores >= 4 else "overhead_ceil"),
-            "floors": {"scale": SCALE_FLOOR, "overhead": OVERHEAD_CEIL},
-        }
-        trajectory = []
-        if os.path.exists(_TRAJECTORY):
-            with open(_TRAJECTORY, encoding="utf-8") as handle:
-                trajectory = json.load(handle)
-        trajectory.append(entry)
-        with open(_TRAJECTORY, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
 
     benchmark.pedantic(build_report, rounds=1, iterations=1)

@@ -16,12 +16,9 @@ differential oracle ``symsim --no-compile`` uses):
   regime, where block fusion pays in full — the lane's ≥3x gate;
 * *symbolic parity* cells: small symbolic editions where BDD work
   dominates and the tier must simply not cost time.  These runs are
-  noise-dominated (±20% on a shared box), so their cells are named
-  without a gate direction keyword — ``symsim bench compare`` reports
-  them as skipped instead of flapping the lane — and the in-test
-  bound only catches catastrophic regressions;
-* a ``BENCH_compiled.json`` trajectory entry at the repo root, wired
-  into ``symsim bench compare`` by the CI bench-gate lane.
+  noise-dominated (±20% on a shared box), so the in-test bound only
+  catches catastrophic regressions;
+* a text table and the raw cells under ``benchmarks/results/``.
 
 Speed claims only: bit-identity is asserted here on every run pair and
 exhaustively in tests/integration/test_compile_differential.py.
@@ -30,9 +27,7 @@ exhaustively in tests/integration/test_compile_differential.py.
 from __future__ import annotations
 
 import json
-import os
 import time
-from datetime import datetime, timezone
 
 import repro
 from repro import SimOptions
@@ -40,9 +35,6 @@ from repro.compile.codegen import compiled_tables
 from repro.designs import load
 
 from benchmarks.conftest import report, report_json
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_compiled.json")
 
 #: The lane's regression gate: the concrete-dominant compute mix must
 #: hold a 3x speedup (measured 3.4-3.9x; the floor leaves CI noise
@@ -212,7 +204,7 @@ def test_compute_mix_speedup(benchmark):
 
 
 # ---------------------------------------------------------------------
-# report + trajectory entry
+# report
 # ---------------------------------------------------------------------
 
 
@@ -237,30 +229,5 @@ def test_compiled_report(benchmark):
                 f"{parity:8.2f}x {SYMBOLIC_PARITY_BOUND:6.2f}x")
         report("compiled", lines)
         report_json("compiled", dict(_RESULTS))
-
-        # --- trajectory entry (repo-root perf baseline) -------------
-        entry = {
-            "recorded": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "bench": "compiled",
-            "mix_speedup": round(_RESULTS["mix/speedup"], 2),
-            "gcd_speedup": round(_RESULTS["gcd/speedup"], 2),
-            "dram_speedup": round(_RESULTS["dram/speedup"], 2),
-            "risc8_speedup": round(_RESULTS["risc8/speedup"], 2),
-            # parity cells: recorded, not gated (noise-dominated)
-            "gcd_symbolic_parity": round(
-                _RESULTS["gcd/symbolic_parity"], 2),
-            "dram_symbolic_parity": round(
-                _RESULTS["dram/symbolic_parity"], 2),
-            "floors": {"mix": MIX_FLOOR, **TABLE1_FLOORS},
-        }
-        trajectory = []
-        if os.path.exists(_TRAJECTORY):
-            with open(_TRAJECTORY, encoding="utf-8") as handle:
-                trajectory = json.load(handle)
-        trajectory.append(entry)
-        with open(_TRAJECTORY, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
 
     benchmark.pedantic(build_report, rounds=1, iterations=1)

@@ -11,8 +11,7 @@ pins that claim with numbers:
 * an end-to-end smoke design (all-concrete datapath) run with and
   without ``--no-fastpath``, asserting a conservative speedup floor so
   CI catches a fast-path regression before it reaches Table 1;
-* a ``BENCH_fastpath.json`` trajectory entry at the repo root — the
-  first recorded perf baseline; later sessions append to it.
+* a text table and the raw cells under ``benchmarks/results/``.
 
 Results must be *bit-identical* either way; the differential guarantees
 live in tests/unit/test_fastpath_differential.py, the speed claims here.
@@ -20,10 +19,7 @@ live in tests/unit/test_fastpath_differential.py, the speed claims here.
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from datetime import datetime, timezone
 
 import pytest
 
@@ -33,9 +29,6 @@ from repro.bdd import BddManager
 from repro.fourval import FourVec, ops
 
 from benchmarks.conftest import report, report_json
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_fastpath.json")
 
 #: conservative CI floors — the measured speedups are far higher, but
 #: these runs share a box with everything else in the lane.
@@ -202,7 +195,7 @@ def test_smoke_design_speedup(benchmark):
 
 
 # ---------------------------------------------------------------------
-# report + trajectory entry
+# report
 # ---------------------------------------------------------------------
 
 def test_fastpath_report(benchmark):
@@ -228,26 +221,5 @@ def test_fastpath_report(benchmark):
             f"{_RESULTS['smoke/concrete_ratio']:.3f}, floor {SMOKE_FLOOR}x)")
         report("fastpath", lines)
         report_json("fastpath", dict(_RESULTS))
-
-        # --- trajectory entry (repo-root perf baseline) -------------
-        entry = {
-            "recorded": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "bench": "fastpath",
-            "micro_concrete_speedup": round(_RESULTS["micro/speedup"], 2),
-            "micro_mixed_speedup": round(_RESULTS["micro/mixed_speedup"], 2),
-            "smoke_speedup": round(_RESULTS["smoke/speedup"], 2),
-            "smoke_concrete_ratio": round(
-                _RESULTS["smoke/concrete_ratio"], 4),
-            "floors": {"micro": MICRO_FLOOR, "smoke": SMOKE_FLOOR},
-        }
-        trajectory = []
-        if os.path.exists(_TRAJECTORY):
-            with open(_TRAJECTORY, encoding="utf-8") as handle:
-                trajectory = json.load(handle)
-        trajectory.append(entry)
-        with open(_TRAJECTORY, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
 
     benchmark.pedantic(build_report, rounds=1, iterations=1)

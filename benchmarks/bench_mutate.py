@@ -1,4 +1,4 @@
-"""Mutation-campaign benchmark: the checker-scoring trajectory.
+"""Mutation-campaign benchmark: checker score and campaign throughput.
 
 One real campaign over the planted-bug corpus's fast member: the
 fixed alu4 as clean baseline, opswap/cmpswap/stuck1 mutants of the
@@ -7,19 +7,12 @@ symbolic checker covers all 2^10 stimulus patterns per cycle, so a
 datapath mutant can only survive by being semantically equivalent —
 the measured mutation score is a *correctness* floor (gate: the score
 must not fall below ``SCORE_FLOOR``), while ``mutants_per_second``
-tracks campaign throughput for the perf gate.
-
-Appends to ``BENCH_mutate.json``; ``symsim bench compare`` judges the
-cells (``*_ratio``/``*_rate``/``*_per_second`` must not fall,
-``wall_seconds`` must not blow up).
+records campaign throughput in the report under ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from datetime import datetime, timezone
 
 import pytest
 
@@ -27,9 +20,6 @@ from repro.designs import load
 from repro.mutate import CampaignConfig, Variant, run_campaign
 
 from benchmarks.conftest import report, report_json
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_mutate.json")
 
 #: The campaign's mutation score may never fall below this: every
 #: non-equivalent datapath mutant of the checked ALU must be caught.
@@ -112,27 +102,5 @@ def test_mutate_report(benchmark):
         ]
         report("mutate", lines)
         report_json("mutate", dict(_RESULTS))
-
-        entry = {
-            "recorded": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "bench": "mutate",
-            "mutation_score_ratio": round(_RESULTS["score"], 3),
-            "witness_verify_rate":
-                round(_RESULTS["witness_verify_rate"], 3),
-            "mutants_per_second":
-                round(_RESULTS["mutants_per_second"], 3),
-            "wall_seconds": round(_RESULTS["wall_seconds"], 3),
-            "gate": "score_floor",
-            "floors": {"score": SCORE_FLOOR},
-        }
-        trajectory = []
-        if os.path.exists(_TRAJECTORY):
-            with open(_TRAJECTORY, encoding="utf-8") as handle:
-                trajectory = json.load(handle)
-        trajectory.append(entry)
-        with open(_TRAJECTORY, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
 
     benchmark.pedantic(build_report, rounds=1, iterations=1)

@@ -10,16 +10,12 @@ same mix with the stack stripped to its minimum (no journal, no retry
 policy).  Two micro cells record the raw component costs — journal
 appends and queue lease/fail/complete cycles per second — so a
 regression in either is visible even while the end-to-end ratio hides
-in simulation noise.  Everything lands in ``BENCH_queue.json`` for the
-``bench-gate`` CI lane.
+in simulation noise.  Everything lands in ``benchmarks/results/``.
 """
 
 from __future__ import annotations
 
-import json
-import os
 import time
-from datetime import datetime, timezone
 
 import pytest
 
@@ -30,9 +26,6 @@ from repro.designs import load
 from repro.sim import SimOptions
 
 from benchmarks.conftest import report, report_json
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_queue.json")
 
 #: the armed durability stack may cost at most this factor over the
 #: stripped pool on the Table-1 mix (best-of-N wall clock).
@@ -157,7 +150,7 @@ def test_queue_micro(benchmark, tmp_path):
 
 
 # ---------------------------------------------------------------------
-# report + trajectory
+# report
 # ---------------------------------------------------------------------
 
 def test_queue_report(benchmark):
@@ -182,29 +175,5 @@ def test_queue_report(benchmark):
                 f"{_RESULTS['micro/queue_cycles_per_second']:,.0f}")
         report("queue", lines)
         report_json("queue", dict(_RESULTS))
-
-        entry = {
-            "recorded": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "bench": "queue",
-            "bare_wall_seconds": round(
-                _RESULTS["overhead/bare_wall"], 3),
-            "durable_wall_seconds": round(
-                _RESULTS["overhead/durable_wall"], 3),
-            "retry_overhead": round(ratio, 4),
-            "journal_appends_per_second": round(
-                _RESULTS.get("micro/journal_appends_per_second", 0.0), 1),
-            "queue_cycles_per_second": round(
-                _RESULTS.get("micro/queue_cycles_per_second", 0.0), 1),
-            "floors": {"overhead_ceil": OVERHEAD_CEIL},
-        }
-        trajectory = []
-        if os.path.exists(_TRAJECTORY):
-            with open(_TRAJECTORY, encoding="utf-8") as handle:
-                trajectory = json.load(handle)
-        trajectory.append(entry)
-        with open(_TRAJECTORY, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
 
     benchmark.pedantic(build_report, rounds=1, iterations=1)

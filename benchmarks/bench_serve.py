@@ -10,26 +10,20 @@ latency.  The gate: cached submissions must beat the cold path by
 ``CACHE_SPEEDUP_FLOOR`` — conservative, since the cold path crosses a
 process boundary and the cached one never leaves the scheduler lock.
 
-The measured trajectory lands in ``BENCH_serve.json`` (cells:
-``cold_ms``, ``cached_ms``, ``cache_speedup``) for the bench-gate
-lane, like every other ``BENCH_*.json``.
+The measured cells (``cold_ms``, ``cached_ms``, ``cache_speedup``)
+land in ``benchmarks/results/serve.metrics.json``.
 """
 
 from __future__ import annotations
 
 import json
-import os
 import statistics
 import time
 import urllib.request
-from datetime import datetime, timezone
 
 from repro.serve import serve_app
 
 from benchmarks.conftest import report, report_json
-
-_REPO_ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-_TRAJECTORY = os.path.join(_REPO_ROOT, "BENCH_serve.json")
 
 #: cached submissions must beat the cold submit→result path by this
 #: factor (conservative: the cold path spans compile + a worker
@@ -104,21 +98,5 @@ def test_serve_latency(benchmark, tmp_path):
             f"(floor {CACHE_SPEEDUP_FLOOR}x, median of {CACHED_ROUNDS})",
         ])
         report_json("serve", results)
-
-        entry = {
-            "recorded": datetime.now(timezone.utc).isoformat(
-                timespec="seconds"),
-            "bench": "serve",
-            **results,
-            "floors": {"cache_speedup": CACHE_SPEEDUP_FLOOR},
-        }
-        trajectory = []
-        if os.path.exists(_TRAJECTORY):
-            with open(_TRAJECTORY, encoding="utf-8") as handle:
-                trajectory = json.load(handle)
-        trajectory.append(entry)
-        with open(_TRAJECTORY, "w", encoding="utf-8") as handle:
-            json.dump(trajectory, handle, indent=2)
-            handle.write("\n")
 
     benchmark.pedantic(run, rounds=1, iterations=1)

@@ -296,7 +296,16 @@ def resolve_design(spec: Dict, base_dir: Optional[str], where: str,
     source: Optional[str] = None
     file_path: Optional[str] = None
     top = spec.get("top")
-    defines = dict(spec.get("defines", {}) or {})
+    if top is not None and not isinstance(top, str):
+        raise RequestError(
+            f"{where}: \"top\" must be a string or null, not {top!r}")
+    defines = spec.get("defines")
+    if defines is not None and (not isinstance(defines, dict) or not all(
+            isinstance(value, str) for value in defines.values())):
+        raise RequestError(
+            f"{where}: \"defines\" must be an object of strings or null, "
+            f"not {defines!r}")
+    defines = dict(defines or {})
     if "design" in spec:
         from repro import designs
 

@@ -23,7 +23,6 @@ Live telemetry (see docs/OBSERVABILITY.md)::
     symsim top status.json --once        # one plain table (scripts/CI)
     symsim status out/status/ --json     # raw heartbeat records
     symsim serve-metrics --port 9099 --status out/status/
-    symsim bench compare OLD.json NEW.json --max-regress 10%
 
 Robustness (see docs/ROBUSTNESS.md)::
 
@@ -778,42 +777,6 @@ def front_door_main(argv: List[str]) -> int:
     return 0
 
 
-def build_bench_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symsim bench compare",
-        description="Perf-regression gate over BENCH_*.json trajectories: "
-                    "compare each benchmark's latest entry and fail on "
-                    "regressions beyond the tolerance",
-    )
-    parser.add_argument("old", help="baseline trajectory (JSON array)")
-    parser.add_argument("new", help="candidate trajectory (JSON array)")
-    parser.add_argument("--max-regress", default="10%", metavar="TOL",
-                        help="allowed regression per cell, e.g. '10%%' "
-                             "or '0.1' (default 10%%)")
-    return parser
-
-
-def bench_main(argv: List[str]) -> int:
-    from repro.obs.gate import (
-        GateError, compare_trajectories, parse_tolerance,
-    )
-
-    if not argv or argv[0] != "compare":
-        print("usage: symsim bench compare OLD.json NEW.json "
-              "[--max-regress TOL]", file=sys.stderr)
-        return 2
-    args = build_bench_parser().parse_args(argv[1:])
-    try:
-        report = compare_trajectories(
-            args.old, args.new,
-            max_regress=parse_tolerance(args.max_regress))
-    except (GateError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    print(report.describe())
-    return 0 if report.passed else 1
-
-
 _SUBCOMMANDS = {
     "report": report_main,
     "batch": batch_main,
@@ -822,7 +785,6 @@ _SUBCOMMANDS = {
     "status": status_main,
     "serve-metrics": serve_metrics_main,
     "serve": front_door_main,
-    "bench": bench_main,
 }
 
 

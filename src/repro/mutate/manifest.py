@@ -97,17 +97,28 @@ def load_campaign(path: str) -> Tuple[CampaignConfig, int]:
             raise MutationError("manifest: \"operators\" must be an array")
         operators = resolve_operators(operators)
 
+    # the request schema's JSON-type rule: no bool passes as a number
+    is_int, is_bool = api._SCALARS[int][0], api._SCALARS[bool][0]
     seed = document.get("seed", 0)
-    if not isinstance(seed, int):
-        raise MutationError("manifest: \"seed\" must be an integer")
+    if not is_int(seed):
+        raise MutationError(
+            f"manifest: \"seed\" must be an integer, not {seed!r}")
     max_mutants = document.get("max_mutants")
     if max_mutants is not None and (
-            not isinstance(max_mutants, int) or max_mutants < 0):
-        raise MutationError("manifest: \"max_mutants\" must be a "
-                            "non-negative integer")
+            not is_int(max_mutants) or max_mutants < 0):
+        raise MutationError(
+            "manifest: \"max_mutants\" must be a non-negative integer "
+            f"or null, not {max_mutants!r}")
     workers = document.get("workers", 1)
-    if not isinstance(workers, int) or workers < 1:
-        raise MutationError("manifest: \"workers\" must be >= 1")
+    if not is_int(workers) or workers < 1:
+        raise MutationError(
+            f"manifest: \"workers\" must be an integer >= 1, "
+            f"not {workers!r}")
+    verify_witnesses = document.get("verify_witnesses", False)
+    if not is_bool(verify_witnesses):
+        raise MutationError(
+            "manifest: \"verify_witnesses\" must be a boolean, "
+            f"not {verify_witnesses!r}")
 
     try:
         until = api.parse_until(document.get("until"), "manifest")
@@ -135,5 +146,5 @@ def load_campaign(path: str) -> Tuple[CampaignConfig, int]:
         source=source, top=top, defines=defines, modules=modules,
         operators=operators, seed=seed, max_mutants=max_mutants,
         until=until, options=options, variants=variants,
-        verify_witnesses=bool(document.get("verify_witnesses", False)))
+        verify_witnesses=verify_witnesses)
     return config, workers

@@ -15,9 +15,6 @@ when observability is off.  See docs/OBSERVABILITY.md for schemas.
 """
 
 from repro.obs.context import Observability
-from repro.obs.gate import (
-    GateError, GateReport, compare_trajectories, load_trajectory,
-)
 from repro.obs.live import (
     Heartbeat, LeaseHealth, RunHealth, assess_health, assess_lease,
     deterministic_view, read_status, scan_status, write_status,
@@ -43,6 +40,4 @@ __all__ = [
     "LeaseHealth", "assess_lease",
     # OpenMetrics export + scrape endpoint
     "render_openmetrics", "MetricsServer", "registry_from_status",
-    # perf-regression gate (`symsim bench compare`)
-    "GateError", "GateReport", "compare_trajectories", "load_trajectory",
 ]

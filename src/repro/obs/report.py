@@ -43,8 +43,7 @@ def load_document(path: str) -> dict:
         elif first == "[":
             raise ValueError(
                 "not an observability document (top-level JSON is a "
-                "list; did you point at a BENCH_*.json trajectory? "
-                "use 'symsim bench compare' for those)")
+                "list, expected object)")
         # JSONL trace stream: summarize into a synthetic document
         try:
             records = [json.loads(line) for line in handle if line.strip()]

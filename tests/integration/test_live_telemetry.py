@@ -1,6 +1,6 @@
 """Live telemetry end to end: kernel heartbeats, batch status files
 and stall detection, the ``symsim top``/``status``/``serve-metrics``/
-``bench compare`` CLI surfaces, and one real HTTP scrape.
+``report`` CLI surfaces, and one real HTTP scrape.
 
 Uses ``repro.open_sim`` (not the deprecated ``from_source`` shims) so
 the suite stays free of DeprecationWarnings.
@@ -292,33 +292,12 @@ class TestTelemetryCli:
         empty.write_text("")
         assert main(["report", str(empty)]) == 2
         assert "file is empty" in capsys.readouterr().err
-        traj = tmp_path / "BENCH_x.json"
-        traj.write_text("[]")
-        assert main(["report", str(traj)]) == 2
-        assert "bench compare" in capsys.readouterr().err
-
-    def test_bench_compare_pass_and_fail(self, tmp_path, capsys):
-        old = tmp_path / "old.json"
-        new = tmp_path / "new.json"
-        old.write_text(json.dumps(
-            [{"bench": "b", "wall_seconds": {"4": 5.0}}]))
-        assert main(["bench", "compare", str(old), str(old)]) == 0
-        assert "PASS" in capsys.readouterr().out
-        new.write_text(json.dumps(
-            [{"bench": "b", "wall_seconds": {"4": 6.0}}]))
-        assert main(["bench", "compare", str(old), str(new),
-                     "--max-regress", "10%"]) == 1
-        assert "REGRESSED" in capsys.readouterr().out
-        assert main(["bench", "compare", str(old), str(new),
-                     "--max-regress", "25%"]) == 0
-        capsys.readouterr()
-        assert main(["bench", "compare", str(old),
-                     str(tmp_path / "missing.json")]) == 2
-        assert "error:" in capsys.readouterr().err
-
-    def test_bench_requires_compare_verb(self, capsys):
-        assert main(["bench", "frobnicate"]) == 2
-        assert "usage:" in capsys.readouterr().err
+        listing = tmp_path / "list.json"
+        listing.write_text("[]")
+        assert main(["report", str(listing)]) == 2
+        err = capsys.readouterr().err
+        assert "not an observability document" in err
+        assert len(err.strip().splitlines()) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -301,6 +301,13 @@ def test_manifest_builtin_design(tmp_path):
     ({"source": "m", "variants": [
         {"name": "a", "source": "m"},
         {"name": "a", "source": "m"}]}, "duplicate"),
+    # JSON booleans are not integers, and "no" is not a boolean
+    ({"source": "m", "seed": True}, '"seed" must be an integer'),
+    ({"source": "m", "max_mutants": False}, '"max_mutants" must be'),
+    ({"source": "m", "workers": True}, '"workers" must be'),
+    ({"source": "m", "verify_witnesses": "no"},
+     '"verify_witnesses" must be a boolean'),
+    ({"source": "m", "verify_witnesses": 1}, '"verify_witnesses" must be'),
 ])
 def test_manifest_rejects_malformed(tmp_path, document, match):
     path = write_manifest(tmp_path, document)

@@ -225,6 +225,9 @@ def test_quota_rejection_is_429_with_retry_after(app):
     ({"source": OK_SOURCE, "options": {"gc_threshold": "abc"}},
      "'gc_threshold' must be an integer"),
     ({"source": OK_SOURCE, "until": "abc"}, '"until" must be'),
+    ({"source": OK_SOURCE, "top": ["t"]}, '"top" must be a string'),
+    ({"source": OK_SOURCE, "defines": {"A": 3}},
+     '"defines" must be an object of strings'),
 ])
 def test_malformed_requests_are_400(app, doc, fragment):
     code, _, body = _submit(app, doc)

@@ -299,9 +299,42 @@ def test_until_must_be_a_non_negative_integer_or_null(until):
                           "until": None}).until is None
 
 
+@pytest.mark.parametrize("key, value", [
+    ("top", ["t"]),
+    ("top", 3),
+    ("defines", ["A"]),
+    ("defines", {"A": 3}),
+    ("defines", {"A": None}),
+    ("defines", "A=1"),
+])
+def test_top_and_defines_are_type_checked(key, value):
+    with pytest.raises(RequestError, match=f'"{key}" must be') as info:
+        api.parse_run({"name": "a", "source": TRIVIAL, key: value})
+    message = str(info.value)
+    assert message.startswith("run 'a':") and "\n" not in message
+
+
+def test_top_and_defines_of_the_right_type_pass():
+    request = api.parse_run({"name": "a", "source": TRIVIAL, "top": "t",
+                             "defines": {"A": "1", "B": ""}})
+    assert request.top == "t" and request.defines == {"A": "1", "B": ""}
+    request = api.parse_run({"name": "a", "source": TRIVIAL, "top": None,
+                             "defines": None})
+    assert request.top is None and request.defines is None
+    # explicit defines still override a built-in design's macros
+    _, _, _, defines = api.resolve_design(
+        {"design": "alu4", "defines": {"ALU_RUNTIME": "9"}}, None, "t")
+    assert defines["ALU_RUNTIME"] == "9"
+
+
 @pytest.mark.parametrize("command, document", [
     ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
                          "options": {"gc_threshold": "abc"}}]}),
+    ("batch", {"runs": [{"name": "r", "source": TRIVIAL, "top": ["t"]}]}),
+    ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
+                         "defines": {"A": 3}}]}),
+    ("mutate", {"source": TRIVIAL, "seed": True}),
+    ("mutate", {"source": TRIVIAL, "verify_witnesses": "no"}),
     ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
                          "until": "abc"}]}),
     ("batch", {"runs": [{"name": "r", "source": TRIVIAL,
