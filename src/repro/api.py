@@ -254,12 +254,17 @@ def parse_retry(spec: Dict, where: str):
         raise RequestError(
             f"{where}: unknown retry keys {sorted(bad)} "
             f"(known: {sorted(known)})")
+    _check_values(RetryPolicy,
+                  {key: (key, value) for key, value in spec.items()},
+                  where, "retry")
     fields = dict(spec)
     if "retry_statuses" in fields:
         statuses = fields["retry_statuses"]
-        if not isinstance(statuses, list):
-            raise RequestError(f"{where}: retry_statuses must be an array")
-        fields["retry_statuses"] = frozenset(str(s) for s in statuses)
+        if not isinstance(statuses, list) \
+                or not all(isinstance(s, str) for s in statuses):
+            raise RequestError(f"{where}: retry_statuses must be an array "
+                               f"of status names, not {statuses!r}")
+        fields["retry_statuses"] = frozenset(statuses)
     try:
         return RetryPolicy(**fields)
     except (TypeError, ReproError) as exc:
@@ -392,6 +397,10 @@ def parse_run(spec: Dict, defaults: Optional[Dict] = None,
 
     option_spec = {**(defaults.get("options") or {}),
                    **(spec.get("options") or {})}
+    vcd = merged.get("vcd", False)
+    if not _SCALARS[bool][0](vcd):
+        raise RequestError(f"{where}: \"vcd\" must be a boolean, "
+                           f"not {vcd!r}")
     try:
         return RunRequest(
             name=run_name,
@@ -401,7 +410,7 @@ def parse_run(spec: Dict, defaults: Optional[Dict] = None,
             defines=defines,
             options=parse_options(option_spec, where),
             until=parse_until(merged.get("until"), where),
-            vcd=bool(merged.get("vcd", False)),
+            vcd=vcd,
         )
     except TypeError as exc:
         raise RequestError(f"{where}: {exc}") from exc

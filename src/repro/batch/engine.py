@@ -4,11 +4,13 @@ Controller-side flow:
 
 1. **Compile once.**  Every unique ``(source, top, defines)`` among the
    requests is parsed/elaborated/compiled exactly once, in the
-   controller (:class:`DesignCatalog`).  Workers receive the *pickled
-   program* (a pre-compile design image that recompiles
-   deterministically on unpickle — see ``Program.__reduce__``) with the
-   first job that needs it, never source text, so the front end runs
-   once per design regardless of pool width or run count.
+   controller (:class:`DesignCatalog`).  A worker forked after a
+   design entered the catalog inherits its compiled ``Program``.  A
+   design added later (a serve submission), or any design under a
+   start method other than ``fork``, ships as its *pickled program* (a
+   pre-compile design image that recompiles deterministically on
+   unpickle — see ``Program.__reduce__``) with the first job that needs
+   it on that worker.  Workers never receive source text.
 2. **Fan out, durably.**  The :class:`Dispatcher` owns a
    :class:`~repro.batch.queue.JobQueue` and a pool of long-lived
    worker processes, one in-flight run per worker under a
@@ -296,15 +298,18 @@ def _validate(requests: Sequence[RunRequest]) -> None:
 
 
 class DesignCatalog:
-    """Compile-once design images, content-addressed by design key.
+    """Compile-once designs, content-addressed by design key.
 
-    :attr:`images` maps a design fingerprint to its pickled program —
-    what workers receive — and :meth:`add` compiles a request's design
-    the first time its ``(source, top, defines)`` key is seen, unless
-    the caller hands over the program it already compiled.
+    :attr:`programs` maps a design fingerprint to its compiled
+    ``Program`` — what a forked worker inherits — and :attr:`images`
+    to its pickled program, what any other worker receives.
+    :meth:`add` compiles a request's design the first time its
+    ``(source, top, defines)`` key is seen, unless the caller hands
+    over the program it already compiled.
     """
 
     def __init__(self) -> None:
+        self.programs: Dict[str, object] = {}
         self.images: Dict[str, bytes] = {}
         self._by_key: Dict[tuple, str] = {}
 
@@ -334,6 +339,7 @@ class DesignCatalog:
                 modules = parse_source(source, defines=dict(defines) or None)
                 program = compile_design(elaborate(modules, top=top))
             self.images[fingerprint] = pickle.dumps(program)
+            self.programs[fingerprint] = program
             self._by_key[key] = fingerprint
         return fingerprint
 
@@ -433,35 +439,43 @@ def _watch_stalls(
 
 class _Worker:
     """One pool slot: a process, its pipes, its current lease, and the
-    designs whose images it already holds."""
+    designs whose programs it already holds."""
 
     __slots__ = ("id", "process", "task_send", "result_recv", "lease",
                  "designs", "controller_killed")
 
     def __init__(self, worker_id: int, ctx, init_args: tuple,
-                 siblings: Sequence["_Worker"]) -> None:
+                 siblings: Sequence["_Worker"],
+                 programs: Dict[str, object]) -> None:
         self.id = worker_id
         task_recv, self.task_send = ctx.Pipe(duplex=False)
         self.result_recv, result_send = ctx.Pipe(duplex=False)
         # A forked child inherits every pipe end the controller holds:
         # its own controller-side ends and those of each live sibling.
         # The child closes them first thing, so the controller's copies
-        # are the only ones and a dead controller reads as EOF.
+        # are the only ones and a dead controller reads as EOF.  It
+        # also inherits the catalog's compiled programs as they stand
+        # now; nothing is pickled.  Under any other start method the
+        # programs would be pickled, which recompiles them, so they
+        # ship as images with the first job that needs them instead.
         inherited: tuple = ()
         if ctx.get_start_method() == "fork":
             inherited = tuple(
                 conn for worker in (*siblings, self)
                 for conn in (worker.task_send, worker.result_recv))
+            programs = dict(programs)
+        else:
+            programs = {}
         self.process = ctx.Process(
             target=_worker_main,
-            args=(task_recv, result_send, inherited) + init_args,
+            args=(task_recv, result_send, inherited, programs) + init_args,
             daemon=True, name=f"repro-batch-w{worker_id}")
         self.process.start()
         # the controller holds only its own pipe ends
         task_recv.close()
         result_send.close()
         self.lease: Optional[Lease] = None
-        self.designs: set = set()
+        self.designs: set = set(programs)
         self.controller_killed = False
 
     def alive(self) -> bool:
@@ -476,11 +490,18 @@ class _Worker:
 
 
 class _WorkerPool:
-    """Fixed-width pool of :class:`_Worker` slots with respawn."""
+    """Fixed-width pool of :class:`_Worker` slots with respawn.
 
-    def __init__(self, width: int, init_args: tuple) -> None:
+    ``programs`` is the catalog's live fingerprint → ``Program`` dict;
+    each worker starts with the programs it holds when the worker
+    spawns (or respawns).
+    """
+
+    def __init__(self, width: int, init_args: tuple,
+                 programs: Dict[str, object]) -> None:
         self._ctx = multiprocessing.get_context()
         self._init_args = init_args
+        self._programs = programs
         self._next_id = 0
         self.width = width
         self.workers: List[_Worker] = []
@@ -490,7 +511,7 @@ class _WorkerPool:
             if len(self.workers) >= self.width:
                 return
             worker = _Worker(self._next_id, self._ctx, self._init_args,
-                             self.workers)
+                             self.workers, self._programs)
             self._next_id += 1
             self.workers.append(worker)
 
@@ -571,9 +592,10 @@ class Dispatcher:
     :class:`~repro.batch.queue.RetryPolicy` (requeue with backoff,
     quarantine, lease-timeout kill) and the flag-only stall watch, and
     writes every scheduling event and terminal outcome to ``journal``.
-    Feeders put runs into ``queue`` and their designs into ``images``
-    (a :attr:`DesignCatalog.images` dict); each image ships with the
-    first job that needs it on a given worker.  Terminal outcomes go
+    Feeders put runs into ``queue`` and their designs into ``catalog``
+    (a :class:`DesignCatalog`).  A worker starts with the programs the
+    catalog holds when it spawns; any other design's image ships with
+    the first job that needs it on that worker.  Terminal outcomes go
     to ``on_result``.
 
     :meth:`run` holds ``lock`` except while it is blocked waiting on
@@ -583,7 +605,7 @@ class Dispatcher:
     or dies.
     """
 
-    def __init__(self, queue: JobQueue, images: Dict[str, bytes],
+    def __init__(self, queue: JobQueue, catalog: DesignCatalog,
                  workers: int, out_dir: str, trace: bool,
                  heartbeat_every: Optional[int],
                  journal: Optional[BatchJournal] = None,
@@ -594,7 +616,7 @@ class Dispatcher:
                  poll: Optional[float] = None) -> None:
         self.queue = queue
         self.policy = queue.policy
-        self.images = images
+        self.images = catalog.images
         self.journal = journal
         self.on_result = on_result
         self.stall_after = stall_after
@@ -604,7 +626,8 @@ class Dispatcher:
         self.status_dir = os.path.join(out_dir, "status") \
             if heartbeat_every else None
         self.pool = _WorkerPool(
-            workers, (out_dir, trace, heartbeat_every or None))
+            workers, (out_dir, trace, heartbeat_every or None),
+            catalog.programs)
         #: worker pid -> (trace shard path, shard t0) for merging.
         self.shards: Dict[int, Tuple[str, float]] = {}
         #: Runs the stall watcher or the lease timeout flagged.
@@ -891,7 +914,7 @@ def run_batch(
          if request.name not in restored],
         policy)
     dispatcher = Dispatcher(
-        queue, catalog.images, workers, out_dir, trace, heartbeat_every,
+        queue, catalog, workers, out_dir, trace, heartbeat_every,
         journal=jrnl, on_result=on_result, stall_after=stall_after,
         on_stall=on_stall)
     try:

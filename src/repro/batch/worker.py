@@ -2,14 +2,23 @@
 
 Each pool worker is a long-lived ``multiprocessing.Process`` running
 :func:`_worker_main`: loop receiving ``(request, fingerprint, attempt,
-image)`` jobs over a pipe and sending outcome dicts back.  ``image`` is
-the pickled program of the run's design the first time this worker
-sees that design, ``None`` afterwards — the controller tracks which
-designs each worker holds.  Programs are unpickled lazily, at most
-once per worker per design (unpickling recompiles the design; see
-:meth:`repro.compile.compiler.Program.__reduce__`), so a batch of a
-thousand runs over three designs costs each worker at most three
-compilations.
+image)`` jobs over a pipe and sending outcome dicts back.
+
+A worker's programs come from two places.  A forked worker starts
+with the compiled ``Program`` of every design the controller's
+catalog held when the worker was forked (or re-forked after a death):
+they arrive in :func:`_worker_main`'s arguments, nothing is pickled,
+and running them compiles nothing.  (``symsim serve``'s controller
+keeps every compiled ``Program`` it admits, so a worker it respawns
+inherits them all.)  For any other design — one a ``symsim serve``
+client submitted after the worker started, or every design under a
+start method other than ``fork`` — ``image`` is the
+pickled program the first time this worker sees that design, ``None``
+afterwards; the controller tracks which designs each worker holds.
+An image is unpickled lazily, at most once per worker per design
+(unpickling recompiles the design; see
+:meth:`repro.compile.compiler.Program.__reduce__`), under a traced
+``compile:<fingerprint>`` span.
 
 Per-process state lives in the module-level ``_STATE`` dict, set by
 the initializer.  This is the one sanctioned module-global in the
@@ -61,8 +70,13 @@ _STATE: Dict[str, object] = {}
 
 
 def _worker_init(out_dir: str, trace: bool,
-                 heartbeat_every: Optional[int] = None) -> None:
-    """Pool initializer — runs once in each worker process."""
+                 heartbeat_every: Optional[int],
+                 programs: Dict[str, object]) -> None:
+    """Pool initializer — runs once in each worker process.
+
+    ``programs`` are the compiled programs the worker inherited at
+    fork, keyed by design fingerprint.
+    """
     # The heap inherited from the controller stays reachable for the
     # worker's whole life.  Freezing it sizes full collections to the
     # worker's own objects, so each run's garbage cycles are freed
@@ -70,7 +84,7 @@ def _worker_init(out_dir: str, trace: bool,
     gc.freeze()
     _STATE.clear()
     _STATE["catalog"] = {}
-    _STATE["programs"] = {}
+    _STATE["programs"] = programs
     _STATE["out_dir"] = out_dir
     _STATE["tracer"] = None
     _STATE["shard_path"] = None
@@ -98,23 +112,26 @@ def _maybe_chaos_kill(name: str, attempt: int) -> None:
     os.kill(os.getpid(), signal.SIGKILL)
 
 
-def _worker_main(task_conn, result_conn, controller_ends, out_dir: str,
-                 trace: bool, heartbeat_every: Optional[int]) -> None:
+def _worker_main(task_conn, result_conn, controller_ends,
+                 programs: Dict[str, object], out_dir: str, trace: bool,
+                 heartbeat_every: Optional[int]) -> None:
     """Entry point of one pool worker process.
 
     ``controller_ends`` are the controller-side pipe ends a forked
     worker inherits (its own and its siblings'); they are closed at
-    once, so the pipes reach EOF when the controller dies.  Receives
-    ``(request, fingerprint, attempt, image)`` jobs until the
-    controller sends ``None`` (or closes the pipe).  :func:`_run_job`
-    never raises, so the loop only exits on shutdown — or dies abruptly
-    (OOM kill, segfault, chaos), which the controller observes through
-    the process sentinel and converts into a lease requeue.
+    once, so the pipes reach EOF when the controller dies.
+    ``programs`` are the compiled programs it inherits (empty unless
+    forked).  Receives ``(request, fingerprint, attempt, image)`` jobs
+    until the controller sends ``None`` (or closes the pipe).
+    :func:`_run_job` never raises, so the loop only exits on shutdown —
+    or dies abruptly (OOM kill, segfault, chaos), which the controller
+    observes through the process sentinel and converts into a lease
+    requeue.
     """
     for conn in controller_ends:
         conn.close()
     try:
-        _worker_init(out_dir, trace, heartbeat_every)
+        _worker_init(out_dir, trace, heartbeat_every, programs)
         while True:
             try:
                 job = task_conn.recv()

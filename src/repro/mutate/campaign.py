@@ -30,7 +30,11 @@ Every mutant is compile-validated in the controller before fan-out —
 the batch engine treats a compile failure as fatal for the whole
 batch, while a campaign must classify it and move on.  The programs
 the validation builds go into the batch's design catalog as they are,
-so each valid mutant is compiled exactly once.
+and the pool's workers, forked after the catalog is complete, inherit
+them instead of recompiling a pickled image, so each valid mutant is
+compiled exactly once, in the controller.  (A campaign adds no design
+after its pool starts; only under a start method other than ``fork``
+would its workers receive, and recompile, images.)
 
 The :class:`CampaignReport` is deterministic: its ``to_dict`` payload
 contains no wall-clock times, worker counts, PIDs or paths, so the

@@ -126,9 +126,13 @@ def load_campaign(path: str) -> Tuple[CampaignConfig, int]:
     except RequestError as exc:
         raise MutationError(str(exc)) from exc
 
+    variant_specs = document.get("variants", [])
+    if not isinstance(variant_specs, list):
+        raise MutationError("manifest: \"variants\" must be an array of "
+                            f"objects, not {variant_specs!r}")
     variants = []
     seen = set()
-    for index, spec in enumerate(document.get("variants", [])):
+    for index, spec in enumerate(variant_specs):
         if not isinstance(spec, dict):
             raise MutationError(f"variant #{index} is not an object")
         name = spec.get("name")

@@ -12,7 +12,12 @@ arrive over HTTP instead of a fixed manifest:
   ceilings, compile the design into the shared
   :class:`~repro.batch.engine.DesignCatalog` (once per unique design),
   fingerprint the request, and either serve it from the result cache,
-  coalesce it onto an identical in-flight run, or queue it.
+  coalesce it onto an identical in-flight run, or queue it.  The
+  catalog keeps each compiled ``Program`` for the server's life: the
+  pool forks at :meth:`Scheduler.start`, so a running worker receives
+  a submitted design as a pickled image and recompiles it once, while
+  a worker respawned after a death inherits every program admitted so
+  far.
 * **Fairness**: the dispatcher leases through a tenant round-robin
   ``next_ready`` hook — a tenant burst-submitting hundreds of runs
   delays its own runs, not its neighbours'.  Per-tenant
@@ -215,7 +220,7 @@ class Scheduler:
         self._queue = JobQueue([], self.config.retry,
                                next_ready=self._next_ready)
         self._dispatcher = Dispatcher(
-            self._queue, self._catalog.images, self.config.workers,
+            self._queue, self._catalog, self.config.workers,
             self.out_dir, self.config.trace, self.config.heartbeat_every,
             journal=self._journal, on_result=self._on_result,
             lock=self._lock, poll=POLL_SECONDS)

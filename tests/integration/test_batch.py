@@ -4,14 +4,18 @@ manifest loading, and the ``symsim batch`` CLI."""
 from __future__ import annotations
 
 import json
+import multiprocessing
 import os
 import pickle
 
 import pytest
 
 from repro.batch import (
-    BatchResult, RunOutcome, RunRequest, load_manifest, run_batch,
+    BatchResult, RetryPolicy, RunOutcome, RunRequest, load_manifest,
+    run_batch,
 )
+from repro.batch.engine import DesignCatalog
+from repro.batch.worker import CHAOS_KILL_ENV
 from repro.errors import BatchError
 from repro.guard import ResourceBudgets
 from repro.obs import Observability, Tracer
@@ -230,6 +234,93 @@ endmodule
         assert batch.designs_compiled == 2
         assert batch["plus"].status is SimStatus.OK
         assert batch["minus"].status is SimStatus.ASSERT_FAILED
+
+
+# ---------------------------------------------------------------------------
+# compile once: a forked worker starts with the controller's programs
+
+
+def _spans(out_dir, prefix):
+    """Names of the spans starting with ``prefix`` in every worker shard."""
+    names = []
+    shard_dir = os.path.join(out_dir, "workers")
+    for shard in sorted(os.listdir(shard_dir)):
+        with open(os.path.join(shard_dir, shard)) as handle:
+            names += [event["name"] for event in map(json.loads, handle)
+                      if event["name"].startswith(prefix)]
+    return names
+
+
+def _two_designs():
+    """Three runs of one design and one run of another."""
+    return _mix() + [RunRequest(name="other", vcd=True,
+                                source=COUNTER.replace("60", "61"))]
+
+
+def _assert_same_runs(left, right):
+    assert [outcome.name for outcome in left] == \
+        [outcome.name for outcome in right]
+    for a, b in zip(left, right):
+        assert a.status is b.status and a.result == b.result
+        with open(a.vcd_path, "rb") as one, open(b.vcd_path, "rb") as two:
+            assert one.read() == two.read(), f"VCD differs for {a.name}"
+
+
+fork_only = pytest.mark.skipif(
+    multiprocessing.get_start_method() != "fork",
+    reason="only a forked worker inherits the controller's programs")
+
+
+@fork_only
+@pytest.mark.parametrize("workers", [1, 2])
+def test_forked_workers_compile_nothing(tmp_path, workers):
+    requests = _two_designs()
+    inherited = run_batch(requests, workers=workers,
+                          out_dir=str(tmp_path / "inherited"))
+    assert _spans(str(tmp_path / "inherited"), "compile:") == []
+
+    # the same designs shipped as images, as under a start method other
+    # than fork: each worker recompiles what it runs
+    catalog = DesignCatalog()
+    for request in requests:
+        catalog.add(request)
+    catalog.programs.clear()
+    shipped = run_batch(requests, workers=workers,
+                        out_dir=str(tmp_path / "shipped"), catalog=catalog)
+    assert set(_spans(str(tmp_path / "shipped"), "compile:")) == \
+        {f"compile:{fingerprint[:12]}" for fingerprint in catalog.images}
+    _assert_same_runs(inherited, shipped)
+
+
+@fork_only
+def test_respawned_worker_inherits_the_programs(tmp_path, monkeypatch):
+    requests = _two_designs()
+    clean = run_batch(requests, workers=1, out_dir=str(tmp_path / "clean"))
+    monkeypatch.setenv(CHAOS_KILL_ENV, "counter-1:1")
+    killed = run_batch(requests, workers=1, out_dir=str(tmp_path / "killed"),
+                       retry=RetryPolicy(backoff_base=0.01))
+    assert killed["counter-1"].attempts == 2
+    assert killed.retries == 1
+    assert _spans(str(tmp_path / "killed"), "compile:") == []
+    _assert_same_runs(clean, killed)
+
+
+def test_serve_submission_after_pool_start_ships_an_image(tmp_path):
+    from repro import api
+    from repro.serve.scheduler import Scheduler, ServeConfig
+
+    spec = {"source": COUNTER, "options": {"seed": 1}}
+    config = ServeConfig(workers=1, out_dir=str(tmp_path), trace=True)
+    with Scheduler(config).start() as scheduler:
+        rid = scheduler.submit(spec)["id"]
+        assert scheduler.wait_done(rid, timeout=60)
+        state, payload, _cached = scheduler.result_bytes(rid)
+    assert state == "done"
+    assert json.loads(payload)["status"] == "ok"
+    # the pool forks at start, before the design entered the catalog
+    fingerprint = DesignCatalog().add(api.parse_run(spec, name=rid))
+    assert _spans(str(tmp_path), "compile:") == \
+        [f"compile:{fingerprint[:12]}"]
 
 
 # ---------------------------------------------------------------------------

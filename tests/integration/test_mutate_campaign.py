@@ -308,6 +308,12 @@ def test_manifest_builtin_design(tmp_path):
     ({"source": "m", "verify_witnesses": "no"},
      '"verify_witnesses" must be a boolean'),
     ({"source": "m", "verify_witnesses": 1}, '"verify_witnesses" must be'),
+    # "variants" is an array of objects
+    ({"source": "m", "variants": 5}, '"variants" must be an array'),
+    ({"source": "m", "variants": None}, '"variants" must be an array'),
+    ({"source": "m", "variants": {"name": "a"}},
+     '"variants" must be an array'),
+    ({"source": "m", "variants": [5]}, "variant #0 is not an object"),
 ])
 def test_manifest_rejects_malformed(tmp_path, document, match):
     path = write_manifest(tmp_path, document)

@@ -99,6 +99,33 @@ def test_parse_retry_folds_policy_validation_into_request_error():
         api.parse_retry({"retry_statuses": "aborted"}, "t")
 
 
+@pytest.mark.parametrize("spec, key", [
+    ({"max_attempts": True}, "max_attempts"),
+    ({"max_attempts": 2.5}, "max_attempts"),
+    ({"seed": True}, "seed"),
+    ({"seed": 1.5}, "seed"),
+    ({"seed": "7"}, "seed"),
+    ({"lease_timeout": True}, "lease_timeout"),
+    ({"backoff_base": "fast"}, "backoff_base"),
+    ({"retry_statuses": [1, None]}, "retry_statuses"),
+    ({"retry_statuses": ["aborted", 2]}, "retry_statuses"),
+])
+def test_retry_values_are_type_checked(spec, key):
+    with pytest.raises(RequestError) as info:
+        api.parse_retry(spec, "manifest 'm'")
+    message = str(info.value)
+    assert message.startswith("manifest 'm':")
+    assert key in message and "\n" not in message
+
+
+def test_retry_values_of_the_right_type_pass():
+    policy = api.parse_retry({"seed": 3, "lease_timeout": 1.5,
+                              "backoff_cap": 2, "retry_statuses": []}, "t")
+    assert policy == RetryPolicy(seed=3, lease_timeout=1.5, backoff_cap=2)
+    assert api.parse_retry({"lease_timeout": None}, "t").lease_timeout \
+        is None
+
+
 # ---------------------------------------------------------------------
 # the semantic/operational split
 # ---------------------------------------------------------------------
@@ -168,6 +195,18 @@ def test_parse_run_merges_defaults_key_wise():
     assert request.until == 100 and request.vcd is True
     assert request.options.concrete_random == 2  # spec wins
     assert request.options.gc_threshold == 9     # default survives
+
+
+@pytest.mark.parametrize("vcd", ["no", 0, 1, None, []])
+def test_vcd_must_be_a_boolean(vcd):
+    with pytest.raises(RequestError, match='"vcd" must be') as info:
+        api.parse_run({"name": "a", "source": TRIVIAL, "vcd": vcd})
+    assert str(info.value).startswith("run 'a':")
+    with pytest.raises(RequestError, match='"vcd" must be'):
+        api.parse_run({"name": "a", "source": TRIVIAL},
+                      defaults={"vcd": vcd})
+    assert api.parse_run({"name": "a", "source": TRIVIAL,
+                          "vcd": False}).vcd is False
 
 
 def test_parse_run_design_identity_never_from_defaults():
@@ -341,6 +380,11 @@ def test_top_and_defines_of_the_right_type_pass():
                          "options": {"budget": {"max_live_nodes": "x"}}}]}),
     ("mutate", {"source": TRIVIAL, "options": {"seed": 1.5}}),
     ("mutate", {"source": TRIVIAL, "until": True}),
+    ("batch", {"retry": {"max_attempts": True},
+               "runs": [{"name": "r", "source": TRIVIAL}]}),
+    ("batch", {"retry": {"retry_statuses": [1, None]},
+               "runs": [{"name": "r", "source": TRIVIAL}]}),
+    ("mutate", {"source": TRIVIAL, "variants": 5}),
 ])
 def test_bad_values_exit_2_with_one_line(tmp_path, capsys, command,
                                          document):
@@ -352,3 +396,16 @@ def test_bad_values_exit_2_with_one_line(tmp_path, capsys, command,
     err = capsys.readouterr().err
     assert code == 2, err
     assert len(err.splitlines()) == 1, err
+
+
+def test_vcd_no_writes_no_wave(tmp_path, capsys):
+    from repro.cli import main
+
+    manifest = tmp_path / "manifest.json"
+    manifest.write_text(json.dumps(
+        {"runs": [{"name": "r", "design": "gcd", "vcd": "no"}]}))
+    out_dir = tmp_path / "o"
+    assert main(["batch", str(manifest), "--out-dir", str(out_dir)]) == 2
+    err = capsys.readouterr().err
+    assert '"vcd" must be a boolean' in err and len(err.splitlines()) == 1
+    assert not (out_dir / "runs" / "r" / "wave.vcd").exists()
