@@ -3,17 +3,20 @@
 
 Four entry points accept "run this design with these options": ``symsim``
 CLI flags, ``symsim batch`` manifests, ``symsim mutate`` manifests, and
-HTTP submissions to the :mod:`repro.serve` front door.  Before this
-module each hand-rolled its own :class:`~repro.sim.kernel.SimOptions` /
-budget / retry parsing; now all four are thin adapters over one
-implementation:
+HTTP submissions to the :mod:`repro.serve` front door.  All four are
+thin adapters over one implementation:
 
-* :func:`parse_options` — the ``"options"`` mapping (``OPTION_KEYS``),
-  including the ``seed`` and ``budget`` conveniences;
-* :func:`parse_budgets` — the ``"budget"`` object →
-  :class:`~repro.guard.ResourceBudgets`;
-* :func:`parse_retry` — the ``"retry"`` object →
-  :class:`~repro.batch.queue.RetryPolicy`;
+* :func:`check` — the one checker.  It walks a JSON document against a
+  :class:`Table`, the keys of one object kind and the shape of each
+  value, and rejects unknown keys, missing keys, values of the wrong
+  JSON type and values out of range.  :func:`tables` holds the table
+  of every input document: the dataclasses' type hints where a
+  dataclass exists (``SimOptions``, ``ResourceBudgets``,
+  ``RetryPolicy``, ``TenantQuota``; a built-in design's ``params``
+  take its loader's signature), one literal table elsewhere.
+* :func:`parse` — check a document and build its dataclass;
+  :func:`parse_options`, :func:`parse_budgets` and :func:`parse_retry`
+  name it for the ``"options"``, ``"budget"`` and ``"retry"`` objects.
 * :func:`resolve_design` / :func:`parse_run` — one run spec (``design`` /
   ``path`` / ``source`` + ``params``/``top``/``defines``/``until``/
   ``vcd``/``options``) → a frozen :class:`~repro.batch.RunRequest`;
@@ -32,25 +35,28 @@ results — which is exactly what lets a journaled outcome stand in for
 a rerun and a served result be deduplicated from cache.
 
 Every parse failure raises :class:`~repro.errors.RequestError` with a
-single-line message naming the offending spec.
+single-line message naming the offending spec and key.
 """
 
 from __future__ import annotations
 
 import dataclasses
 import enum
+import functools
+import json
 import os
+import reprlib
 import typing
-from typing import Dict, Optional, Tuple
+from typing import Annotated, Dict, List, Literal, Optional, Tuple
 
-from repro.errors import ReproError, RequestError, VerilogSyntaxError
+from repro.errors import BatchError, RequestError, VerilogSyntaxError
 
 #: Version tag of the request schema all entry points parse.
 REQUEST_SCHEMA = "repro.serve.request/1"
 
 #: ``"options"`` mapping keys -> :class:`SimOptions` field.  ``seed``
 #: is sugar for ``concrete_random``; ``budget`` builds a
-#: :class:`~repro.guard.ResourceBudgets` via :func:`parse_budgets`.
+#: :class:`~repro.guard.ResourceBudgets`.
 OPTION_KEYS = {
     "accumulation": "accumulation",
     "seed": "concrete_random",
@@ -125,114 +131,270 @@ def semantic_options(options) -> Dict[str, object]:
 
 
 # ---------------------------------------------------------------------
-# options / budget / retry parsing
+# the checker
 # ---------------------------------------------------------------------
 
-#: JSON values a field of each scalar type takes, and their name in an
-#: error.  ``bool`` is a subclass of ``int`` in Python but not a number
-#: in JSON, so no numeric field takes one.
-_SCALARS = {
+#: Shorthands: a count (an integer >= 0) and a name (a non-empty string).
+_COUNT = Annotated[int, 0]
+_NAME = Annotated[str, 1]
+
+#: JSON values each leaf shape takes, and its name in an error.
+#: ``bool`` is a subclass of ``int`` in Python but not a number in
+#: JSON, so no numeric shape takes one.
+_LEAVES = {
     bool: (lambda v: isinstance(v, bool), "a boolean"),
     int: (lambda v: isinstance(v, int) and not isinstance(v, bool),
           "an integer"),
     float: (lambda v: isinstance(v, (int, float))
             and not isinstance(v, bool), "a number"),
+    str: (lambda v: isinstance(v, str), "a string"),
+    dict: (lambda v: isinstance(v, dict), "an object"),
+    list: (lambda v: isinstance(v, list), "an array"),
 }
 
 
-def _check_values(cls, values: Dict, where: str, what: str) -> None:
-    """Reject a value whose JSON type does not fit its ``cls`` field.
+@dataclasses.dataclass(frozen=True)
+class Table:
+    """The keys of one kind of JSON object and the shape of each value.
 
-    ``values`` maps the request's key to ``(field name, value)``.  The
-    accepted type is read from the dataclass annotation: a ``bool``,
-    ``int`` or ``float`` field, or an ``Optional`` one that also takes
-    ``null``.  Fields of any other type are parsed by their own code.
+    A shape is another table, a leaf (``bool``, ``int``, ``float``,
+    ``str``, ``dict``, ``list``), an :class:`~enum.Enum` (taken by
+    member name), ``Optional[...]`` (adds ``null``), ``List[...]``,
+    ``Dict[str, ...]``, ``Literal[tag]`` (a version tag) or
+    ``Annotated[shape, n]``: a number at least ``n`` or, with ``n = 1``,
+    a non-empty string or array.
+
+    No key outside ``keys`` is accepted and every ``required`` key must
+    be present.  An error names a key ``{noun} 'key'``, or as in JSON
+    (``"key"``) when the table has no noun.  A table read off a
+    dataclass (:func:`_table_of`) keeps the class and each key's field
+    name, so :func:`parse` can build it.
+    """
+
+    keys: Dict[str, object]
+    required: Tuple[str, ...] = ()
+    noun: str = ""
+    cls: Optional[type] = None
+    fields: Dict[str, str] = dataclasses.field(default_factory=dict)
+
+    def label(self, key) -> str:
+        return f"{self.noun} {key!r}" if self.noun else json.dumps(key)
+
+
+def _table_of(cls, noun: str, keys: Optional[Dict[str, str]] = None,
+              minimum: Optional[Dict[str, int]] = None, **shapes) -> Table:
+    """The table of dataclass ``cls``.
+
+    ``keys`` maps each key to its field (default: one key per field).
+    A key's shape is its field's type hint unless ``shapes`` gives one,
+    bounded below by ``minimum``.
     """
     hints = typing.get_type_hints(cls)
-    for key, (name, value) in values.items():
-        hint = hints[name]
-        optional = typing.get_origin(hint) is typing.Union
-        if optional:
-            if value is None:
-                continue
-            hint = next(arg for arg in typing.get_args(hint)
-                        if arg is not type(None))
-        if hint not in _SCALARS:
-            continue
-        accepts, kind = _SCALARS[hint]
-        if not accepts(value):
+    keys = keys or {f.name: f.name for f in dataclasses.fields(cls)}
+    table = {key: shapes.get(key, hints[name]) for key, name in keys.items()}
+    for key, bound in (minimum or {}).items():
+        shape, optional = _unwrap(table[key])
+        table[key] = Optional[Annotated[shape, bound]] if optional \
+            else Annotated[shape, bound]
+    return Table(table, noun=noun, cls=cls, fields=dict(keys))
+
+
+def _unwrap(shape) -> Tuple[object, bool]:
+    """``(shape, True)`` for ``Optional[shape]``, else ``(shape, False)``."""
+    if typing.get_origin(shape) is typing.Union:
+        inner, = (arg for arg in typing.get_args(shape)
+                  if arg is not type(None))
+        return inner, True
+    return shape, False
+
+
+def _fits(value, shape) -> bool:
+    shape, optional = _unwrap(shape)
+    if value is None:
+        return optional
+    origin, args = typing.get_origin(shape), typing.get_args(shape)
+    if origin is Annotated:
+        return _fits(value, args[0]) and (
+            value if isinstance(value, (int, float)) else len(value)
+        ) >= args[1]
+    if origin is list:
+        return isinstance(value, list) and all(
+            _fits(item, args[0]) for item in value)
+    if origin is dict:
+        return isinstance(value, dict) and all(
+            _fits(item, args[1]) for item in value.values())
+    if origin is Literal:
+        return value in args
+    if isinstance(shape, Table):
+        return isinstance(value, dict)
+    if isinstance(shape, enum.EnumMeta):
+        return isinstance(value, shape) or (
+            isinstance(value, str) and value.upper() in shape.__members__)
+    return _LEAVES[shape][0](value)
+
+
+def _kind(shape) -> str:
+    """What ``shape`` takes, as an error names it (``"an integer >= 0"``)."""
+    shape, optional = _unwrap(shape)
+    origin, args = typing.get_origin(shape), typing.get_args(shape)
+    if origin is Annotated:
+        kind = _kind(args[0])
+        kind = f"{kind} >= {args[1]}" if args[0] in (int, float) \
+            else "a non-empty " + kind.split(" ", 1)[1]
+    elif origin in (list, dict):
+        kind = f"{_kind(origin)} of {_kind(args[-1]).split(' ', 1)[1]}s"
+    elif origin is Literal:
+        kind = " or ".join(map(repr, args))
+    elif isinstance(shape, Table):
+        kind = "an object"
+    elif isinstance(shape, enum.EnumMeta):
+        kind = f"one of {[name.lower() for name in shape.__members__]}"
+    else:
+        kind = _LEAVES[shape][1]
+    return kind + (" or null" if optional else "")
+
+
+def check(document, shape, where: str) -> None:
+    """Check a JSON ``document`` against ``shape``.
+
+    Raises one single-line :class:`~repro.errors.RequestError`:
+    ``"{where} is not ..."`` when the document itself has the wrong
+    type, else ``"{where}: ..."`` naming the first offending key:
+    unknown (with the known set), missing, or holding a value of the
+    wrong JSON type or out of range.  Nested tables report under the
+    same ``where``.
+    """
+    if not _fits(document, shape):
+        raise RequestError(f"{where} is not {_kind(shape)}")
+    if isinstance(shape, Table):
+        _check_keys(document, shape, where)
+
+
+def _check_keys(document: Dict, table: Table, where: str) -> None:
+    unknown = sorted(set(document) - set(table.keys), key=str)
+    if unknown:
+        raise RequestError(
+            f"{where}: unknown {table.noun + ' ' if table.noun else ''}"
+            f"keys {unknown} (known: {sorted(table.keys)})")
+    for key, value in document.items():
+        shape = table.keys[key]
+        if not _fits(value, shape):
+            tag = _unwrap(shape)[0]
+            if typing.get_origin(tag) is Literal:
+                raise RequestError(
+                    f"{where}: unsupported {key} {reprlib.repr(value)} "
+                    f"(want {_kind(tag)})")
             raise RequestError(
-                f"{where}: {what} {key!r} must be {kind}"
-                f"{' or null' if optional else ''}, not {value!r}")
+                f"{where}: {table.label(key)} must be {_kind(shape)}, "
+                f"not {reprlib.repr(value)}")
+        if isinstance(shape, Table):
+            _check_keys(value, shape, where)
+    missing = sorted(set(table.required) - set(document))
+    if missing:
+        raise RequestError(f"{where}: {table.label(missing[0])} is required")
 
 
-def parse_until(value, where: str) -> Optional[int]:
-    """The ``"until"`` bound: a non-negative integer, or ``null`` to run
-    to completion."""
-    if value is not None and (not _SCALARS[int][0](value) or value < 0):
-        raise RequestError(f"{where}: \"until\" must be a non-negative "
-                           f"integer or null, not {value!r}")
-    return value
+def _build(table: Table, document: Dict):
+    fields = {}
+    for key, value in document.items():
+        shape = table.keys[key]
+        if isinstance(shape, Table):
+            value = _build(shape, value)
+        elif isinstance(shape, enum.EnumMeta) and isinstance(value, str):
+            value = shape[value.upper()]
+        fields[table.fields[key]] = value
+    return table.cls(**fields)
+
+
+def parse(document, kind: str, where: str):
+    """Check ``document`` against the ``kind`` table (:func:`tables`)
+    and build the dataclass that table was read from."""
+    table = tables()[kind]
+    check(document, table, where)
+    return _build(table, document)
+
+
+@functools.cache
+def tables() -> Dict[str, Table]:
+    """The table of every input document, by document kind.
+
+    The dataclasses' type hints are the tables of ``options``,
+    ``budget``, ``retry`` and ``quota`` (one ``--tenants`` entry);
+    the run spec, its ``defaults``, the batch ``manifest``, the mutation
+    ``campaign`` and its ``variant`` s and the serve ``body`` are
+    literal.  Built on first use: the dataclasses' modules import this
+    one.
+    """
+    from repro.batch.queue import RetryPolicy
+    from repro.guard import ResourceBudgets
+    from repro.serve.scheduler import TenantQuota
+    from repro.sim import SimOptions
+
+    budget = _table_of(ResourceBudgets, "budget", minimum=dict.fromkeys(
+        (f.name for f in dataclasses.fields(ResourceBudgets)), 0))
+    options = _table_of(SimOptions, "option", OPTION_KEYS, budget=budget,
+                       minimum={"checkpoint_every": 1})
+    retry = _table_of(RetryPolicy, "retry", retry_statuses=List[str])
+    design = {"design": _NAME, "params": dict, "path": _NAME,
+              "source": _NAME, "top": Optional[str],
+              "defines": Optional[Dict[str, str]]}
+    defaults = Table({"top": Optional[str],
+                      "defines": Optional[Dict[str, str]],
+                      "until": Optional[_COUNT], "vcd": bool,
+                      "options": options})
+    run = {**design, **defaults.keys, "name": _NAME}
+    return {
+        "options": options,
+        "budget": budget,
+        "retry": retry,
+        "quota": _table_of(
+            TenantQuota, "quota",
+            {"max_in_flight": "max_in_flight", "max_pending": "max_pending",
+             "budget": "budgets"},
+            minimum={"max_in_flight": 1, "max_pending": 0}, budget=budget),
+        "defaults": defaults,
+        "run": Table(run, required=("name",)),
+        "body": Table({**run, "schema": Optional[Literal[REQUEST_SCHEMA]],
+                       "tenant": _NAME}),
+        "manifest": Table({"runs": Annotated[list, 1], "defaults": defaults,
+                           "retry": retry}, required=("runs",)),
+        "campaign": Table({
+            **design, "modules": Optional[List[str]],
+            "operators": Optional[List[str]], "seed": int,
+            "max_mutants": Optional[_COUNT], "until": Optional[_COUNT],
+            "workers": Annotated[int, 1], "options": options,
+            "variants": list, "verify_witnesses": bool}),
+        "variant": Table({**design, "name": _NAME}, required=("name",)),
+    }
+
+
+@functools.cache
+def _params(loader) -> Table:
+    """The ``"params"`` table of a built-in design: its loader's
+    signature."""
+    hints = typing.get_type_hints(loader)
+    hints.pop("return", None)
+    return Table(hints, noun="params")
+
+
+# ---------------------------------------------------------------------
+# options / budget / retry parsing
+# ---------------------------------------------------------------------
 
 
 def parse_budgets(spec: Dict, where: str):
     """The ``"budget"`` object → :class:`~repro.guard.ResourceBudgets`."""
-    from repro.guard import ResourceBudgets
-
-    if not isinstance(spec, dict):
-        raise RequestError(f"{where}: budget must be an object")
-    known = {f.name for f in dataclasses.fields(ResourceBudgets)}
-    bad = set(spec) - known
-    if bad:
-        raise RequestError(f"{where}: unknown budget keys {sorted(bad)}")
-    _check_values(ResourceBudgets,
-                  {key: (key, value) for key, value in spec.items()},
-                  where, "budget")
-    try:
-        return ResourceBudgets(**spec)
-    except TypeError as exc:
-        raise RequestError(f"{where}: bad budget object: {exc}") from exc
+    return parse(spec, "budget", where)
 
 
 def parse_options(spec: Dict, where: str):
     """The ``"options"`` mapping → :class:`~repro.sim.SimOptions`.
 
-    The one implementation behind every entry point.  Unknown keys are
-    an error (single-line, naming the known set), and so is a value of
-    the wrong JSON type for its field; ``accumulation`` accepts the
-    mode name; ``budget`` routes through :func:`parse_budgets`.
+    The one implementation behind every entry point: ``accumulation``
+    takes the mode name (or the enum), ``budget`` a
+    :class:`~repro.guard.ResourceBudgets` object.
     """
-    from repro.compile.instructions import AccumulationMode
-    from repro.sim import SimOptions
-
-    if not isinstance(spec, dict):
-        raise RequestError(f"{where}: \"options\" must be an object")
-    for key in spec:
-        if key not in OPTION_KEYS:
-            raise RequestError(
-                f"{where}: unknown option {key!r} "
-                f"(known: {sorted(OPTION_KEYS)})")
-    _check_values(SimOptions,
-                  {key: (OPTION_KEYS[key], value)
-                   for key, value in spec.items()},
-                  where, "option")
-    fields = {}
-    for key, value in spec.items():
-        if key == "accumulation":
-            if not isinstance(value, AccumulationMode):
-                try:
-                    value = AccumulationMode[str(value).upper()]
-                except KeyError:
-                    raise RequestError(
-                        f"{where}: unknown accumulation mode "
-                        f"{value!r}") from None
-        elif key == "budget":
-            value = parse_budgets(value, where)
-        fields[OPTION_KEYS[key]] = value
-    try:
-        return SimOptions(**fields)
-    except TypeError as exc:
-        raise RequestError(f"{where}: bad options: {exc}") from exc
+    return parse(spec, "options", where)
 
 
 def parse_retry(spec: Dict, where: str):
@@ -244,32 +406,10 @@ def parse_retry(spec: Dict, where: str):
          "jitter_frac": 0.25, "seed": 7,
          "retry_statuses": ["aborted"], "lease_timeout": 120}
     """
-    from repro.batch.queue import RetryPolicy
-
-    if not isinstance(spec, dict):
-        raise RequestError(f"{where}: \"retry\" must be an object")
-    known = {f.name for f in dataclasses.fields(RetryPolicy)}
-    bad = set(spec) - known
-    if bad:
-        raise RequestError(
-            f"{where}: unknown retry keys {sorted(bad)} "
-            f"(known: {sorted(known)})")
-    _check_values(RetryPolicy,
-                  {key: (key, value) for key, value in spec.items()},
-                  where, "retry")
-    fields = dict(spec)
-    if "retry_statuses" in fields:
-        statuses = fields["retry_statuses"]
-        if not isinstance(statuses, list) \
-                or not all(isinstance(s, str) for s in statuses):
-            raise RequestError(f"{where}: retry_statuses must be an array "
-                               f"of status names, not {statuses!r}")
-        fields["retry_statuses"] = frozenset(statuses)
     try:
-        return RetryPolicy(**fields)
-    except (TypeError, ReproError) as exc:
-        # RetryPolicy validates in __post_init__ with BatchError; fold
-        # both shapes into the schema's single-line error contract.
+        return parse(spec, "retry", where)
+    except BatchError as exc:
+        # RetryPolicy validates its ranges in __post_init__
         raise RequestError(f"{where}: bad retry object: {exc}") from exc
 
 
@@ -281,16 +421,17 @@ def parse_retry(spec: Dict, where: str):
 def resolve_design(spec: Dict, base_dir: Optional[str], where: str,
                    inline: bool = False) -> Tuple[
                        Optional[str], Optional[str], object, object]:
-    """Resolve a spec's design: ``(source, path, top, defines)``.
+    """Resolve a checked spec's design: ``(source, path, top, defines)``.
 
     A spec names its design exactly one of three ways: ``design``
-    (+ optional ``params``) loads a built-in benchmark from
-    :mod:`repro.designs`; ``path`` points at a Verilog file, resolved
-    relative to ``base_dir`` (with ``base_dir=None`` — the HTTP entry
-    point — only absolute paths are accepted); ``source`` carries
-    inline Verilog text.  With ``inline=True`` a ``path`` design is
-    read immediately and returned as source (the mutation engine works
-    on text); otherwise the path is returned for the lazy
+    (+ optional ``params``, checked against the built-in loader's
+    signature) loads a built-in benchmark from :mod:`repro.designs`;
+    ``path`` points at a Verilog file, resolved relative to
+    ``base_dir`` (with ``base_dir=None`` — the HTTP entry point — only
+    absolute paths are accepted); ``source`` carries inline Verilog
+    text.  With ``inline=True`` a ``path`` design is read immediately
+    and returned as source (the mutation engine works on text);
+    otherwise the path is returned for the lazy
     :class:`~repro.batch.RunRequest` read.
     """
     ways = [key for key in ("design", "path", "source") if key in spec]
@@ -301,34 +442,21 @@ def resolve_design(spec: Dict, base_dir: Optional[str], where: str,
     source: Optional[str] = None
     file_path: Optional[str] = None
     top = spec.get("top")
-    if top is not None and not isinstance(top, str):
-        raise RequestError(
-            f"{where}: \"top\" must be a string or null, not {top!r}")
-    defines = spec.get("defines")
-    if defines is not None and (not isinstance(defines, dict) or not all(
-            isinstance(value, str) for value in defines.values())):
-        raise RequestError(
-            f"{where}: \"defines\" must be an object of strings or null, "
-            f"not {defines!r}")
-    defines = dict(defines or {})
+    defines = dict(spec.get("defines") or {})
     if "design" in spec:
         from repro import designs
 
-        params = spec.get("params", {})
-        if not isinstance(params, dict):
-            raise RequestError(f"{where}: \"params\" must be an object")
         try:
-            source, top, builtin_defines = designs.load(
-                spec["design"], **params)
-        except (KeyError, TypeError) as exc:
-            raise RequestError(f"{where}: {exc}") from exc
+            loader = designs.loader(spec["design"])
+        except KeyError as exc:
+            raise RequestError(f"{where}: {exc.args[0]}") from None
+        params = spec.get("params", {})
+        check(params, _params(loader), where)
+        source, top, builtin_defines = loader(**params)
         # built-in workload macros first; explicit defines override
         defines = {**builtin_defines, **defines}
     elif "path" in spec:
         file_path = spec["path"]
-        if not isinstance(file_path, str) or not file_path:
-            raise RequestError(f"{where}: \"path\" must be a non-empty "
-                               "string")
         if not os.path.isabs(file_path):
             if base_dir is None:
                 raise RequestError(
@@ -340,7 +468,7 @@ def resolve_design(spec: Dict, base_dir: Optional[str], where: str,
 
             try:
                 source = read_source_file(file_path)
-            except OSError as exc:
+            except (OSError, ValueError) as exc:
                 raise RequestError(
                     f"{where}: cannot read source file {file_path!r}: "
                     f"{exc}") from exc
@@ -352,68 +480,53 @@ def resolve_design(spec: Dict, base_dir: Optional[str], where: str,
                 f"{where}: source file {file_path!r} not found")
     else:
         source = spec["source"]
-        if not isinstance(source, str) or not source:
-            raise RequestError(f"{where}: \"source\" must be a non-empty "
-                               "string")
     return source, file_path, top, (defines or None)
 
 
 def parse_run(spec: Dict, defaults: Optional[Dict] = None,
               base_dir: Optional[str] = None,
               where: Optional[str] = None,
-              name: Optional[str] = None):
+              name: Optional[str] = None, kind: str = "run"):
     """One run spec → a frozen :class:`~repro.batch.RunRequest`.
 
-    ``spec`` is the manifest-run / HTTP-submission shape: ``name``,
-    the design (one of ``design``/``path``/``source``), ``params``,
-    ``top``, ``defines``, ``until``, ``vcd`` and ``options``.
-    ``defaults`` supplies any per-run field not set on the spec itself
+    ``spec`` is checked against the ``kind`` table: ``"run"`` (a
+    manifest run: ``name``, the design — one of ``design``/``path``/
+    ``source`` — ``params``, ``top``, ``defines``, ``until``, ``vcd``
+    and ``options``) or ``"body"`` (an HTTP submission, which adds
+    ``schema`` and ``tenant``).  ``defaults`` supplies the ``top``,
+    ``defines``, ``until``, ``vcd`` and ``options`` a spec does not set
     (``options`` dictionaries are merged key-wise, the spec's entries
-    winning).  ``name`` overrides the spec's (the serve front door
-    assigns run ids server-side).
+    winning); design identity never comes from defaults.  ``name``
+    overrides the spec's (the serve front door assigns run ids
+    server-side).  Errors name the run; ``where`` names a spec that
+    has no name.
     """
     from repro.batch.request import RunRequest
 
-    defaults = defaults or {}
-    if not isinstance(spec, dict):
-        raise RequestError(f"{where or 'run spec'} is not an object")
-    run_name = name if name is not None else spec.get("name")
-    if not run_name or not isinstance(run_name, str):
-        raise RequestError(f"{where or 'run spec'} needs a \"name\"")
-    where = where or f"run {run_name!r}"
-
-    merged = dict(defaults)
-    merged.update(spec)
-    # design identity never merges from defaults — a run must say what
-    # it simulates; everything else (top/defines/until/vcd/options) may.
-    design_spec = {key: spec[key]
-                   for key in ("design", "params", "path", "source")
-                   if key in spec}
-    for key in ("top", "defines"):
-        if key in merged:
-            design_spec[key] = merged[key]
-    source, file_path, top, defines = resolve_design(
-        design_spec, base_dir, where)
-
-    option_spec = {**(defaults.get("options") or {}),
-                   **(spec.get("options") or {})}
-    vcd = merged.get("vcd", False)
-    if not _SCALARS[bool][0](vcd):
-        raise RequestError(f"{where}: \"vcd\" must be a boolean, "
-                           f"not {vcd!r}")
-    try:
-        return RunRequest(
-            name=run_name,
-            source=source,
-            path=file_path,
-            top=top,
-            defines=defines,
-            options=parse_options(option_spec, where),
-            until=parse_until(merged.get("until"), where),
-            vcd=vcd,
-        )
-    except TypeError as exc:
-        raise RequestError(f"{where}: {exc}") from exc
+    where = where or "run spec"
+    check(spec, dict, where)
+    if name is not None:
+        spec = {**spec, "name": name}
+    if "name" in spec:
+        where = f"run {spec['name']!r}"
+    check(spec, tables()[kind], where)
+    identity = tables()["run"].keys.keys() - tables()["defaults"].keys.keys()
+    inherited = {key: value for key, value in (defaults or {}).items()
+                 if key not in identity}
+    check(inherited, tables()["defaults"], where)
+    merged = {**inherited, **spec}
+    source, file_path, top, defines = resolve_design(merged, base_dir, where)
+    return RunRequest(
+        name=spec["name"],
+        source=source,
+        path=file_path,
+        top=top,
+        defines=defines,
+        options=parse_options({**inherited.get("options", {}),
+                               **spec.get("options", {})}, where),
+        until=merged.get("until"),
+        vcd=merged.get("vcd", False),
+    )
 
 
 # ---------------------------------------------------------------------

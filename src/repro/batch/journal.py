@@ -46,10 +46,10 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass, field
-from typing import IO, Dict, List, Optional
+from typing import IO, Dict, List, Literal, Optional
 
-from repro.api import semantic_options
-from repro.errors import BatchError
+from repro.api import Table, check, semantic_options
+from repro.errors import BatchError, RequestError
 
 #: Journal format tag (header ``schema`` field).
 JOURNAL_SCHEMA = "BATCHJRNL/1"
@@ -128,11 +128,30 @@ class JournalState:
                 f"{catalog[:12]}...)")
 
 
+#: The records a resume reads, checked with :func:`repro.api.check`.
+#: Every record is an object with a string ``kind``; the other kinds
+#: (``resume`` and serve's audit kinds) are not read back.
+RECORDS = {
+    "header": Table({"kind": str, "schema": Literal[JOURNAL_SCHEMA],
+                     "catalog_sha": str, "runs": Dict[str, str]},
+                    required=("kind", "schema", "catalog_sha", "runs")),
+    "attempt": Table({"kind": str, "run": str, "attempt": int, "event": str,
+                      "failure_kind": str, "error": str, "worker_pid": int,
+                      "delay": float},
+                     required=("kind", "run", "attempt", "event")),
+    "terminal": Table({"kind": str, "run": str, "outcome": dict,
+                       "coalesced_with": str},
+                      required=("kind", "run", "outcome")),
+}
+_KIND = Table({"kind": str})
+
+
 def read_journal(path: str) -> JournalState:
     """Parse a journal for resume.
 
     Tolerates exactly one torn *final* line (a controller killed
-    mid-append); any other malformation raises
+    mid-append); any other malformation, a record that does not fit
+    its :data:`RECORDS` table included, raises
     :class:`~repro.errors.BatchError`.
     """
     try:
@@ -155,31 +174,25 @@ def read_journal(path: str) -> JournalState:
             raise BatchError(
                 f"batch journal {path} is corrupt at line "
                 f"{index + 1}: {exc}") from exc
-        if not isinstance(record, dict) or "kind" not in record:
-            raise BatchError(
-                f"batch journal {path} line {index + 1} is not a "
-                "journal record")
+        where = f"batch journal {path} line {index + 1}"
+        try:
+            check(record, dict, where)
+            check({"kind": record.get("kind")}, _KIND, where)
+            if record["kind"] in RECORDS:
+                check(record, RECORDS[record["kind"]], where)
+        except RequestError as exc:
+            raise BatchError(str(exc)) from exc
         records.append(record)
-    if not records or records[0].get("kind") != "header":
+    if not records or records[0]["kind"] != "header":
         raise BatchError(
             f"batch journal {path} has no {JOURNAL_SCHEMA} header")
-    header = records[0]
-    if header.get("schema") != JOURNAL_SCHEMA:
-        raise BatchError(
-            f"batch journal {path} has unsupported schema "
-            f"{header.get('schema')!r} (want {JOURNAL_SCHEMA})")
-    state = JournalState(
-        path=path,
-        catalog_sha=str(header.get("catalog_sha", "")),
-        runs=dict(header.get("runs", {})),
-    )
+    state = JournalState(path=path, catalog_sha=records[0]["catalog_sha"],
+                         runs=dict(records[0]["runs"]))
     for record in records[1:]:
-        kind = record["kind"]
-        if kind == "attempt":
+        if record["kind"] == "attempt":
             state.attempts.setdefault(record["run"], []).append(record)
-        elif kind == "terminal":
+        elif record["kind"] == "terminal":
             state.terminal[record["run"]] = record["outcome"]
-        # "resume" markers and unknown future kinds are audit-only
     return state
 
 

@@ -18,16 +18,19 @@ A manifest is one JSON document describing a set of runs::
 Each run names its design one of three ways: ``design`` (+ optional
 ``params``) loads a built-in benchmark from :mod:`repro.designs`;
 ``path`` points at a Verilog file, resolved relative to the manifest;
-``source`` carries inline Verilog text.  ``defaults`` supplies any
-per-run field not set on the run itself (``options`` dictionaries are
-merged key-wise, the run's entries winning).
+``source`` carries inline Verilog text.  ``defaults`` supplies the
+``top``, ``defines``, ``until``, ``vcd`` and ``options`` a run does not
+set (``options`` dictionaries are merged key-wise, the run's entries
+winning).
 
-The run shape *is* the ``repro.serve.request/1`` schema — this module
-is a thin adapter over :mod:`repro.api` (:func:`repro.api.parse_run`,
-:func:`repro.api.parse_retry`), re-raising its
-:class:`~repro.errors.RequestError` as
-:class:`~repro.errors.BatchError` with the run name in the message so
-batch callers keep one exception type.
+The manifest, its ``defaults`` and each run are checked against their
+tables in :func:`repro.api.tables`, so an unknown key anywhere is an
+error.  The run shape *is* the ``repro.serve.request/1`` schema: this
+module is a thin adapter over :mod:`repro.api`
+(:func:`repro.api.parse_run`, :func:`repro.api.parse_retry`),
+re-raising its :class:`~repro.errors.RequestError` as
+:class:`~repro.errors.BatchError` so batch callers keep one exception
+type.
 """
 
 from __future__ import annotations
@@ -55,28 +58,14 @@ def _load_document(path: str):
 def load_manifest(path: str) -> List[RunRequest]:
     """Parse a jobs manifest into the requests ``run_batch`` consumes."""
     document = _load_document(path)
-    if not isinstance(document, dict) or "runs" not in document:
-        raise BatchError(
-            f"manifest {path!r} must be an object with a \"runs\" array")
-    runs = document["runs"]
-    defaults = document.get("defaults", {})
-    if not isinstance(runs, list) or not runs:
-        raise BatchError(f"manifest {path!r}: \"runs\" must be a non-empty "
-                         "array")
-    if not isinstance(defaults, dict):
-        raise BatchError(f"manifest {path!r}: \"defaults\" must be an object")
-
     base_dir = os.path.dirname(os.path.abspath(path))
-    requests = []
-    for index, run in enumerate(runs):
-        try:
-            requests.append(api.parse_run(
-                run, defaults=defaults, base_dir=base_dir,
-                where=f"manifest run #{index}" if not (
-                    isinstance(run, dict) and run.get("name")) else None))
-        except RequestError as exc:
-            raise BatchError(str(exc)) from exc
-    return requests
+    try:
+        api.check(document, api.tables()["manifest"], f"manifest {path!r}")
+        return [api.parse_run(run, defaults=document.get("defaults"),
+                              base_dir=base_dir, where=f"run #{index}")
+                for index, run in enumerate(document["runs"])]
+    except RequestError as exc:
+        raise BatchError(str(exc)) from exc
 
 
 def load_policy(path: str):
@@ -93,9 +82,11 @@ def load_policy(path: str):
     values; the CLI applies them on top of what this returns.
     """
     document = _load_document(path)
-    if not isinstance(document, dict) or "retry" not in document:
-        return None
+    where = f"manifest {path!r}"
     try:
-        return api.parse_retry(document["retry"], f"manifest {path!r}")
+        api.check(document, api.tables()["manifest"], where)
+        if "retry" not in document:
+            return None
+        return api.parse_retry(document["retry"], where)
     except RequestError as exc:
         raise BatchError(str(exc)) from exc

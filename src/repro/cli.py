@@ -698,32 +698,15 @@ def build_front_door_parser() -> argparse.ArgumentParser:
 
 
 def _load_tenants(path: str):
-    """Parse a ``--tenants`` quota file through the request schema."""
-    from repro.api import parse_budgets
-    from repro.errors import RequestError
-    from repro.serve import TenantQuota
+    """Parse a ``--tenants`` quota file: tenant name -> quota object,
+    each checked against ``TenantQuota``'s type hints."""
+    from repro.api import check, parse
 
     with open(path, "r", encoding="utf-8") as handle:
         document = json.load(handle)
-    if not isinstance(document, dict):
-        raise RequestError(f"tenants file {path!r} must be a JSON object")
-    quotas = {}
-    for tenant, spec in document.items():
-        if not isinstance(spec, dict):
-            raise RequestError(f"tenant {tenant!r}: quota must be an object")
-        known = {"max_in_flight", "max_pending", "budget"}
-        bad = set(spec) - known
-        if bad:
-            raise RequestError(f"tenant {tenant!r}: unknown quota keys "
-                               f"{sorted(bad)} (known: {sorted(known)})")
-        budgets = None
-        if "budget" in spec:
-            budgets = parse_budgets(spec["budget"], f"tenant {tenant!r}")
-        quotas[tenant] = TenantQuota(
-            max_in_flight=int(spec.get("max_in_flight", 2)),
-            max_pending=int(spec.get("max_pending", 16)),
-            budgets=budgets)
-    return quotas
+    check(document, dict, f"tenants file {path!r}")
+    return {tenant: parse(spec, "quota", f"tenant {tenant!r}")
+            for tenant, spec in document.items()}
 
 
 def front_door_main(argv: List[str]) -> int:
@@ -813,11 +796,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("error: --checkpoint-every requires --checkpoint-dir",
               file=sys.stderr)
         return 2
-    # Flags route through the same repro.serve.request/1 schema a
-    # manifest or HTTP submission uses.
-    options = api.options_from_flags(args, obs=obs)
     aborted = None
     try:
+        # Flags route through the same repro.serve.request/1 schema a
+        # manifest or HTTP submission uses.
+        options = api.options_from_flags(args, obs=obs)
         sim = open_sim(path=args.source, top=args.top, options=options,
                        defines=defines, resume=args.resume)
         if args.bdd_latency:

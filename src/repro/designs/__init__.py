@@ -141,17 +141,27 @@ PLANTED_BUGS: Dict[str, Dict[str, object]] = {
 }
 
 
+#: Built-in design name -> loader; a loader's signature is the table
+#: of its ``"params"`` (see :func:`repro.api.resolve_design`).
+LOADERS = {
+    "gcd": gcd_design,
+    "dram": dram_design,
+    "risc8": risc8_design,
+    "mcu8": mcu8_design,
+    "alu4": alu4_design,
+    "arbiter": arbiter_design,
+}
+
+
+def loader(name: str):
+    """The loader of built-in design ``name`` (KeyError naming the
+    choices when there is none)."""
+    if name not in LOADERS:
+        raise KeyError(f"unknown design {name!r}; pick from {sorted(LOADERS)}")
+    return LOADERS[name]
+
+
 def load(name: str, **kwargs) -> Tuple[str, str, Dict[str, str]]:
     """Load a design by name
     (``gcd``/``dram``/``risc8``/``mcu8``/``alu4``/``arbiter``)."""
-    loaders = {
-        "gcd": gcd_design,
-        "dram": dram_design,
-        "risc8": risc8_design,
-        "mcu8": mcu8_design,
-        "alu4": alu4_design,
-        "arbiter": arbiter_design,
-    }
-    if name not in loaders:
-        raise KeyError(f"unknown design {name!r}; pick from {sorted(loaders)}")
-    return loaders[name](**kwargs)
+    return loader(name)(**kwargs)

@@ -11,7 +11,7 @@ plus the mutation knobs::
       "max_mutants": 40,
       "until": 100,
       "workers": 4,
-      "options": {"budget": {"max_wall_seconds": 60}},
+      "options": {"budget": {"wall_seconds": 60}},
       "verify_witnesses": true,
       "variants": [
         {"name": "planted-addc", "design": "mcu8",
@@ -29,35 +29,24 @@ means ``concrete_random``; the *mutation* seed is the top-level
 ``seed`` key).  ``variants`` lists explicit pre-built designs — e.g.
 planted-bug editions — classified alongside the generated mutants.
 
-Design and option parsing is a thin adapter over :mod:`repro.api`
-(the ``repro.serve.request/1`` schema, with ``inline=True`` so a
-``path`` design is read into source text — the mutation engine works
-on text).  Anything malformed raises
-:class:`~repro.errors.MutationError`.
+The manifest and each variant are checked against their tables in
+:func:`repro.api.tables` (``campaign``, ``variant``); design and option
+parsing is a thin adapter over :mod:`repro.api` (the
+``repro.serve.request/1`` schema, with ``inline=True`` so a ``path``
+design is read into source text — the mutation engine works on text).
+Anything malformed raises :class:`~repro.errors.MutationError`.
 """
 
 from __future__ import annotations
 
 import json
 import os
-from typing import Dict, Tuple
+from typing import Tuple
 
 from repro import api
 from repro.errors import MutationError, RequestError
 from repro.mutate.campaign import CampaignConfig, Variant
 from repro.mutate.operators import resolve_operators
-
-
-def _design(spec: Dict, base_dir: str, label: str
-            ) -> Tuple[str, object, object]:
-    """:func:`repro.api.resolve_design` with the mutation-engine error
-    type; ``inline=True`` reads ``path`` designs into source text."""
-    try:
-        source, _path, top, defines = api.resolve_design(
-            spec, base_dir, label, inline=True)
-    except RequestError as exc:
-        raise MutationError(str(exc)) from exc
-    return source, top, defines
 
 
 def load_campaign(path: str) -> Tuple[CampaignConfig, int]:
@@ -70,85 +59,34 @@ def load_campaign(path: str) -> Tuple[CampaignConfig, int]:
     except json.JSONDecodeError as exc:
         raise MutationError(
             f"manifest {path!r} is not valid JSON: {exc}") from exc
-    if not isinstance(document, dict):
-        raise MutationError(f"manifest {path!r} must be a JSON object")
-
-    known = {"design", "params", "path", "source", "top", "defines",
-             "modules", "operators", "seed", "max_mutants", "until",
-             "workers", "options", "variants", "verify_witnesses"}
-    bad = set(document) - known
-    if bad:
-        raise MutationError(
-            f"manifest {path!r}: unknown key(s) {sorted(bad)} "
-            f"(known: {sorted(known)})")
 
     base_dir = os.path.dirname(os.path.abspath(path))
-    source, top, defines = _design(document, base_dir, "manifest")
-
-    modules = document.get("modules")
-    if modules is not None and (
-            not isinstance(modules, list)
-            or not all(isinstance(m, str) for m in modules)):
-        raise MutationError("manifest: \"modules\" must be an array of "
-                            "module names")
-    operators = document.get("operators")
-    if operators is not None:
-        if not isinstance(operators, list):
-            raise MutationError("manifest: \"operators\" must be an array")
-        operators = resolve_operators(operators)
-
-    # the request schema's JSON-type rule: no bool passes as a number
-    is_int, is_bool = api._SCALARS[int][0], api._SCALARS[bool][0]
-    seed = document.get("seed", 0)
-    if not is_int(seed):
-        raise MutationError(
-            f"manifest: \"seed\" must be an integer, not {seed!r}")
-    max_mutants = document.get("max_mutants")
-    if max_mutants is not None and (
-            not is_int(max_mutants) or max_mutants < 0):
-        raise MutationError(
-            "manifest: \"max_mutants\" must be a non-negative integer "
-            f"or null, not {max_mutants!r}")
-    workers = document.get("workers", 1)
-    if not is_int(workers) or workers < 1:
-        raise MutationError(
-            f"manifest: \"workers\" must be an integer >= 1, "
-            f"not {workers!r}")
-    verify_witnesses = document.get("verify_witnesses", False)
-    if not is_bool(verify_witnesses):
-        raise MutationError(
-            "manifest: \"verify_witnesses\" must be a boolean, "
-            f"not {verify_witnesses!r}")
-
     try:
-        until = api.parse_until(document.get("until"), "manifest")
+        api.check(document, api.tables()["campaign"], f"manifest {path!r}")
+        source, _path, top, defines = api.resolve_design(
+            document, base_dir, "manifest", inline=True)
         options = api.parse_options(document.get("options", {}), "campaign")
+        variants = []
+        for index, spec in enumerate(document.get("variants", [])):
+            api.check(spec, api.tables()["variant"], f"variant #{index}")
+            name = spec["name"]
+            if any(variant.name == name for variant in variants):
+                raise MutationError(f"duplicate variant name {name!r}")
+            v_source, _path, v_top, v_defines = api.resolve_design(
+                spec, base_dir, f"variant {name!r}", inline=True)
+            variants.append(Variant(name=name, source=v_source, top=v_top,
+                                    defines=v_defines))
     except RequestError as exc:
         raise MutationError(str(exc)) from exc
 
-    variant_specs = document.get("variants", [])
-    if not isinstance(variant_specs, list):
-        raise MutationError("manifest: \"variants\" must be an array of "
-                            f"objects, not {variant_specs!r}")
-    variants = []
-    seen = set()
-    for index, spec in enumerate(variant_specs):
-        if not isinstance(spec, dict):
-            raise MutationError(f"variant #{index} is not an object")
-        name = spec.get("name")
-        if not name or not isinstance(name, str):
-            raise MutationError(f"variant #{index} needs a \"name\"")
-        if name in seen:
-            raise MutationError(f"duplicate variant name {name!r}")
-        seen.add(name)
-        v_source, v_top, v_defines = _design(
-            spec, base_dir, f"variant {name!r}")
-        variants.append(Variant(name=name, source=v_source, top=v_top,
-                                defines=v_defines))
-
+    operators = document.get("operators")
     config = CampaignConfig(
-        source=source, top=top, defines=defines, modules=modules,
-        operators=operators, seed=seed, max_mutants=max_mutants,
-        until=until, options=options, variants=variants,
-        verify_witnesses=verify_witnesses)
-    return config, workers
+        source=source, top=top, defines=defines,
+        modules=document.get("modules"),
+        operators=None if operators is None
+        else resolve_operators(operators),
+        seed=document.get("seed", 0),
+        max_mutants=document.get("max_mutants"),
+        until=document.get("until"), options=options, variants=variants,
+        verify_witnesses=document.get("verify_witnesses", False))
+    return config, document.get("workers", 1)

@@ -56,13 +56,13 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from repro.api import REQUEST_SCHEMA, parse_run
+from repro.api import parse_run
 from repro.batch.engine import DesignCatalog, Dispatcher, RunOutcome
 from repro.batch.journal import (
     JOURNAL_NAME, BatchJournal, catalog_sha, request_fingerprint,
 )
 from repro.batch.queue import JobQueue, RetryPolicy
-from repro.errors import ReproError, RequestError
+from repro.errors import ReproError
 from repro.guard import ResourceBudgets
 from repro.obs import MetricsRegistry
 from repro.obs.live import DEFAULT_EVERY, read_status, scan_status
@@ -309,20 +309,11 @@ class Scheduler:
         :class:`~repro.errors.ReproError` subtypes (also 400 at the
         HTTP layer — the design is part of the request).
         """
-        if not isinstance(spec, dict):
-            raise RequestError("request body must be a JSON object")
-        schema = spec.get("schema")
-        if schema is not None and schema != REQUEST_SCHEMA:
-            raise RequestError(
-                f"unsupported schema {schema!r} "
-                f"(this server speaks {REQUEST_SCHEMA})")
-        tenant = spec.get("tenant", "default")
-        if not isinstance(tenant, str) or not tenant:
-            raise RequestError("\"tenant\" must be a non-empty string")
-        quota = self.config.quota(tenant)
-
         rid = f"r{next(self._seq):06d}"
-        request = parse_run(spec, base_dir=None, name=rid)
+        request = parse_run(spec, base_dir=None, where="request body",
+                            name=rid, kind="body")
+        tenant = spec.get("tenant", "default")
+        quota = self.config.quota(tenant)
         request = dataclasses.replace(
             request, options=quota.clamp(request.options))
         # The submitting thread compiles (and pays for) its own design;

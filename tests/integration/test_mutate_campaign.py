@@ -314,6 +314,10 @@ def test_manifest_builtin_design(tmp_path):
     ({"source": "m", "variants": {"name": "a"}},
      '"variants" must be an array'),
     ({"source": "m", "variants": [5]}, "variant #0 is not an object"),
+    # every object rejects unknown keys
+    ({"source": "m", "variants": [{"name": "a", "source": "m", "zap": 1}]},
+     r"variant #0: unknown keys \['zap'\]"),
+    ({"source": "m", "workers": 2, "wokers": 2}, r"unknown keys \['wokers'\]"),
 ])
 def test_manifest_rejects_malformed(tmp_path, document, match):
     path = write_manifest(tmp_path, document)

@@ -228,6 +228,10 @@ def test_quota_rejection_is_429_with_retry_after(app):
     ({"source": OK_SOURCE, "top": ["t"]}, '"top" must be a string'),
     ({"source": OK_SOURCE, "defines": {"A": 3}},
      '"defines" must be an object of strings'),
+    ({"source": OK_SOURCE, "untill": 5},
+     "unknown keys ['untill'] (known: ['defines', 'design', 'name', "),
+    ({"source": OK_SOURCE, "options": {"checkpoint_every": -3}},
+     "'checkpoint_every' must be an integer >= 1 or null, not -3"),
 ])
 def test_malformed_requests_are_400(app, doc, fragment):
     code, _, body = _submit(app, doc)

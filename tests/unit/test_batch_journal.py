@@ -160,6 +160,58 @@ class TestJournalRoundTrip:
         with pytest.raises(BatchError, match="unsupported schema"):
             read_journal(str(path))
 
+    @pytest.mark.parametrize("record, match", [
+        ({"kind": "terminal"}, '"outcome" is required'),
+        ({"kind": "terminal", "run": "b"}, '"outcome" is required'),
+        ({"kind": "terminal", "run": 3, "outcome": {}},
+         '"run" must be a string'),
+        ({"kind": "terminal", "run": "b", "outcome": []},
+         '"outcome" must be an object'),
+        ({"kind": "attempt", "run": "b"}, '"attempt" is required'),
+        ({"kind": "attempt", "run": "b", "attempt": "1", "event": "start"},
+         '"attempt" must be an integer'),
+        ({"kind": "terminal", "run": "b", "outcome": {}, "zap": 1},
+         r"unknown keys \['zap'\]"),
+        ({"kind": 5}, '"kind" must be a string'),
+        ({"run": "b"}, '"kind" must be a string'),
+        (["terminal"], "line 2 is not an object"),
+    ], ids=["terminal-bare", "terminal-no-outcome", "terminal-run-int",
+            "terminal-outcome-array", "attempt-no-attempt",
+            "attempt-string", "terminal-unknown-key", "kind-int",
+            "kind-missing", "array"])
+    def test_malformed_middle_record_is_one_error_line(self, tmp_path,
+                                                       record, match):
+        path, journal = _journal(tmp_path)
+        journal.terminal("a", {"name": "a", "status": "ok"})
+        journal.close()
+        text = open(path, encoding="utf-8").read().splitlines()
+        text.insert(1, json.dumps(record))
+        open(path, "w", encoding="utf-8").write("\n".join(text) + "\n")
+        with pytest.raises(BatchError, match=match) as info:
+            read_journal(path)
+        assert "line 2" in str(info.value) and "\n" not in str(info.value)
+
+    @pytest.mark.parametrize("runs", [["a"], "a", {"a": 1}, None])
+    def test_header_runs_must_map_names_to_fingerprints(self, tmp_path,
+                                                        runs):
+        path = tmp_path / "journal.jsonl"
+        path.write_text(json.dumps(
+            {"kind": "header", "schema": JOURNAL_SCHEMA,
+             "catalog_sha": "c", "runs": runs}) + "\n")
+        with pytest.raises(BatchError, match='"runs" must be an object of '
+                                             'strings') as info:
+            read_journal(str(path))
+        assert "\n" not in str(info.value)
+
+    def test_audit_records_are_not_read_back(self, tmp_path):
+        path, journal = _journal(tmp_path)
+        journal.append({"kind": "submitted", "run": "a", "tenant": "t"})
+        journal.append({"kind": "close"})
+        journal.close()
+        state = read_journal(path)
+        assert state.runs == {"a": "fp-a", "b": "fp-b"}
+        assert state.terminal == {} and state.attempts == {}
+
 
 # ---------------------------------------------------------------------------
 # resume verification
